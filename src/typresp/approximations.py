@@ -27,66 +27,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.special import j1 as bessel_j1  # public name of J1 in this package
 
 from . import profiles, protocols
 from .errors import ResolventConvergenceError
 
 VALID_MARGIN = 3.0  # operational reading of "r much larger than Sigma_0"
-
-# ---------------------------------------------------------------------------
-# Bessel J1
-# ---------------------------------------------------------------------------
-
-_J1_SERIES_CUT = 12.0
-_J1_SERIES_TERMS = 30
-_J1_ASYMPTOTIC_TERMS = 11
-
-# Hankel coefficients a_k for nu = 1: a_0 = 1, a_k = a_{k-1} (4 - (2k-1)^2)/(8k)
-_J1_HANKEL = [1.0]
-for _k in range(1, 2 * _J1_ASYMPTOTIC_TERMS + 2):
-    _J1_HANKEL.append(_J1_HANKEL[-1] * (4.0 - (2.0 * _k - 1.0) ** 2) / (8.0 * _k))
-
-
-def bessel_j1(x):
-    """Bessel function of the first kind of order 1, |error| < 1e-10.
-
-    Alternating power series up to the cut |x| <= 12, Hankel asymptotic
-    expansion beyond; both branches are plain double-precision sums.
-    """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(x_arr)
-    ax = np.abs(x_arr)
-    small = ax <= _J1_SERIES_CUT
-
-    if np.any(small):
-        xs = ax[small]
-        q = 0.25 * xs * xs
-        term = 0.5 * xs  # k = 0 term of (x/2) sum (-q)^k / (k! (k+1)!)
-        acc = term.copy()
-        for k in range(1, _J1_SERIES_TERMS + 1):
-            term = term * (-q) / (k * (k + 1))
-            acc += term
-        out[small] = acc
-
-    if np.any(~small):
-        xl = ax[~small]
-        inv2 = 1.0 / (xl * xl)
-        p = np.zeros_like(xl)
-        q = np.zeros_like(xl)
-        # P = sum (-1)^m a_{2m} x^{-2m},  Q = sum (-1)^m a_{2m+1} x^{-2m-1}
-        pw = np.ones_like(xl)
-        for m in range(_J1_ASYMPTOTIC_TERMS):
-            sign = -1.0 if m % 2 else 1.0
-            p += sign * _J1_HANKEL[2 * m] * pw
-            q += sign * _J1_HANKEL[2 * m + 1] * pw / xl
-            pw = pw * inv2
-        chi = xl - 0.75 * np.pi
-        out[~small] = np.sqrt(2.0 / (np.pi * xl)) * (p * np.cos(chi) - q * np.sin(chi))
-
-    out = out * np.sign(x_arr)  # J1 is odd
-    return float(out[0]) if np.isscalar(x) or np.asarray(x).ndim == 0 else out.reshape(np.shape(x))
-
 
 # ---------------------------------------------------------------------------
 # strong / short-ranged driving
@@ -316,9 +262,14 @@ def resolvent_solve(
     free_left = 1.0 / pad_left
     free_right = 1.0 / pad_right
 
+    # the "valid" part of the linear convolution g_pad * w, by FFT with the
+    # fixed weights transformed once
+    n_fft = 1 << (len(g) + 4 * m - 1).bit_length()
+    w_hat = np.fft.fft(w, n_fft)
+    valid = slice(2 * m, 2 * m + len(g))
     for _ in range(max_iter):
         g_pad = np.concatenate((free_left, g, free_right))
-        sigma = fftconvolve(g_pad, w, mode="valid")
+        sigma = np.fft.ifft(np.fft.fft(g_pad, n_fft) * w_hat)[valid]
         g_new = (1.0 - damping) * g + damping / (z - sigma)
         change = float(np.max(np.abs(g_new - g)))
         g = g_new

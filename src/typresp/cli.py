@@ -1,18 +1,16 @@
 """Command-line interface.
 
     typresp respond|approx|simulate|compare|sweep --config <path> --out <dir>
-            [--seed N] [--threads K]
+            [--seed N]
 
 Every subcommand prints a one-line JSON summary to standard output and exits
-nonzero with a machine-readable error record on failure.  The default thread
-count comes from TYPRESP_THREADS.
+nonzero with a machine-readable error record on failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import harness
@@ -32,12 +30,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="YAML config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument(
-            "--threads",
-            type=int,
-            default=int(os.environ.get("TYPRESP_THREADS", "1")),
-            help="worker threads (default: TYPRESP_THREADS or 1)",
-        )
     return parser
 
 
@@ -51,7 +43,7 @@ def main(argv=None) -> int:
             else:
                 cfg["sweep"]["base"]["seed"] = args.seed
         if args.command == "respond":
-            summary = harness.run_respond(cfg, args.out, threads=args.threads)
+            summary = harness.run_respond(cfg, args.out)
         elif args.command == "approx":
             summary = harness.run_approx(cfg, args.out)
         elif args.command == "simulate":
@@ -59,7 +51,7 @@ def main(argv=None) -> int:
         elif args.command == "compare":
             summary = harness.compare_files(cfg, args.out)
         else:
-            summary = harness.run_sweep(cfg, args.out, threads=args.threads)
+            summary = harness.run_sweep(cfg, args.out)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports all failures
         record = {"command": args.command, "status": "error",
                   "error": type(exc).__name__, "message": str(exc)}

@@ -24,7 +24,6 @@ from __future__ import annotations
 import copy
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -33,10 +32,8 @@ import numpy as np
 import scipy
 import yaml
 
-from . import approximations, profiles, protocols, response, rmt
+from . import __version__, approximations, profiles, protocols, response, rmt
 from .errors import ConfigError, GridMismatchError
-
-__version__ = "0.1.0"
 
 SCENARIOS = ("fidelity", "strong_scale", "quench_asymptotics", "double_pretherm")
 
@@ -494,14 +491,7 @@ def _run_simulation_scenario(cfg: dict, out_dir: Path) -> dict:
     }
 
     if scenario == "double_pretherm":
-        undriven_h0 = np.array(
-            [
-                float(np.sum(model.energies
-                             * np.abs(np.exp(-1j * model.energies * t) * model.initial_state) ** 2))
-                for t in t_grid
-            ]
-        )
-        metrics["undriven_h0_drift"] = float(np.ptp(undriven_h0))
+        metrics["undriven_h0_drift"] = float(np.ptp(traj.undriven_h0_series))
         if ts is not None and t_grid[-1] >= 2 * ts:
             per = max(1, int(round(ts / (t_grid[1] - t_grid[0]))))
             metrics["heating"] = {
@@ -601,7 +591,7 @@ def run(cfg: dict, out_dir) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_respond(cfg: dict, out_dir, threads: int = 1) -> dict:
+def run_respond(cfg: dict, out_dir) -> dict:
     """Solve for gamma: diagonal always, plus any requested fixed t' curves."""
     _check_keys(cfg, _SCENARIO_KEYS["respond"], "respond config")
     profile = build_profile(cfg["profile"])
@@ -617,7 +607,7 @@ def run_respond(cfg: dict, out_dir, threads: int = 1) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     meta = _base_meta(cfg)
     files = []
-    diag = response.gamma_diagonal_values(profile, protocol, h, n, threads=threads)[::substeps]
+    diag = response.gamma_diagonal_values(profile, protocol, h, n)[::substeps]
     files.append(
         write_csv(
             out_dir / "respond_diagonal.csv",
@@ -668,7 +658,7 @@ def _apply_override(cfg: dict, dotted: str, value) -> None:
     node[keys[-1]] = value
 
 
-def run_sweep(cfg: dict, out_dir, threads: int = 1) -> dict:
+def run_sweep(cfg: dict, out_dir) -> dict:
     """Fan a base scenario config out over parameter variations.
 
     Each variation is a mapping of dotted config paths to values and runs in
@@ -682,21 +672,13 @@ def run_sweep(cfg: dict, out_dir, threads: int = 1) -> dict:
     validate_scenario_config(base)
     out_dir = Path(out_dir)
 
-    def one(i_var):
-        i, var = i_var
+    results = []
+    for i, var in enumerate(variations):
         c = copy.deepcopy(base)
         for key, value in sorted(var.items()):
             _apply_override(c, key, value)
         validate_scenario_config(c)
-        sub = out_dir / f"var_{i:03d}"
-        return run(c, sub)
-
-    jobs = list(enumerate(variations))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, jobs))
-    else:
-        results = [one(j) for j in jobs]
+        results.append(run(c, out_dir / f"var_{i:03d}"))
     summary = {
         "variations": len(results),
         "files": [f for r in results for f in r["files"]],

@@ -13,8 +13,10 @@ protocols are interpolated linearly and integrated exactly for the
 interpolant (piecewise polynomial), which meets the 1e-10 fallback
 tolerance on smooth inputs.
 
-All evaluation functions accept scalar or ndarray time arguments and are
-pure; protocol objects are immutable and safe for concurrent use.
+eval_f, f1_f2 and phi_arrays accept scalar or ndarray time arguments;
+integrals takes a single time, and phi_arrays is the array route to phi1 and
+phi2.  All evaluation functions are pure; protocol objects are immutable and
+safe for concurrent use.
 """
 
 from __future__ import annotations

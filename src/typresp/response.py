@@ -17,9 +17,7 @@ undriven series:  a_pred(t) = a_th + gamma(t, t)^2 * (a_undriven(t) - a_th).
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -132,14 +130,11 @@ def gamma_diagonal_values(
     protocol: protocols.DrivingProtocol,
     h: float,
     n: int,
-    threads: int = 1,
-    progress: Optional[Callable[[int, int], None]] = None,
 ) -> np.ndarray:
     """Signed diagonal gamma(t_i, t_i) for t_i = i*h, i = 0..n.
 
     Each diagonal point is an independent solve of the response equation on
-    [0, t_i] with t' = t_i (the per-t' solves parallelize trivially; results
-    are collected in deterministic grid order).  This is the O(n^3) hot loop.
+    [0, t_i] with t' = t_i.  This is the O(n^3) hot loop.
     """
     if n < 1:
         raise ValueError("need at least one grid point beyond t = 0")
@@ -149,26 +144,12 @@ def gamma_diagonal_values(
     phi1, phi2 = protocols.phi_arrays(protocol, t_grid)
     out = np.empty(n + 1)
     out[0] = 1.0
-
-    def endpoint(i: int) -> float:
+    for i in range(1, n + 1):
         kern = _kernel(phi1[i], phi2[i], v_grid[: i + 1], vdd_grid[: i + 1])
         try:
-            g = _volterra_heun(kern, h)
+            out[i] = _volterra_heun(kern, h)[-1]
         except SolverBlowUpError as exc:
             raise SolverBlowUpError(t_grid[i], exc.value) from exc
-        return g[-1]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, val in zip(range(1, n + 1), pool.map(endpoint, range(1, n + 1))):
-                out[i] = val
-                if progress is not None:
-                    progress(i, n)
-    else:
-        for i in range(1, n + 1):
-            out[i] = endpoint(i)
-            if progress is not None:
-                progress(i, n)
     return out
 
 
@@ -177,11 +158,9 @@ def gamma_diagonal(
     protocol: protocols.DrivingProtocol,
     h: float,
     n: int,
-    threads: int = 1,
-    progress: Optional[Callable[[int, int], None]] = None,
 ) -> np.ndarray:
     """|gamma(t_i, t_i)|^2 on t_i = i*h; the response weight entering predictions."""
-    return gamma_diagonal_values(profile, protocol, h, n, threads, progress) ** 2
+    return gamma_diagonal_values(profile, protocol, h, n) ** 2
 
 
 def predict_observable(

@@ -7,7 +7,9 @@ the initial eigenstate (survival probability) or a two-sector smooth
 diagonal with GUE fluctuations.  Propagation is exact: piecewise-constant
 protocols are evolved in the eigenbasis of each distinct H0 + f V, smooth
 protocols by split-step e^{-iH0 h/2} e^{-if(t_mid)V h} e^{-iH0 h/2} with the
-eigendecomposition of V cached once.
+eigendecomposition of V cached once.  Every route, the undriven series and
+the auxiliary-Hamiltonian check included, hands its states to one readout of
+<A>, <H0> and the norm, which checks the norm at every output.
 
 All randomness flows from one 64-bit master seed through named PCG64
 substreams (one per matrix/vector), so adding an observable never perturbs
@@ -277,42 +279,55 @@ class TrajectoryResult:
     h0_series: np.ndarray
     norm_series: np.ndarray
     undriven_a_series: np.ndarray
+    undriven_h0_series: np.ndarray
     method: str
     step: Optional[float] = None
 
 
-def _expect(a: np.ndarray, psi: np.ndarray) -> float:
-    return float(np.real(np.vdot(psi, a @ psi)))
+# output times per GEMM: bounds the m x _BLOCK complex temporaries of _series
+_BLOCK = 64
 
 
-def undriven_series(model: RandomMatrixModel, t_grid: np.ndarray) -> np.ndarray:
-    """<A> under H0 alone (pure phase evolution of the diagonal Hamiltonian)."""
-    out = np.empty(len(t_grid))
-    for i, t in enumerate(t_grid):
-        psi = np.exp(-1j * model.energies * t) * model.initial_state
-        out[i] = _expect(model.observable, psi)
+def _readout(model: RandomMatrixModel, states: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Rows <A>, <H0> and norm of the state columns, taken at the times t.
+
+    Raises NormDriftError at the first t whose norm drifts beyond NORM_TOL.
+    """
+    probs = np.abs(states) ** 2
+    a = np.einsum("ij,ij->j", states.conj(), model.observable @ states).real
+    rows = np.stack((a, model.energies @ probs, np.sqrt(probs.sum(axis=0))))
+    bad = np.flatnonzero(np.abs(rows[2] - 1.0) > NORM_TOL)
+    if bad.size:
+        k = bad[0]
+        raise NormDriftError(f"norm drifted to {rows[2, k]:.12f} at t = {t[k]:.6g}")
+    return rows
+
+
+def _series(model, w, u, c, taus, t) -> np.ndarray:
+    """Readout rows of u @ (exp(-i w tau) c) for each tau, one GEMM per block.
+
+    u = None means the H0 eigenbasis, where the phased coefficients are the
+    state itself.  t holds the absolute times named in a NormDriftError.
+    """
+    out = np.empty((3, len(taus)))
+    for s in range(0, len(taus), _BLOCK):
+        blk = slice(s, s + _BLOCK)
+        states = np.exp(-1j * np.outer(w, taus[blk])) * c[:, None]
+        if u is not None:
+            states = u @ states
+        out[:, blk] = _readout(model, states, t[blk])
     return out
 
 
-def undriven_and_references(model: RandomMatrixModel, t_grid: np.ndarray):
-    """Undriven observable series plus the model's reference constants.
-
-    Returns (undriven_series, refs) where refs holds a_bar0 (diagonal
-    ensemble), a_th (window average of the observable diagonal, with 1.5x/3x
-    window-width sensitivity), a_inf (trace average) and d0_window.
-    """
-    refs = reference_constants(
-        model.energies,
-        np.real(np.diag(model.observable)),
-        np.abs(model.initial_state) ** 2,
-        model.window,
-    )
-    return undriven_series(model, np.asarray(t_grid, dtype=float)), refs
+def _to_basis(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """u^H psi without forming the conjugate transpose of u."""
+    return (u.T @ psi.conj()).conj()
 
 
-def _check_norm(nrm: float, t: float) -> None:
-    if abs(nrm - 1.0) > NORM_TOL:
-        raise NormDriftError(f"norm drifted to {nrm:.12f} at t = {t:.6g}")
+def undriven_series(model: RandomMatrixModel, t_grid: np.ndarray) -> np.ndarray:
+    """Readout rows <A>, <H0>, norm under H0 alone (pure phase evolution)."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    return _series(model, model.energies, None, model.initial_state, t_grid, t_grid)
 
 
 def _propagate_piecewise(model, protocol, t_grid):
@@ -323,45 +338,25 @@ def _propagate_piecewise(model, protocol, t_grid):
             f"not {protocol.variant!r}"
         )
     bounds, values = segs
-    h0_diag = model.energies
-    cache: dict[float, tuple] = {}
-
-    def eig_for(fv: float):
-        if fv not in cache:
-            if fv == 0.0:
-                cache[fv] = None  # pure phase evolution
-            else:
-                w, u = np.linalg.eigh(np.diag(h0_diag) + fv * model.v_matrix)
-                cache[fv] = (w, u)
-        return cache[fv]
-
-    a = np.empty(len(t_grid))
-    h0 = np.empty(len(t_grid))
-    nrm = np.empty(len(t_grid))
-    psi = model.initial_state.copy()
+    cache = {0.0: (model.energies, None)}  # f = 0: pure phase evolution
+    out = np.empty((3, len(t_grid)))
+    psi = model.initial_state
     oi = 0
     for k in range(len(values)):
-        t0, t1, fv = bounds[k], bounds[k + 1], values[k]
-        eig = eig_for(float(fv))
-        coeff = psi if eig is None else eig[1].conj().T @ psi
-
-        def state_at(tau):
-            if eig is None:
-                return np.exp(-1j * h0_diag * tau) * coeff
-            w, u = eig
-            return u @ (np.exp(-1j * w * tau) * coeff)
-
-        while oi < len(t_grid) and t_grid[oi] <= t1 + 1e-12:
-            ph = state_at(t_grid[oi] - t0)
-            a[oi] = _expect(model.observable, ph)
-            h0[oi] = float(np.sum(h0_diag * np.abs(ph) ** 2))
-            nrm[oi] = float(np.linalg.norm(ph))
-            _check_norm(nrm[oi], t_grid[oi])
-            oi += 1
-        psi = state_at(t1 - t0)
+        t0, t1, fv = bounds[k], bounds[k + 1], float(values[k])
+        if fv not in cache:
+            cache[fv] = np.linalg.eigh(np.diag(model.energies) + fv * model.v_matrix)
+        w, u = cache[fv]
+        c = psi if u is None else _to_basis(u, psi)
+        oj = int(np.searchsorted(t_grid, t1 + 1e-12, side="right"))
+        out[:, oi:oj] = _series(model, w, u, c, t_grid[oi:oj] - t0, t_grid[oi:oj])
+        oi = oj
         if oi >= len(t_grid):
             break
-    return a, h0, nrm
+        psi = np.exp(-1j * w * (t1 - t0)) * c
+        if u is not None:
+            psi = u @ psi
+    return out
 
 
 def _propagate_trotter(model, protocol, t_grid, step):
@@ -383,27 +378,19 @@ def _propagate_trotter(model, protocol, t_grid, step):
             )
     w, u = np.linalg.eigh(model.v_matrix)
     half = np.exp(-1j * model.energies * (h / 2.0))
-    psi = model.initial_state.copy()
-    a = np.empty(len(t_grid))
-    h0 = np.empty(len(t_grid))
-    nrm = np.empty(len(t_grid))
-    a[0] = _expect(model.observable, psi)
-    h0[0] = float(np.sum(model.energies * np.abs(psi) ** 2))
-    nrm[0] = float(np.linalg.norm(psi))
-    oi = 1
+    psi = model.initial_state
+    out = np.empty((3, len(t_grid)))
+    out[:, :1] = _readout(model, psi[:, None], t_grid[:1])
     n_steps = (len(t_grid) - 1) * n_sub
     f_mid = protocols.eval_f(protocol, (np.arange(n_steps) + 0.5) * h)
     for k in range(n_steps):
         psi = half * psi
-        psi = u @ (np.exp(-1j * f_mid[k] * w * h) * (u.conj().T @ psi))
+        psi = u @ (np.exp(-1j * f_mid[k] * w * h) * _to_basis(u, psi))
         psi = half * psi
         if (k + 1) % n_sub == 0:
-            a[oi] = _expect(model.observable, psi)
-            h0[oi] = float(np.sum(model.energies * np.abs(psi) ** 2))
-            nrm[oi] = float(np.linalg.norm(psi))
-            _check_norm(nrm[oi], t_grid[oi])
-            oi += 1
-    return a, h0, nrm, h
+            oi = (k + 1) // n_sub
+            out[:, oi : oi + 1] = _readout(model, psi[:, None], t_grid[oi : oi + 1])
+    return out, h
 
 
 def propagate(
@@ -424,20 +411,21 @@ def propagate(
         raise ValueError("t_grid must be increasing and nonnegative")
     used_step = None
     if method == "piecewise_exact":
-        a, h0, nrm = _propagate_piecewise(model, protocol, t_grid)
+        rows = _propagate_piecewise(model, protocol, t_grid)
     elif method == "trotter":
         if step is None or step <= 0:
             raise ConfigError("trotter propagation needs a positive step")
-        a, h0, nrm, used_step = _propagate_trotter(model, protocol, t_grid, step)
+        rows, used_step = _propagate_trotter(model, protocol, t_grid, step)
     else:
         raise ConfigError(f"unknown propagation method {method!r}")
     undriven = undriven_series(model, t_grid)
     return TrajectoryResult(
         t_grid=t_grid,
-        a_series=a,
-        h0_series=h0,
-        norm_series=nrm,
-        undriven_a_series=undriven,
+        a_series=rows[0],
+        h0_series=rows[1],
+        norm_series=rows[2],
+        undriven_a_series=undriven[0],
+        undriven_h0_series=undriven[1],
         method=method,
         step=used_step,
     )
@@ -481,9 +469,5 @@ def auxiliary_magnus_check(
         raise ConfigError("auxiliary check is limited to m <= 1024 (dense diagonalization)")
     h_aux = auxiliary_hamiltonian(model, protocol, t_prime)
     w, u = np.linalg.eigh(h_aux)
-    c = u.conj().T @ model.initial_state
-    out = np.empty(len(t_grid))
-    for i, t in enumerate(t_grid):
-        psi = u @ (np.exp(-1j * w * t) * c)
-        out[i] = _expect(model.observable, psi)
-    return out
+    t_grid = np.asarray(t_grid, dtype=float)
+    return _series(model, w, u, _to_basis(u, model.initial_state), t_grid, t_grid)[0]

@@ -221,7 +221,7 @@ def test_sweep(tmp_path):
         {"protocol.f0": 0.04},
         {"protocol.f0": 0.12, "seed": 3},
     ]}}
-    out = harness.run_sweep(cfg, tmp_path, threads=2)
+    out = harness.run_sweep(cfg, tmp_path)
     assert out["variations"] == 2
     assert (tmp_path / "var_000" / "simulation.csv").exists()
     assert (tmp_path / "var_001" / "simulation.csv").exists()
@@ -266,13 +266,6 @@ def test_cli_error_record(tmp_path, capsys):
     assert rc == 1
     assert record["status"] == "error"
     assert record["error"] == "ConfigError"
-
-
-def test_cli_threads_default_from_env(monkeypatch):
-    monkeypatch.setenv("TYPRESP_THREADS", "5")
-    parser = cli._parser()
-    args = parser.parse_args(["respond", "--config", "x", "--out", "y"])
-    assert args.threads == 5
 
 
 def test_cli_respond_and_approx(tmp_path, capsys):

@@ -96,20 +96,10 @@ def test_gamma_diagonal_matches_pointwise_solves():
     assert np.array_equal(response.gamma_diagonal(p, proto, h, n), diag**2)
 
 
-def test_gamma_diagonal_threads_deterministic():
-    p = exp_profile()
-    proto = protocols.DrivingProtocol(variant="sinusoid", f0=0.05, period=0.5)
-    a = response.gamma_diagonal(p, proto, 0.02, 50, threads=1)
-    b = response.gamma_diagonal(p, proto, 0.02, 50, threads=2)
-    assert np.array_equal(a, b)
-
-
 def test_gamma_diagonal_progress_and_grid_convergence():
     p = exp_profile()
     proto = protocols.DrivingProtocol(variant="step", f0=0.04, period=0.5)
-    calls = []
-    coarse = response.gamma_diagonal(p, proto, 0.02, 50, progress=lambda i, n: calls.append(i))
-    assert calls == list(range(1, 51))
+    coarse = response.gamma_diagonal(p, proto, 0.02, 50)
     fine = response.gamma_diagonal(p, proto, 0.01, 100)
     assert np.max(np.abs(coarse - fine[::2])) < 1e-4  # halving h barely moves gamma^2
 

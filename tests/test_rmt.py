@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from typresp import profiles, protocols, rmt
-from typresp.errors import ConfigError, EmptyWindowError
+from typresp.errors import ConfigError, EmptyWindowError, NormDriftError
 
 
 def exp_profile(v0=1.0, dv=0.5, d0=512.0):
@@ -179,14 +180,6 @@ def test_reference_constants_fidelity():
     assert model.derived["d0_window"] == pytest.approx(64.0, rel=1e-2)
 
 
-def test_undriven_and_references_composite():
-    model = small_fidelity_model(m=128)
-    t = np.linspace(0.0, 1.0, 9)
-    undriven, refs = rmt.undriven_and_references(model, t)
-    assert np.allclose(undriven, 1.0, atol=1e-12)
-    assert refs == model.derived
-
-
 def test_reference_constants_window_sensitivity():
     spec = rmt.SpectrumSpec(m=2048, variant="cosine_modulated", alpha=0.1,
                             mean_spacing=32.0 / 2048)
@@ -240,10 +233,67 @@ def test_trotter_second_order_convergence():
 
 def test_undriven_energy_constant():
     model = small_fidelity_model()
-    e = model.energies
-    psi = model.initial_state
-    h0 = [float(np.sum(e * np.abs(np.exp(-1j * e * t) * psi) ** 2)) for t in np.linspace(0, 5, 20)]
+    h0 = rmt.undriven_series(model, np.linspace(0, 5, 20))[1]
     assert np.ptp(h0) < 1e-10
+
+
+def small_eth_model(m=64, spacing=1.0 / 8, seed=5):
+    spec = rmt.SpectrumSpec(m=m, variant="flat", spacing=spacing)
+    e = spec.energies()
+    v = rmt.sample_v(e, exp_profile(d0=1.0 / spacing), seed)
+    a = rmt.build_eth_observable(e, spec.e_top, 1.0, 0.25, seed)
+    psi = rmt.build_initial_state(e, "filtered_random", seed, e_center=4.0, delta_e=1.0)
+    return rmt.RandomMatrixModel(
+        spectrum=spec, energies=e, v_matrix=v, observable=a,
+        initial_state=psi, master_seed=seed,
+    )
+
+
+def expm_loop(model, protocol, t_grid):
+    """<A>, <H0>, norm by scipy's expm from t = 0 to each output time in turn."""
+    bounds, values = protocol.piecewise_segments(float(t_grid[-1]))
+    rows = []
+    for t in t_grid:
+        psi = model.initial_state
+        for k, fv in enumerate(values):
+            h = np.diag(model.energies) + fv * model.v_matrix
+            psi = expm(-1j * (min(t, bounds[k + 1]) - bounds[k]) * h) @ psi
+            if t <= bounds[k + 1]:
+                break
+        rows.append((np.vdot(psi, model.observable @ psi).real,
+                     np.vdot(psi, model.energies * psi).real, np.linalg.norm(psi)))
+    return np.array(rows).T
+
+
+def test_readout_blocks_match_per_time_loops():
+    # 100 outputs per segment: each segment crosses a 64-output block
+    # boundary, and the grid crosses two segment switches
+    model = small_eth_model()
+    t = np.linspace(0.0, 3.0, 301)
+    undriven = rmt.undriven_series(model, t)
+    for i, ti in enumerate(t):
+        psi = np.exp(-1j * model.energies * ti) * model.initial_state
+        assert undriven[0, i] == pytest.approx(np.vdot(psi, model.observable @ psi).real,
+                                               abs=1e-12)
+        assert undriven[1, i] == pytest.approx(np.vdot(psi, model.energies * psi).real,
+                                               abs=1e-12)
+    proto = protocols.DrivingProtocol(variant="step", f0=0.3, period=2.0)
+    traj = rmt.propagate(model, proto, t, method="piecewise_exact")
+    ref = expm_loop(model, proto, t)
+    np.testing.assert_allclose(traj.a_series, ref[0], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(traj.h0_series, ref[1], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(traj.norm_series, ref[2], rtol=0.0, atol=1e-12)
+    np.testing.assert_array_equal(traj.undriven_a_series, undriven[0])
+    np.testing.assert_array_equal(traj.undriven_h0_series, undriven[1])
+
+
+@pytest.mark.parametrize("method", ["piecewise_exact", "trotter"])
+def test_norm_drift_raises_at_first_output(method):
+    model = small_fidelity_model(m=64)
+    model.initial_state = 1.01 * model.initial_state
+    proto = protocols.DrivingProtocol(variant="step", f0=0.1, period=0.5)
+    with pytest.raises(NormDriftError, match=r"norm drifted to 1\.010000000000 at t = 0$"):
+        rmt.propagate(model, proto, np.linspace(0.0, 1.0, 21), method=method, step=0.05)
 
 
 def test_method_protocol_mismatch():
