@@ -33,6 +33,8 @@ from . import profiles, protocols
 from .errors import ResolventConvergenceError
 
 VALID_MARGIN = 3.0  # operational reading of "r much larger than Sigma_0"
+RESOLVENT_DAMPING = 0.5  # weight of the new iterate in the fixed-point update
+RESOLVENT_TOL = 1e-10  # sup-change of G at which the iteration stops
 
 # ---------------------------------------------------------------------------
 # strong / short-ranged driving
@@ -75,18 +77,27 @@ def r_scale(
     return StrongDrivingScale(r=r, sigma0=s0, margin=r / s0)
 
 
-def strong_driving_gamma(r: float, t):
-    """gamma = 2 J1(r t) / (r t), with the series limit 1 at r t = 0."""
-    if r < 0:
+def _shaped(out: np.ndarray, *args):
+    """A float when every argument is a scalar, else out in their broadcast shape."""
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    return float(out[0]) if shape == () else out.reshape(shape)
+
+
+def strong_driving_gamma(r, t):
+    """gamma = 2 J1(r t) / (r t), with the series limit 1 at r t = 0.
+
+    r (a scalar or an array, e.g. r(t') on the diagonal) broadcasts against t.
+    """
+    if np.any(np.asarray(r) < 0):
         raise ValueError("scale r must be >= 0")
-    x = np.atleast_1d(np.asarray(t, dtype=float)) * r
+    x = np.atleast_1d(np.asarray(t, dtype=float) * r)
     if np.any(x < 0):
         raise ValueError("time must be >= 0")
     out = np.empty_like(x)
     tiny = x < 1e-3
     out[tiny] = 1.0 - x[tiny] ** 2 / 8.0 + x[tiny] ** 4 / 192.0
     out[~tiny] = 2.0 * bessel_j1(x[~tiny]) / x[~tiny]
-    return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out.reshape(np.shape(t))
+    return _shaped(out, r, t)
 
 
 # ---------------------------------------------------------------------------
@@ -113,67 +124,65 @@ _DEGENERATE_CUT = 1e-5
 def fast_rates(
     profile: profiles.PerturbationProfile,
     protocol: protocols.DrivingProtocol,
-    t_prime: float,
+    t_prime,
 ) -> FastDrivingRates:
-    """r_hat(t') and r_n(t'); r_0 is independent of t'."""
-    ints = protocols.integrals(protocol, t_prime)
+    """r_hat(t') and r_n(t'); r_0 is independent of t'.
+
+    A scalar t_prime gives float/complex rates, a 1-d array gives arrays.
+    """
+    phi1 = protocols.phi_arrays(protocol, t_prime)[0]
     s0 = profiles.moment(profile, 0)
-    r_hat = np.pi * profile.v0 * ints.phi1 * profile.d0
+    r_hat = np.pi * profile.v0 * phi1 * profile.d0
     r0 = s0 / np.pi
-    s = np.sqrt(complex(1.0 - 2.0 * np.pi * r_hat / s0))
-    return FastDrivingRates(
-        r_hat=float(r_hat),
-        r_minus1=complex(r0 * (1.0 - s)),
-        r_0=float(r0),
-        r_plus1=complex(r0 * (1.0 + s)),
-    )
+    s = np.sqrt((1.0 - 2.0 * np.pi * r_hat / s0).astype(complex))
+    if np.ndim(t_prime) == 0:
+        return FastDrivingRates(float(r_hat[0]), complex(r0 * (1.0 - s[0])), float(r0),
+                                complex(r0 * (1.0 + s[0])))
+    return FastDrivingRates(r_hat, r0 * (1.0 - s), float(r0), r0 * (1.0 + s))
 
 
 def fast_driving_gamma(
     profile: profiles.PerturbationProfile,
     protocol: protocols.DrivingProtocol,
     t,
-    t_prime: float,
+    t_prime,
 ):
-    """First-order (high-frequency) gamma(t, t'); equals 1 at t = 0 identically."""
-    rates = fast_rates(profile, protocol, t_prime)
+    """First-order (high-frequency) gamma(t, t'); equals 1 at t = 0 identically.
+
+    t and t_prime broadcast against each other (the diagonal is t = t_prime);
+    each element near the degenerate point 2 pi r_hat = Sigma_0 takes the
+    series branch on its own.
+    """
+    rates = fast_rates(profile, protocol, np.atleast_1d(t_prime))
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t_arr < 0):
         raise ValueError("time must be >= 0")
-    r0, rh = rates.r_0, rates.r_hat
+    r0, rh, rm, rp = rates.r_0, rates.r_hat, rates.r_minus1, rates.r_plus1
     disc = 1.0 - 2.0 * rh / r0  # = 1 - 2 pi r_hat / Sigma_0 = s^2
-
-    if abs(disc) < _DEGENERATE_CUT:
-        x = r0 * t_arr
-        out = np.exp(-x) * (
-            (1.0 + x + 0.25 * x * x) + disc * (0.25 * x * x + x**3 / 6.0 + x**4 / 48.0)
-        )
-    else:
-        num = (
-            (rates.r_plus1 - rh) * np.exp(-rates.r_minus1 * t_arr)
-            - 2.0 * rh * np.exp(-r0 * t_arr)
-            + (rates.r_minus1 - rh) * np.exp(-rates.r_plus1 * t_arr)
-        )
-        val = num / (2.0 * (r0 - 2.0 * rh))
-        max_imag = float(np.max(np.abs(val.imag)))
-        if max_imag >= 1e-10:
-            raise AssertionError(f"high-frequency gamma grew an imaginary part ({max_imag:.3e})")
-        out = val.real
-    return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out.reshape(np.shape(t))
+    series = np.abs(disc) < _DEGENERATE_CUT
+    x = r0 * t_arr
+    with np.errstate(divide="ignore", invalid="ignore"):  # r0 = 2 rh: a series element
+        num = (rp - rh) * np.exp(-rm * t_arr) - 2.0 * rh * np.exp(-r0 * t_arr)
+        val = (num + (rm - rh) * np.exp(-rp * t_arr)) / (2.0 * (r0 - 2.0 * rh))
+    max_imag = float(np.max(np.abs(np.where(series, 0.0, val.imag))))
+    if max_imag >= 1e-10:
+        raise AssertionError(f"high-frequency gamma grew an imaginary part ({max_imag:.3e})")
+    out = np.where(series, np.exp(-x) * (
+        (1.0 + x + 0.25 * x * x) + disc * (0.25 * x * x + x**3 / 6.0 + x**4 / 48.0)
+    ), val.real)
+    return _shaped(out, t, t_prime)
 
 
 def weak_fast_gamma(
     profile: profiles.PerturbationProfile,
     protocol: protocols.DrivingProtocol,
     t,
-    t_prime: float,
+    t_prime,
 ):
-    """Weak-amplitude fast-driving form exp(-r_hat(t') |t|)."""
-    ints = protocols.integrals(protocol, t_prime)
-    r_hat = np.pi * profile.v0 * ints.phi1 * profile.d0
-    t_arr = np.asarray(t, dtype=float)
-    out = np.exp(-r_hat * np.abs(t_arr))
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+    """Weak-amplitude fast-driving form exp(-r_hat(t') |t|); t and t_prime broadcast."""
+    r_hat = fast_rates(profile, protocol, np.atleast_1d(t_prime)).r_hat
+    out = np.exp(-r_hat * np.abs(np.asarray(t, dtype=float)))
+    return _shaped(out, t, t_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +217,15 @@ def resolvent_solve(
     e_grid: np.ndarray,
     eta: float,
     t_prime: Optional[float] = None,
-    damping: float = 0.5,
-    tol: float = 1e-10,
     max_iter: int = 10_000,
 ) -> ResolventGrid:
     """Damped fixed-point solve of the self-consistent resolvent equation.
 
     The energy integral is a discrete convolution of G with the weight
     d0 [phi1 + E^2 phi2] vtilde(E) on the shared grid spacing; G is padded
-    with the free resolvent 1/z beyond the grid.  Iteration stops when the
-    sup-change drops below tol (plain iteration diverges for large phi1
-    without damping).
+    with the free resolvent 1/z beyond the grid.  Each update is damped by
+    RESOLVENT_DAMPING (plain iteration diverges for large phi1), and the
+    iteration stops when the sup-change drops below RESOLVENT_TOL.
     """
     e_grid = np.asarray(e_grid, dtype=float)
     if e_grid.ndim != 1 or e_grid.size < 8:
@@ -270,10 +277,10 @@ def resolvent_solve(
     for _ in range(max_iter):
         g_pad = np.concatenate((free_left, g, free_right))
         sigma = np.fft.ifft(np.fft.fft(g_pad, n_fft) * w_hat)[valid]
-        g_new = (1.0 - damping) * g + damping / (z - sigma)
+        g_new = (1.0 - RESOLVENT_DAMPING) * g + RESOLVENT_DAMPING / (z - sigma)
         change = float(np.max(np.abs(g_new - g)))
         g = g_new
-        if change < tol:
+        if change < RESOLVENT_TOL:
             break
     else:
         raise ResolventConvergenceError(
@@ -302,7 +309,7 @@ def gamma_from_resolvent(rg: ResolventGrid, t):
     u = rg.spectral_function()
     phases = np.exp(1j * np.outer(t_arr, rg.e_grid))
     vals = np.trapezoid(phases * u, rg.e_grid, axis=1).real * np.exp(rg.eta * t_arr)
-    return float(vals[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else vals.reshape(np.shape(t))
+    return _shaped(vals, t)
 
 
 def resolvent_closed_form(r: float, z):

@@ -74,6 +74,18 @@ def _require(cfg: dict, key: str, where: str):
     return cfg[key]
 
 
+def _positive_or_null(cfg: dict, key: str, where: str) -> Optional[float]:
+    """cfg[key] as a finite float > 0, or None when the key is absent or null."""
+    value = cfg.get(key)
+    try:
+        x = None if value is None else float(value)
+    except (TypeError, ValueError):
+        x = np.nan
+    if x is not None and not (np.isfinite(x) and x > 0):
+        raise ConfigError(f"{where}.{key} must be null or a finite number > 0, got {value!r}")
+    return x
+
+
 def _check_keys(cfg: dict, allowed: set, where: str) -> None:
     if not isinstance(cfg, dict):
         raise ConfigError(f"{where} must be a mapping")
@@ -120,6 +132,8 @@ def validate_scenario_config(cfg: dict) -> dict:
             raise ConfigError("simulation scenarios need a seed")
     if "prediction" in cfg:
         _check_keys(cfg["prediction"], _PREDICTION_KEYS, "prediction")
+        for key in ("t_max", "solver_step"):
+            _positive_or_null(cfg["prediction"], key, "prediction")
     return cfg
 
 
@@ -358,23 +372,24 @@ def _build_model(cfg: dict, profile: profiles.PerturbationProfile) -> rmt.Random
     return model
 
 
+def _solver_grid(h_req, profile, protocol, dt: float, t_end: float):
+    """(h, substeps): the largest h = dt / substeps <= h_req, default_step(t_end) if None."""
+    h_req = response.default_step(profile, protocol, t_end) if h_req is None else h_req
+    substeps = max(1, int(np.ceil(dt / h_req - 1e-12)))
+    return dt / substeps, substeps
+
+
 def _prediction_grid(cfg, profile, protocol, t_grid):
     """Solver step and output subsampling for the diagonal prediction."""
     dt = float(t_grid[1] - t_grid[0])
     pred_cfg = cfg.get("prediction") or {}
-    t_ts = protocol.timescale()
-    t_max_default = float(t_grid[-1])
-    if t_ts is not None:
-        t_max_default = min(t_max_default, 5.0 * t_ts)  # default validity window
-    pred_t_max = pred_cfg.get("t_max")
-    pred_t_max = t_max_default if pred_t_max is None else float(pred_t_max)
-    pred_t_max = min(pred_t_max, float(t_grid[-1]))
+    t_end, t_ts = float(t_grid[-1]), protocol.timescale()
+    t_default = t_end if t_ts is None else min(t_end, 5.0 * t_ts)  # default validity window
+    pred_t_max = min(_positive_or_null(pred_cfg, "t_max", "prediction") or t_default, t_end)
     n_pred = int(round(pred_t_max / dt))
-    h_req = pred_cfg.get("solver_step")
-    if h_req is None:
-        h_req = response.default_step(profile, protocol, max(pred_t_max, dt))
-    substeps = max(1, int(np.ceil(dt / float(h_req) - 1e-12)))
-    return dt / substeps, substeps, n_pred
+    h, substeps = _solver_grid(_positive_or_null(pred_cfg, "solver_step", "prediction"),
+                               profile, protocol, dt, max(pred_t_max, dt))
+    return h, substeps, n_pred
 
 
 def _base_meta(cfg: dict) -> dict:
@@ -387,24 +402,15 @@ def _base_meta(cfg: dict) -> dict:
 
 
 def _approx_columns(profile, protocol, t_grid):
-    sigma0 = profiles.moment(profile, 0)
+    """Closed-form columns on the diagonal t' = t, one vectorised call each."""
     r_of_t = approximations.r_scale_array(profile, protocol, t_grid)
-    gamma_b = np.array(
-        [approximations.strong_driving_gamma(r_of_t[i], t_grid[i]) for i in range(len(t_grid))]
-    )
-    gamma_hf = np.array(
-        [approximations.fast_driving_gamma(profile, protocol, t, t) for t in t_grid]
-    )
-    gamma_weak = np.array(
-        [approximations.weak_fast_gamma(profile, protocol, t, t) for t in t_grid]
-    )
     return {
         "t": t_grid,
-        "gamma_bessel": gamma_b,
-        "gamma_hf": gamma_hf,
-        "gamma_weak": gamma_weak,
+        "gamma_bessel": approximations.strong_driving_gamma(r_of_t, t_grid),
+        "gamma_hf": approximations.fast_driving_gamma(profile, protocol, t_grid, t_grid),
+        "gamma_weak": approximations.weak_fast_gamma(profile, protocol, t_grid, t_grid),
         "r_of_t": r_of_t,
-        "margin": r_of_t / sigma0,
+        "margin": r_of_t / profiles.moment(profile, 0),
     }
 
 
@@ -594,13 +600,12 @@ def run(cfg: dict, out_dir) -> dict:
 def run_respond(cfg: dict, out_dir) -> dict:
     """Solve for gamma: diagonal always, plus any requested fixed t' curves."""
     _check_keys(cfg, _SCENARIO_KEYS["respond"], "respond config")
+    h_req = _positive_or_null(cfg, "solver_step", "respond config")
     profile = build_profile(cfg["profile"])
     protocol = build_protocol(cfg["protocol"])
     t_grid = _output_grid(cfg)
-    dt = float(t_grid[1] - t_grid[0])
-    h_req = cfg.get("solver_step") or response.default_step(profile, protocol, float(t_grid[-1]))
-    substeps = max(1, int(np.ceil(dt / float(h_req) - 1e-12)))
-    h = dt / substeps
+    h, substeps = _solver_grid(h_req, profile, protocol, float(t_grid[1] - t_grid[0]),
+                               float(t_grid[-1]))
     n = (len(t_grid) - 1) * substeps
 
     out_dir = Path(out_dir)

@@ -10,6 +10,11 @@ t' and v is the profile's time-domain transform.  The kernel is smooth, so
 an explicit trapezoidal predictor-corrector (Heun) step with trapezoidal
 convolution gives second-order accuracy without kernel derivatives.
 
+gamma depends on t' only through (phi1, phi2), so one Heun kernel advances
+a batch of rows, one (phi1, phi2) pair each, in lock step: `solve_gamma` is
+its one-row call, `gamma_diagonal_values` its call with a row per diagonal
+point.  The batch keeps gamma and gamma K, 16 bytes per row and step.
+
 The observable prediction combines the diagonal gamma(t, t)^2 with the
 undriven series:  a_pred(t) = a_th + gamma(t, t)^2 * (a_undriven(t) - a_th).
 """
@@ -27,6 +32,7 @@ from .errors import GridMismatchError, SolverBlowUpError
 
 BLOWUP_THRESHOLD = 10.0  # diagnostic, not physics; tunable
 OVERSHOOT_TOL = 0.05  # |gamma| may exceed 1 by at most this before warning
+POINTS_PER_SCALE = 40  # default_step: grid points per fastest time scale
 
 
 @dataclass(frozen=True)
@@ -51,35 +57,37 @@ class PredictionSeries:
     a_pred: np.ndarray
 
 
-def _volterra_heun(kernel: np.ndarray, h: float, dtype=float) -> np.ndarray:
-    """Heun predictor-corrector for gamma' = -(gamma * gamma K)(t), gamma(0)=1."""
-    n = len(kernel) - 1
-    g = np.empty(n + 1, dtype=dtype)
-    c = np.empty(n + 1, dtype=dtype)  # c_j = gamma_j * K_j
-    g[0] = 1.0
-    c[0] = kernel[0]
-    d_prev = 0.0  # derivative at t_0: integral over an empty range
+def _volterra_heun(phi1, phi2, v_grid, vdd_grid, h: float, ends) -> np.ndarray:
+    """Heun predictor-corrector for a batch of rows gamma_r(t_i), gamma_r(0) = 1.
+
+    Row r has the kernel K_r = phi1[r] v - phi2[r] v'' and runs to step ends[r]
+    (ascending).  At step i the rows with ends > i advance together, with the
+    step's kernel column built on the fly.  Returns g, rows x (n + 1), with
+    g[r, :ends[r] + 1] filled; g and c = gamma K take 16 rows (n + 1) bytes.
+    """
+    rows, n = len(ends), int(ends[-1])
+    g = np.empty((rows, n + 1))
+    c = np.empty((rows, n + 1))  # c_j = gamma_j * K_j
+    k0 = phi1 * v_grid[0] - phi2 * vdd_grid[0]
+    g[:, 0] = 1.0
+    c[:, 0] = k0
+    d_prev = np.zeros(rows)  # derivative at t_0: integral over an empty range
     for i in range(n):
-        g_pred = g[i] + h * d_prev
-        inner = np.dot(g[i:0:-1], c[1 : i + 1]) if i >= 1 else 0.0
-        d_pred = -h * (0.5 * g_pred * (kernel[0] + kernel[i + 1]) + inner)
-        g[i + 1] = g[i] + 0.5 * h * (d_prev + d_pred)
-        if abs(g[i + 1]) > BLOWUP_THRESHOLD:
-            raise SolverBlowUpError((i + 1) * h, g[i + 1])
-        c[i + 1] = g[i + 1] * kernel[i + 1]
-        d_prev = -h * (0.5 * g[i + 1] * (kernel[0] + kernel[i + 1]) + inner)
+        a = slice(int(np.searchsorted(ends, i, side="right")), rows)  # rows with ends > i
+        # phi2 == 0.0 multiplies out exactly, so the first-order mode is the
+        # same arithmetic bit for bit
+        k = phi1[a] * v_grid[i + 1] - phi2[a] * vdd_grid[i + 1]
+        g_i = g[a, i]
+        inner = np.einsum("ij,ij->i", g[a, i:0:-1], c[a, 1 : i + 1])
+        d_pred = -h * (0.5 * (g_i + h * d_prev[a]) * (k0[a] + k) + inner)
+        g_next = g_i + 0.5 * h * (d_prev[a] + d_pred)
+        over = np.abs(g_next) > BLOWUP_THRESHOLD
+        if over.any():
+            raise SolverBlowUpError((i + 1) * h, g_next[np.argmax(over)])
+        g[a, i + 1] = g_next
+        c[a, i + 1] = g_next * k
+        d_prev[a] = -h * (0.5 * g_next * (k0[a] + k) + inner)
     return g
-
-
-def _kernel(
-    phi1: float,
-    phi2: float,
-    v_grid: np.ndarray,
-    vdd_grid: np.ndarray,
-) -> np.ndarray:
-    # phi2 == 0.0 multiplies out exactly, so the first-order mode is the
-    # same code path bit for bit.
-    return phi1 * v_grid - phi2 * vdd_grid
 
 
 def solve_gamma(
@@ -88,40 +96,25 @@ def solve_gamma(
     t_prime: float,
     h: float,
     n: int,
-    debug_complex: bool = False,
 ) -> ResponseSolution:
     """Solve for gamma(t, t_prime) on t_i = i*h, i = 0..n.
 
     phi1 and phi2 are evaluated once at t_prime and held fixed; they are
     parameters of the equation, not functions of the integration variable.
-    With debug_complex=True the solve runs in complex arithmetic and checks
-    that the result is real to 1e-10 (the kernel is real for even profiles).
+    This is the one-row call of the batched Heun kernel (16 (n + 1) bytes).
     """
     if not (h > 0 and np.isfinite(h)):
         raise ValueError("step size h must be positive")
     if n < 1:
         raise ValueError("need at least one step")
-    if t_prime < 0:
-        raise ValueError("t_prime must be >= 0")
     ints = protocols.integrals(protocol, t_prime)
     t_grid = np.arange(n + 1) * h
-    kern = _kernel(ints.phi1, ints.phi2, profiles.v_of_t(profile, t_grid),
-                   profiles.v_second_deriv(profile, t_grid))
-    if debug_complex:
-        g_c = _volterra_heun(kern.astype(complex), h, dtype=complex)
-        max_imag = float(np.max(np.abs(g_c.imag)))
-        if max_imag >= 1e-10:
-            raise AssertionError(f"complex solve grew an imaginary part ({max_imag:.3e})")
-        g = g_c.real.copy()
-    else:
-        g = _volterra_heun(kern, h)
+    v, vdd = profiles.v_of_t(profile, t_grid), profiles.v_second_deriv(profile, t_grid)
+    g = _volterra_heun(np.array([ints.phi1]), np.array([ints.phi2]), v, vdd, h, np.array([n]))[0]
     overshoot = float(np.max(np.abs(g))) - 1.0
     if overshoot > OVERSHOOT_TOL:
-        warnings.warn(
-            f"|gamma| overshoots 1 by {overshoot:.3g}; the grid may be too coarse",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"|gamma| overshoots 1 by {overshoot:.3g}; the grid may be too coarse",
+                      RuntimeWarning, stacklevel=2)
     return ResponseSolution(t_grid, g, float(t_prime), ints.phi1, ints.phi2)
 
 
@@ -133,24 +126,19 @@ def gamma_diagonal_values(
 ) -> np.ndarray:
     """Signed diagonal gamma(t_i, t_i) for t_i = i*h, i = 0..n.
 
-    Each diagonal point is an independent solve of the response equation on
-    [0, t_i] with t' = t_i.  This is the O(n^3) hot loop.
+    Point i is the solve with t' = t_i on [0, t_i], row i of one batched
+    kernel call with ends 0..n: Python loops n times over vectorised rows,
+    and the batch holds 16 (n + 1)^2 bytes (5.8 MB at n = 600).  A blow-up
+    raises SolverBlowUpError at the first step where a row passed the threshold.
     """
     if n < 1:
         raise ValueError("need at least one grid point beyond t = 0")
     t_grid = np.arange(n + 1) * h
-    v_grid = profiles.v_of_t(profile, t_grid)
-    vdd_grid = profiles.v_second_deriv(profile, t_grid)
     phi1, phi2 = protocols.phi_arrays(protocol, t_grid)
-    out = np.empty(n + 1)
-    out[0] = 1.0
-    for i in range(1, n + 1):
-        kern = _kernel(phi1[i], phi2[i], v_grid[: i + 1], vdd_grid[: i + 1])
-        try:
-            out[i] = _volterra_heun(kern, h)[-1]
-        except SolverBlowUpError as exc:
-            raise SolverBlowUpError(t_grid[i], exc.value) from exc
-    return out
+    ends = np.arange(n + 1)
+    g = _volterra_heun(phi1, phi2, profiles.v_of_t(profile, t_grid),
+                       profiles.v_second_deriv(profile, t_grid), h, ends)
+    return g[ends, ends]
 
 
 def gamma_diagonal(
@@ -186,11 +174,10 @@ def default_step(
     profile: profiles.PerturbationProfile,
     protocol: protocols.DrivingProtocol,
     t_max: float,
-    points_per_scale: int = 40,
 ) -> float:
     """Step resolving the fastest of the driving, profile and response scales.
 
-    h = min(T, 1/Sigma_0, 1/max_t' r(t')) / points_per_scale, with the strong-
+    h = min(T, 1/Sigma_0, 1/max_t' r(t')) / POINTS_PER_SCALE, with the strong-
     driving scale r probed on a coarse grid over (0, t_max].
     """
     scales = [1.0 / profiles.moment(profile, 0)]
@@ -201,4 +188,4 @@ def default_step(
     r_max = float(np.max(r_scale_array(profile, protocol, probe)))
     if r_max > 0:
         scales.append(1.0 / r_max)
-    return min(scales) / points_per_scale
+    return min(scales) / POINTS_PER_SCALE

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from typresp import approximations as ap
-from typresp import profiles, protocols, response
+from typresp import harness, profiles, protocols, response
 from typresp.errors import ResolventConvergenceError
 
 
@@ -330,3 +330,61 @@ def test_crossover_amplitude_formula():
     )
     with pytest.raises(ValueError):
         ap.crossover_amplitude(tab, eps)
+
+
+# --- vectorised diagonal columns ---------------------------------------------------
+
+
+def pointwise_columns(p, proto, t):
+    """The closed-form columns on t' = t by one scalar call per point."""
+    r = ap.r_scale_array(p, proto, t)
+    return {
+        "gamma_bessel": [ap.strong_driving_gamma(float(r[i]), float(t[i])) for i in range(len(t))],
+        "gamma_hf": [ap.fast_driving_gamma(p, proto, float(x), float(x)) for x in t],
+        "gamma_weak": [ap.weak_fast_gamma(p, proto, float(x), float(x)) for x in t],
+    }
+
+
+def degenerate_f0(p, disc):
+    """Constant-drive amplitude whose phi1 = f0^2 gives 1 - 2 pi r_hat/Sigma_0 = disc."""
+    return np.sqrt((1.0 - disc) * profiles.moment(p, 0) / (2 * np.pi) / (np.pi * p.v0 * p.d0))
+
+
+@pytest.mark.parametrize("case", ["pretherm", "degenerate_cut"])
+def test_vectorised_columns_match_pointwise_calls(case):
+    if case == "pretherm":
+        # the double_pretherm drive and output grid (d0 near its measured value)
+        p = exp_profile(d0=32.0)
+        proto = protocols.DrivingProtocol(variant="step", f0=0.12, period=2.0)
+        t = np.linspace(0.0, 160.0, 1601)
+    else:
+        # phi1 = f0^2 for t' <= T/2 puts those points inside the series window
+        # of the degenerate point; later points take the closed form
+        p = exp_profile()
+        proto = protocols.DrivingProtocol(variant="step", f0=degenerate_f0(p, 3e-6), period=1.0)
+        t = np.linspace(0.0, 2.0, 201)
+        rates = ap.fast_rates(p, proto, t)
+        disc = np.abs(1.0 - 2.0 * rates.r_hat / rates.r_0)
+        assert np.any(disc < ap._DEGENERATE_CUT) and np.any(disc >= ap._DEGENERATE_CUT)
+    cols = harness._approx_columns(p, proto, t)
+    for name, ref in pointwise_columns(p, proto, t).items():
+        np.testing.assert_allclose(cols[name], ref, rtol=1e-12, atol=0.0, err_msg=name)
+
+
+def test_scalar_arguments_return_floats():
+    p = exp_profile()
+    proto = protocols.DrivingProtocol(variant="step", f0=0.05, period=0.5)
+    for val in (
+        ap.strong_driving_gamma(2.0, 0.7),
+        ap.fast_driving_gamma(p, proto, 0.7, 0.3),
+        ap.weak_fast_gamma(p, proto, 0.7, 0.3),
+    ):
+        assert type(val) is float
+    rates = ap.fast_rates(p, proto, 0.3)
+    assert type(rates.r_hat) is float and type(rates.r_plus1) is complex
+    # array t' broadcasts against a scalar t and against an equal-length t
+    tp = np.array([0.1, 0.3, 0.9])
+    assert ap.fast_driving_gamma(p, proto, 0.7, tp).shape == (3,)
+    assert ap.weak_fast_gamma(p, proto, tp, tp).shape == (3,)
+    assert ap.strong_driving_gamma(np.array([1.0, 2.0]), 0.5).shape == (2,)
+    assert ap.fast_rates(p, proto, tp).r_plus1[1] == rates.r_plus1

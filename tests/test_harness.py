@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from typresp import cli, harness
+from typresp import cli, harness, response, rmt
 from typresp.errors import ConfigError, GridMismatchError
 
 
@@ -62,6 +62,48 @@ def test_missing_sections_rejected():
         harness.validate_scenario_config(cfg)
     with pytest.raises(ConfigError):
         harness.validate_scenario_config({"scenario": "unknown"})
+
+
+BAD_POSITIVE = [0, 0.0, -0.5, -1, float("nan"), float("inf"), "fast"]
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("expensive work started before the config was rejected")
+
+
+@pytest.mark.parametrize("key", ["solver_step", "t_max"])
+@pytest.mark.parametrize("bad", BAD_POSITIVE)
+def test_simulate_rejects_bad_prediction_grid_before_sampling(tmp_path, monkeypatch, key, bad):
+    monkeypatch.setattr(rmt, "sample_v", _must_not_run)
+    cfg = small_fidelity_cfg()
+    cfg["prediction"] = {key: bad}
+    with pytest.raises(ConfigError, match=f"prediction.{key}"):
+        harness.run(cfg, tmp_path)
+
+
+@pytest.mark.parametrize("bad", BAD_POSITIVE)
+def test_respond_rejects_bad_solver_step_before_solving(tmp_path, monkeypatch, bad):
+    monkeypatch.setattr(rmt, "sample_v", _must_not_run)
+    monkeypatch.setattr(response, "default_step", _must_not_run)
+    monkeypatch.setattr(response, "gamma_diagonal_values", _must_not_run)
+    cfg = {
+        "profile": {"variant": "exponential", "v0": 1.0, "delta_v": 0.5, "d0": 128.0},
+        "protocol": {"variant": "step", "f0": 0.08, "period": 0.5},
+        "grid": {"t_max": 1.0, "n_out": 50},
+        "solver_step": bad,
+    }
+    with pytest.raises(ConfigError, match="solver_step"):
+        harness.run_respond(cfg, tmp_path)
+
+
+def test_null_prediction_grid_means_default(tmp_path):
+    cfg = small_fidelity_cfg(m=64, t_max=0.5, n_out=20)
+    cfg["prediction"] = {"t_max": None, "solver_step": None}
+    harness.validate_scenario_config(cfg)
+    h, substeps, n_pred = harness._prediction_grid(
+        cfg, harness.build_profile(cfg["profile"], d0_override=32.0),
+        harness.build_protocol(cfg["protocol"]), harness._output_grid(cfg))
+    assert n_pred == 20 and substeps >= 1 and h * substeps == pytest.approx(0.025)
 
 
 def test_tabulated_inputs_from_csv(tmp_path):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from typresp import approximations, profiles, protocols, response
 from typresp.errors import GridMismatchError, SolverBlowUpError
@@ -55,27 +57,56 @@ def test_second_order_convergence():
     assert 1.7 < slope < 2.3
 
 
+def scalar_heun(kernel, h):
+    """Reference: one row, a Python loop over steps, the convolution by np.dot."""
+    n = len(kernel) - 1
+    g = np.empty(n + 1)
+    c = np.empty(n + 1)  # c_j = gamma_j * K_j
+    g[0] = 1.0
+    c[0] = kernel[0]
+    d_prev = 0.0
+    for i in range(n):
+        g_pred = g[i] + h * d_prev
+        inner = np.dot(g[i:0:-1], c[1 : i + 1]) if i >= 1 else 0.0
+        d_pred = -h * (0.5 * g_pred * (kernel[0] + kernel[i + 1]) + inner)
+        g[i + 1] = g[i] + 0.5 * h * (d_prev + d_pred)
+        c[i + 1] = g[i + 1] * kernel[i + 1]
+        d_prev = -h * (0.5 * g[i + 1] * (kernel[0] + kernel[i + 1]) + inner)
+    return g
+
+
+def test_batched_kernel_matches_scalar_reference():
+    # sinusoid: phi2(t') != 0, so both kernel terms are exercised
+    p = exp_profile()
+    proto = protocols.DrivingProtocol(variant="sinusoid", f0=0.06, period=0.8)
+    h, n = 0.01, 300
+    t = np.arange(n + 1) * h
+    v, vdd = profiles.v_of_t(p, t), profiles.v_second_deriv(p, t)
+    phi1, phi2 = protocols.phi_arrays(proto, t)
+    assert np.count_nonzero(phi2) > n // 2
+
+    diag = response.gamma_diagonal_values(p, proto, h, n)
+    ref = [scalar_heun(phi1[i] * v[: i + 1] - phi2[i] * vdd[: i + 1], h)[-1] for i in range(n + 1)]
+    np.testing.assert_allclose(diag, ref, rtol=0.0, atol=1e-14)
+
+    sol = response.solve_gamma(p, proto, 0.37, h, n)
+    assert sol.phi2 > 0
+    ref = scalar_heun(sol.phi1 * v - sol.phi2 * vdd, h)
+    np.testing.assert_allclose(sol.gamma, ref, rtol=0.0, atol=1e-14)
+
+
 def test_phi2_zero_is_bitwise_first_order_path():
-    # a protocol with phi2 = 0 exactly (constant) must reproduce the kernel
+    # phi2 = 0 exactly (the constant protocol) must reproduce the kernel
     # built from phi1 alone, bit for bit
     p = exp_profile()
     t = np.arange(201) * 0.02
     v = profiles.v_of_t(p, t)
     vdd = profiles.v_second_deriv(p, t)
-    k_full = response._kernel(0.0016, 0.0, v, vdd)
-    k_first = 0.0016 * v
-    assert np.array_equal(k_full, k_first)
-    g_full = response._volterra_heun(k_full, 0.02)
-    g_first = response._volterra_heun(k_first, 0.02)
+    assert np.array_equal(0.0016 * v - 0.0 * vdd, 0.0016 * v)
+    phi1, phi2, ends = np.array([0.0016]), np.array([0.0]), np.array([200])
+    g_full = response._volterra_heun(phi1, phi2, v, vdd, 0.02, ends)
+    g_first = response._volterra_heun(phi1, phi2, v, np.zeros_like(vdd), 0.02, ends)
     assert np.array_equal(g_full, g_first)
-
-
-def test_debug_complex_matches_real():
-    p = exp_profile()
-    proto = protocols.DrivingProtocol(variant="sinusoid", f0=0.06, period=0.8)
-    a = response.solve_gamma(p, proto, 0.37, h=0.01, n=300)
-    b = response.solve_gamma(p, proto, 0.37, h=0.01, n=300, debug_complex=True)
-    assert np.max(np.abs(a.gamma - b.gamma)) < 1e-13
 
 
 def test_blowup_raises():
@@ -83,6 +114,30 @@ def test_blowup_raises():
     proto = protocols.DrivingProtocol(variant="constant", f0=5.0)
     with pytest.raises(SolverBlowUpError):
         response.solve_gamma(p, proto, t_prime=1.0, h=0.5, n=400)
+
+
+def test_diagonal_blowup_at_first_step_past_threshold():
+    # too coarse a step for this drive: the diagonal rows t' = t_11 .. t_15
+    # are the first to pass |gamma| = 10, at step 11, and the error says so
+    p = exp_profile(v0=5.0)
+    proto = protocols.DrivingProtocol(variant="step", f0=0.3, period=3.0)
+    h, n = 0.1, 60
+    t = np.arange(n + 1) * h
+    v, vdd = profiles.v_of_t(p, t), profiles.v_second_deriv(p, t)
+    phi1, phi2 = protocols.phi_arrays(proto, t)
+    first_past = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, n + 1):
+            g = scalar_heun(phi1[i] * v[: i + 1] - phi2[i] * vdd[: i + 1], h)
+            past = np.nonzero(np.abs(g) > response.BLOWUP_THRESHOLD)[0]
+            if past.size:
+                first_past.append(int(past[0]))
+    first = min(first_past)
+    assert first == 11
+    with pytest.raises(SolverBlowUpError) as info:
+        response.gamma_diagonal_values(p, proto, h, n)
+    assert info.value.t == first * h
+    assert abs(info.value.value) > response.BLOWUP_THRESHOLD
 
 
 def test_gamma_diagonal_matches_pointwise_solves():
@@ -94,6 +149,22 @@ def test_gamma_diagonal_matches_pointwise_solves():
         sol = response.solve_gamma(p, proto, t_prime=i * h, h=h, n=i)
         assert diag[i] == sol.gamma[-1]
     assert np.array_equal(response.gamma_diagonal(p, proto, h, n), diag**2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    variant=st.sampled_from(["constant", "step", "sinusoid", "linear_ramp", "pseudorandom_b"]),
+    f0=st.floats(0.0, 0.08),
+    period=st.floats(0.2, 2.0),
+    h=st.floats(0.005, 0.05),
+    n=st.integers(1, 80),
+)
+def test_batched_diagonal_is_bitwise_the_per_row_solve(variant, f0, period, h, n):
+    p = exp_profile()
+    proto = protocols.DrivingProtocol(variant=variant, f0=f0, period=period)
+    diag = response.gamma_diagonal_values(p, proto, h, n)
+    rows = [response.solve_gamma(p, proto, i * h, h, i).gamma[-1] for i in range(1, n + 1)]
+    assert np.array_equal(diag, [1.0, *rows])
 
 
 def test_gamma_diagonal_progress_and_grid_convergence():
