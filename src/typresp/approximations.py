@@ -258,9 +258,8 @@ def resolvent_solve(
     e_off = de * np.arange(-m, m + 1)
     w = profile.d0 * (phi1 + phi2 * e_off**2) * profile.vtilde(e_off) * de
     keep = w > 1e-14 * w.max()
-    m = int(np.max(np.abs(np.nonzero(keep)[0] - m))) if np.any(keep) else 0
-    e_off = de * np.arange(-m, m + 1)
-    w = profile.d0 * (phi1 + phi2 * e_off**2) * profile.vtilde(e_off) * de
+    half = int(np.max(np.abs(np.nonzero(keep)[0] - m))) if np.any(keep) else 0
+    w, m = w[m - half : m + half + 1], half  # w is elementwise in E: the slice is exact
 
     z = e_grid - 1j * eta
     pad_left = (e_grid[0] - de * np.arange(m, 0, -1)) - 1j * eta

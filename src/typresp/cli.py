@@ -37,11 +37,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = harness.load_config(args.config)
-        if args.seed is not None and args.command in ("simulate", "sweep"):
-            if args.command == "simulate":
-                cfg["seed"] = args.seed
-            else:
-                cfg["sweep"]["base"]["seed"] = args.seed
+        if args.seed is not None and args.command == "simulate":
+            cfg["seed"] = args.seed
+        if args.seed is not None and args.command == "sweep":
+            harness.validate_sweep_config(cfg)  # a missing sweep.base is a ConfigError
+            cfg["sweep"]["base"]["seed"] = args.seed
         if args.command == "respond":
             summary = harness.run_respond(cfg, args.out)
         elif args.command == "approx":

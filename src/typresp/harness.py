@@ -1,9 +1,13 @@
 """Config-driven experiment harness: scenarios, CSV artifacts, metrics.
 
-Configs are YAML with nested sections and strict unknown-key rejection, so
-experiments stay auditable and diffable; `render_config` round-trips through
-`parse_config`.  Every CSV is written with 17-significant-digit floats
-(bit-exact round trips) and carries a JSON metadata sidecar with the config
+Configs are YAML with nested sections; `render_config` round-trips through
+`parse_config`.  One schema table per section gives each key's check, default
+and whether it is required; every entry point checks its config through
+`_checked`, so an unknown key, a missing key or a bad value is a `ConfigError`
+naming the dotted field before any model is sampled or solver runs.  Keys that
+pass straight to a library call stay absent when not given, so that call's
+default is the only one.  Every CSV is written with 17-significant-digit floats
+(bit-exact round trips) and carries a JSON metadata sidecar with the raw config
 echo, seeds, versions, and derived constants needed to re-run it.
 
 Scenarios
@@ -23,10 +27,12 @@ from __future__ import annotations
 
 import copy
 import json
+import math
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy
@@ -36,62 +42,176 @@ from . import __version__, approximations, profiles, protocols, response, rmt
 from .errors import ConfigError, GridMismatchError
 
 SCENARIOS = ("fidelity", "strong_scale", "quench_asymptotics", "double_pretherm")
+_SIMULATIONS = ("fidelity", "double_pretherm")
 
 
 # ---------------------------------------------------------------------------
-# config parsing and validation
+# config schema
 # ---------------------------------------------------------------------------
 
-_PROFILE_KEYS = {"variant", "v0", "delta_v", "d0", "table"}
-_PROTOCOL_KEYS = {"variant", "f0", "period", "table"}
-_GRID_KEYS = {"t_max", "n_out"}
-_SPECTRUM_KEYS = {"variant", "spacing", "alpha", "mean_spacing"}
-_OBSERVABLE_KEYS = {"kind", "a0_plus", "a0_minus"}
-_STATE_KEYS = {"kind", "index", "e_center", "delta_e", "q", "kappa", "sector"}
-_MODEL_KEYS = {"m", "spectrum", "observable", "initial_state", "method", "trotter_step"}
-_PREDICTION_KEYS = {"t_max", "solver_step"}
-_SCENARIO_KEYS = {
-    "scenario": {
-        "scenario",
-        "seed",
-        "profile",
-        "protocol",
-        "model",
-        "grid",
-        "prediction",
-        "window_halfwidth_factor",
-        "out_dir",
-    },
-    "respond": {"profile", "protocol", "grid", "t_primes", "solver_step"},
-    "approx": {"profile", "protocol", "grid", "t_prime"},
-    "compare": {"file_a", "column_a", "file_b", "column_b", "window"},
+
+# A check is a pair (what, convert): convert takes a raw value to the checked
+# one and raises TypeError or ValueError; `what` names the expected value.
+def _check(what: str, ok: Callable, convert: Callable = lambda v: v) -> tuple:
+    def run(value):
+        x = convert(value)
+        if not ok(x):
+            raise ValueError(what)
+        return x
+
+    return what, run
+
+
+def _whole(lo: int) -> tuple:
+    def to_int(v):  # never truncates: 2.0 and "2" are 2, 2.7 is an error
+        if isinstance(v, float) and not v.is_integer():
+            raise ValueError("not a whole number")
+        return int(v) if isinstance(v, (float, str)) else operator.index(v)
+
+    return _check(f"a whole number >= {lo}", lambda n: n >= lo, to_int)
+
+
+def _one_of(names) -> tuple:
+    return _check(f"one of {list(names)}", lambda x: x in names)
+
+
+def _list_of(item: tuple, length: Optional[int] = None) -> tuple:
+    def run(value):
+        if not isinstance(value, list) or length not in (None, len(value)):
+            raise TypeError("not a list of the right length")
+        return [item[1](x) for x in value]
+
+    return f"a list of {length or 'any number of'} values, each {item[0]}", run
+
+
+# float() also takes numeral strings: YAML reads 1e-2 (no dot) as a string
+_FINITE = _check("a finite number", math.isfinite, float)
+_POSITIVE = _check("a finite number > 0", lambda x: math.isfinite(x) and x > 0, float)
+_NONNEG = _check("a finite number >= 0", lambda x: math.isfinite(x) and x >= 0, float)
+_NAME = _check("a string", lambda x: isinstance(x, str))
+_MAPPING = _check("a mapping", lambda x: isinstance(x, dict))
+_PATH = _check("the path of an existing file", Path.is_file, Path)
+_INDEX = ("'middle', null or a whole number >= 0",
+          lambda v: v if v in ("middle", None) else _whole(0)[1](v))
+
+# A key is a triple (check, default, when); check may be a nested section.
+_OMIT = object()  # an absent key stays absent, so the library call's own default applies
+
+
+def _req(check, when: Callable = lambda section: True) -> tuple:
+    """A key that must be present if when(the keys above it, checked) holds."""
+    return check, _OMIT, when
+
+
+def _opt(check, default=_OMIT) -> tuple:
+    """A key that may be absent; a default of None also admits null."""
+    return check, default, None
+
+
+_PROFILE = {
+    "variant": _req(_one_of(profiles.VARIANTS)),
+    "v0": _req(_POSITIVE, when=lambda p: p["variant"] == "exponential"),
+    "delta_v": _req(_POSITIVE, when=lambda p: p["variant"] == "exponential"),
+    "d0": _opt(_POSITIVE, None),  # null: the density measured in the model
+    "table": _req(_PATH, when=lambda p: p["variant"] == "tabulated"),
 }
+_PROTOCOL = {
+    "variant": _req(_one_of(protocols.VARIANTS)),
+    "f0": _req(_FINITE, when=lambda p: p["variant"] != "tabulated"),
+    "period": _opt(_POSITIVE),
+    "table": _req(_PATH, when=lambda p: p["variant"] == "tabulated"),
+}
+_INPUTS = {
+    "profile": _req(_PROFILE),
+    "protocol": _req(_PROTOCOL),
+    "grid": _req({"t_max": _req(_POSITIVE), "n_out": _req(_whole(1))}),
+}
+_MODEL = {
+    "m": _req(_whole(2)),
+    "spectrum": _req({
+        "variant": _req(_one_of(rmt.SPECTRUM_VARIANTS)),
+        "spacing": _opt(_POSITIVE),
+        "alpha": _opt(_NONNEG),
+        "mean_spacing": _opt(_POSITIVE),
+    }),
+    "observable": _req({
+        "kind": _req(_one_of(("fidelity", "eth"))),
+        "a0_plus": _req(_FINITE, when=lambda o: o["kind"] == "eth"),
+        "a0_minus": _req(_FINITE, when=lambda o: o["kind"] == "eth"),
+    }),
+    "initial_state": _req({
+        "kind": _req(_one_of(rmt.STATE_KINDS)),
+        "index": _opt(_INDEX, "middle"),
+        # the harness reads these two for the occupied window, so it holds their defaults
+        "e_center": _opt(_FINITE, 0.0),
+        "delta_e": _opt(_POSITIVE, 1.0),
+        "q": _opt(_one_of(rmt.Q_KINDS)),
+        "kappa": _opt(_FINITE),
+        "sector": _opt(_one_of(rmt.SECTORS)),
+    }),
+    "method": _opt(_one_of(rmt.METHODS), "piecewise_exact"),
+    "trotter_step": _opt(_POSITIVE, None),
+}
+_SCENARIO = {
+    "scenario": _req(_one_of(SCENARIOS)),
+    "seed": _req(_whole(0), when=lambda c: c["scenario"] in _SIMULATIONS),
+    **_INPUTS,
+    "model": _req(_MODEL, when=lambda c: c["scenario"] in _SIMULATIONS),
+    "prediction": _opt({
+        "t_max": _opt(_POSITIVE, None),  # null: min(grid.t_max, 5 timescales)
+        "solver_step": _opt(_POSITIVE, None),  # null: response.default_step
+    }, {}),
+    "window_halfwidth_factor": _opt(_POSITIVE, 2.0),
+    "out_dir": _opt(_NAME),
+}
+_RESPOND = {
+    **_INPUTS,
+    "t_primes": _opt(_list_of(_NONNEG), None),
+    "solver_step": _opt(_POSITIVE, None),
+}
+_APPROX = {**_INPUTS, "t_prime": _opt(_NONNEG, None)}
+_COMPARE = {
+    "file_a": _req(_PATH),
+    "column_a": _req(_NAME),
+    "file_b": _req(_PATH),
+    "column_b": _req(_NAME),
+    "window": _opt(_list_of(_FINITE, 2), None),  # null: the whole grid
+}
+# the base is checked by validate_scenario_config once the variations apply
+_SWEEP = {"sweep": _req({"base": _req(_MAPPING), "variations": _req(_list_of(_MAPPING))})}
 
 
-def _require(cfg: dict, key: str, where: str):
-    if key not in cfg:
-        raise ConfigError(f"missing key {key!r} in {where}")
-    return cfg[key]
+def _checked(schema: dict, raw, where: str = "") -> dict:
+    """The normalised copy of one raw config section, checked against its schema.
 
-
-def _positive_or_null(cfg: dict, key: str, where: str) -> Optional[float]:
-    """cfg[key] as a finite float > 0, or None when the key is absent or null."""
-    value = cfg.get(key)
-    try:
-        x = None if value is None else float(value)
-    except (TypeError, ValueError):
-        x = np.nan
-    if x is not None and not (np.isfinite(x) and x > 0):
-        raise ConfigError(f"{where}.{key} must be null or a finite number > 0, got {value!r}")
-    return x
-
-
-def _check_keys(cfg: dict, allowed: set, where: str) -> None:
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    unknown = set(cfg) - allowed
+    `where` is the dotted prefix of the section ("" at the top).  Keys are
+    checked in schema order, so a `when` sees the keys above it converted.
+    Defaults pass the same checks as given values.
+    """
+    section = where.rstrip(".") or "config"
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{section} must be a mapping, got {raw!r}")
+    unknown = set(raw) - set(schema)
     if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+        raise ConfigError(f"unknown keys in {section}: {sorted(unknown)}; allowed: {list(schema)}")
+    out = {}
+    for key, (check, default, when) in schema.items():
+        field = where + key
+        if key not in raw and when is not None and when(out):
+            raise ConfigError(f"missing key {field!r}")
+        value = raw.get(key, default)
+        if value is _OMIT:
+            continue
+        if isinstance(check, dict):
+            out[key] = _checked(check, value, field + ".")
+            continue
+        what, convert = check
+        try:
+            out[key] = None if value is None and default is None else convert(value)
+        except (TypeError, ValueError, OverflowError):
+            what = "null or " + what if default is None else what
+            raise ConfigError(f"{field} must be {what}, got {value!r}") from None
+    return out
 
 
 def parse_config(text: str) -> dict:
@@ -112,61 +232,51 @@ def load_config(path) -> dict:
 
 
 def validate_scenario_config(cfg: dict) -> dict:
-    """Validate a `simulate` config; returns the config unchanged."""
-    _check_keys(cfg, _SCENARIO_KEYS["scenario"], "config")
-    scenario = _require(cfg, "scenario", "config")
-    if scenario not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {scenario!r}")
-    _check_keys(_require(cfg, "profile", "config"), _PROFILE_KEYS, "profile")
-    _check_keys(_require(cfg, "protocol", "config"), _PROTOCOL_KEYS, "protocol")
-    _check_keys(_require(cfg, "grid", "config"), _GRID_KEYS, "grid")
-    if scenario in ("fidelity", "double_pretherm"):
-        model = _require(cfg, "model", "config")
-        _check_keys(model, _MODEL_KEYS, "model")
-        _check_keys(_require(model, "spectrum", "model"), _SPECTRUM_KEYS, "model.spectrum")
-        _check_keys(_require(model, "observable", "model"), _OBSERVABLE_KEYS, "model.observable")
-        _check_keys(
-            _require(model, "initial_state", "model"), _STATE_KEYS, "model.initial_state"
-        )
-        if "seed" not in cfg:
-            raise ConfigError("simulation scenarios need a seed")
-    if "prediction" in cfg:
-        _check_keys(cfg["prediction"], _PREDICTION_KEYS, "prediction")
-        for key in ("t_max", "solver_step"):
-            _positive_or_null(cfg["prediction"], key, "prediction")
-    return cfg
+    """Check a `simulate` config; returns its normalised copy.
+
+    Beyond the schema, the rules that cross fields are checked here, without
+    matrix work: the fidelity observable projects on an eigenstate, the eth
+    observable needs an even m, trotter needs trotter_step, and the state
+    index ("middle" resolves to m // 2) lies in [0, m).
+    """
+    c = _checked(_SCENARIO, cfg)
+    if "model" not in c:
+        return c
+    model = c["model"]
+    m, obs, state = model["m"], model["observable"], model["initial_state"]
+    if obs["kind"] == "fidelity" and state["kind"] != "eigenstate":
+        raise ConfigError("model.observable.kind fidelity projects on an eigenstate, "
+                          f"but model.initial_state.kind is {state['kind']!r}")
+    if obs["kind"] == "eth" and m % 2:
+        raise ConfigError(f"model.m must be even for the two-sector eth observable, got {m}")
+    if model["method"] == "trotter" and model["trotter_step"] is None:
+        raise ConfigError("model.trotter_step must be set for model.method trotter")
+    index = state["index"] = m // 2 if state["index"] == "middle" else state["index"]
+    if (index is None and state["kind"] == "eigenstate") or (index is not None and index >= m):
+        raise ConfigError(f"model.initial_state.index must lie in [0, {m}), got {index!r}")
+    return c
 
 
-def build_profile(cfg: dict, d0_override: Optional[float] = None) -> profiles.PerturbationProfile:
-    variant = _require(cfg, "variant", "profile")
-    d0 = d0_override if cfg.get("d0") is None else float(cfg["d0"])
+def build_profile(section: dict, d0_override: Optional[float] = None):
+    """The PerturbationProfile of a `profile` section; a null d0 takes d0_override."""
+    p = _checked(_PROFILE, section, "profile.")
+    d0 = d0_override if p["d0"] is None else p["d0"]
     if d0 is None:
         raise ConfigError("profile.d0 is null and no measured value is available")
-    if variant == "exponential":
-        return profiles.PerturbationProfile(
-            variant="exponential",
-            v0=float(_require(cfg, "v0", "profile")),
-            delta_v=float(_require(cfg, "delta_v", "profile")),
-            d0=d0,
-        )
-    if variant == "tabulated":
-        table = _read_two_column(_require(cfg, "table", "profile"))
-        return profiles.PerturbationProfile(
-            variant="tabulated", d0=d0, energies=table[0], values=table[1]
-        )
-    raise ConfigError(f"unknown profile variant {variant!r}")
+    if p["variant"] == "tabulated":
+        e, v = _read_two_column(p["table"])
+        return profiles.PerturbationProfile("tabulated", d0, energies=e, values=v)
+    return profiles.PerturbationProfile("exponential", d0, v0=p["v0"], delta_v=p["delta_v"])
 
 
-def build_protocol(cfg: dict) -> protocols.DrivingProtocol:
-    variant = _require(cfg, "variant", "protocol")
-    if variant == "tabulated":
-        table = _read_two_column(_require(cfg, "table", "protocol"))
-        return protocols.DrivingProtocol(variant="tabulated", times=table[0], values=table[1])
-    return protocols.DrivingProtocol(
-        variant=variant,
-        f0=float(_require(cfg, "f0", "protocol")),
-        period=float(cfg.get("period", 1.0)),
-    )
+def build_protocol(section: dict) -> protocols.DrivingProtocol:
+    """The protocol of a `protocol` section."""
+    p = _checked(_PROTOCOL, section, "protocol.")
+    if p["variant"] == "tabulated":
+        times, values = _read_two_column(p["table"])
+        return protocols.DrivingProtocol(variant="tabulated", times=times, values=values)
+    p.pop("table", None)
+    return protocols.DrivingProtocol(**p)
 
 
 def _read_two_column(path) -> tuple:
@@ -204,20 +314,33 @@ def read_csv(path) -> dict:
     return {name: data[:, i] for i, name in enumerate(names)}
 
 
-def _versions() -> dict:
-    return {
-        "typresp": __version__,
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "python": sys.version.split()[0],
-    }
+def _base_meta(cfg: dict) -> dict:
+    """Sidecar fields every CSV carries: the raw config echo, RNG and versions."""
+    versions = {"typresp": __version__, "numpy": np.__version__,
+                "scipy": scipy.__version__, "python": sys.version.split()[0]}
+    return {"config": cfg, "rng": rmt.RNG_ALGORITHM, "seed_streams": rmt._STREAMS,
+            "versions": versions}
+
+
+def _write_json(path: Path, obj) -> Path:
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2, default=float) + "\n",
+                    encoding="utf-8")
+    return path
 
 
 def write_sidecar(csv_path, meta: dict) -> Path:
-    side = Path(str(csv_path) + ".meta.json")
-    side.write_text(json.dumps(meta, sort_keys=True, indent=2, default=float) + "\n",
-                    encoding="utf-8")
-    return side
+    return _write_json(Path(str(csv_path) + ".meta.json"), meta)
+
+
+def _write_outputs(out_dir, meta: Optional[dict], csvs: dict, jsons: dict) -> list:
+    """Write each CSV of {name: columns} with a sidecar of meta, then each JSON; the paths."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    files = [write_csv(out_dir / name, columns) for name, columns in csvs.items()]
+    for f in files:
+        write_sidecar(f, meta)
+    files += [_write_json(out_dir / name, obj) for name, obj in jsons.items()]
+    return [str(f) for f in files]
 
 
 # ---------------------------------------------------------------------------
@@ -265,23 +388,18 @@ def compare(
 
 def compare_files(cfg: dict, out_dir) -> dict:
     """`compare` subcommand: metrics between one column of each of two CSVs."""
-    _check_keys(cfg, _SCENARIO_KEYS["compare"], "compare config")
-    a = read_csv(_require(cfg, "file_a", "compare config"))
-    b = read_csv(_require(cfg, "file_b", "compare config"))
-    col_a = _require(cfg, "column_a", "compare config")
-    col_b = _require(cfg, "column_b", "compare config")
-    if "t" not in a or "t" not in b:
-        raise GridMismatchError("both files need a 't' column")
+    c = _checked(_COMPARE, cfg)
+    a, b = read_csv(c["file_a"]), read_csv(c["file_b"])
+    for path, data, column in ((c["file_a"], a, c["column_a"]), (c["file_b"], b, c["column_b"])):
+        for name in ("t", column):
+            if name not in data:
+                raise GridMismatchError(f"{path} has no column {name!r}")
     if not np.array_equal(a["t"], b["t"]):
         raise GridMismatchError("time grids differ between the two files")
-    window = cfg.get("window") or [float(a["t"][0]), float(a["t"][-1])]
-    metrics = compare(a["t"], a[col_a], b[col_b], (window[0], window[1]))
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / "compare_metrics.json"
-    out.write_text(json.dumps(metrics.as_dict(), sort_keys=True, indent=2) + "\n",
-                   encoding="utf-8")
-    return {"files": [str(out)], "metrics": metrics.as_dict()}
+    window = c["window"] or [float(a["t"][0]), float(a["t"][-1])]
+    metrics = compare(a["t"], a[c["column_a"]], b[c["column_b"]], (window[0], window[1]))
+    files = _write_outputs(out_dir, None, {}, {"compare_metrics.json": metrics.as_dict()})
+    return {"files": files, "metrics": metrics.as_dict()}
 
 
 # ---------------------------------------------------------------------------
@@ -289,85 +407,31 @@ def compare_files(cfg: dict, out_dir) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _output_grid(cfg: dict) -> np.ndarray:
-    grid = _require(cfg, "grid", "config")
-    t_max = float(_require(grid, "t_max", "grid"))
-    n_out = int(_require(grid, "n_out", "grid"))
-    if t_max <= 0 or n_out < 1:
-        raise ConfigError("grid needs t_max > 0 and n_out >= 1")
-    return t_max / n_out * np.arange(n_out + 1)
+def _output_grid(grid: dict) -> np.ndarray:
+    return grid["t_max"] / grid["n_out"] * np.arange(grid["n_out"] + 1)
 
 
-def _build_model(cfg: dict, profile: profiles.PerturbationProfile) -> rmt.RandomMatrixModel:
-    mcfg = cfg["model"]
-    seed = int(cfg["seed"])
-    m = int(_require(mcfg, "m", "model"))
-    scfg = mcfg["spectrum"]
-    spec = rmt.SpectrumSpec(
-        m=m,
-        variant=_require(scfg, "variant", "spectrum"),
-        spacing=float(scfg.get("spacing", 1.0)),
-        alpha=float(scfg.get("alpha", 0.0)),
-        mean_spacing=float(scfg.get("mean_spacing", 1.0)),
-    )
+def _build_model(cfg: dict, spec: rmt.SpectrumSpec,
+                 profile: profiles.PerturbationProfile) -> rmt.RandomMatrixModel:
+    seed, obs, state = cfg["seed"], cfg["model"]["observable"], cfg["model"]["initial_state"]
     energies = spec.energies()
     v = rmt.sample_v(energies, profile, seed)
-
-    ocfg = mcfg["observable"]
-    kind = _require(ocfg, "kind", "observable")
-    state_cfg = mcfg["initial_state"]
-    state_kind = _require(state_cfg, "kind", "initial_state")
-    index = state_cfg.get("index", "middle")
-    index = m // 2 if index == "middle" else (None if index is None else int(index))
-
-    if kind == "fidelity":
-        if state_kind != "eigenstate":
-            raise ConfigError("the fidelity observable projects on an eigenstate")
-        observable = rmt.fidelity_observable(m, index)
-    elif kind == "eth":
-        observable = rmt.build_eth_observable(
-            energies,
-            spec.e_top,
-            float(_require(ocfg, "a0_plus", "observable")),
-            float(_require(ocfg, "a0_minus", "observable")),
-            seed,
-        )
+    if obs["kind"] == "fidelity":
+        observable = rmt.fidelity_observable(spec.m, state["index"])
     else:
-        raise ConfigError(f"unknown observable kind {kind!r}")
-
-    psi = rmt.build_initial_state(
-        energies,
-        state_kind,
-        seed,
-        index=index,
-        e_center=float(state_cfg.get("e_center", 0.0)),
-        delta_e=float(state_cfg.get("delta_e", 1.0)),
-        q=state_cfg.get("q", "identity"),
-        kappa=float(state_cfg.get("kappa", 1.0)),
-        sector=state_cfg.get("sector", "all"),
-        observable=observable,
-    )
+        observable = rmt.build_eth_observable(
+            energies, spec.e_top, obs["a0_plus"], obs["a0_minus"], seed
+        )
+    psi = rmt.build_initial_state(energies, master_seed=seed, observable=observable, **state)
 
     window = None
-    if state_kind == "filtered_random":
-        k = float(cfg.get("window_halfwidth_factor", 2.0))
-        e0, de = float(state_cfg["e_center"]), float(state_cfg["delta_e"])
+    if state["kind"] == "filtered_random":
+        k, e0, de = cfg["window_halfwidth_factor"], state["e_center"], state["delta_e"]
         window = (e0 - k * de, e0 + k * de)
 
-    model = rmt.RandomMatrixModel(
-        spectrum=spec,
-        energies=energies,
-        v_matrix=v,
-        observable=observable,
-        initial_state=psi,
-        master_seed=seed,
-        window=window,
-    )
+    model = rmt.RandomMatrixModel(spec, energies, v, observable, psi, seed, window)
     model.derived = rmt.reference_constants(
-        energies,
-        np.real(np.diag(observable)),
-        np.abs(psi) ** 2,
-        window,
+        energies, np.real(np.diag(observable)), np.abs(psi) ** 2, window
     )
     return model
 
@@ -379,26 +443,16 @@ def _solver_grid(h_req, profile, protocol, dt: float, t_end: float):
     return dt / substeps, substeps
 
 
-def _prediction_grid(cfg, profile, protocol, t_grid):
+def _prediction_grid(prediction: dict, profile, protocol, t_grid):
     """Solver step and output subsampling for the diagonal prediction."""
     dt = float(t_grid[1] - t_grid[0])
-    pred_cfg = cfg.get("prediction") or {}
     t_end, t_ts = float(t_grid[-1]), protocol.timescale()
     t_default = t_end if t_ts is None else min(t_end, 5.0 * t_ts)  # default validity window
-    pred_t_max = min(_positive_or_null(pred_cfg, "t_max", "prediction") or t_default, t_end)
+    pred_t_max = min(prediction["t_max"] or t_default, t_end)
     n_pred = int(round(pred_t_max / dt))
-    h, substeps = _solver_grid(_positive_or_null(pred_cfg, "solver_step", "prediction"),
-                               profile, protocol, dt, max(pred_t_max, dt))
+    h, substeps = _solver_grid(prediction["solver_step"], profile, protocol, dt,
+                               max(pred_t_max, dt))
     return h, substeps, n_pred
-
-
-def _base_meta(cfg: dict) -> dict:
-    return {
-        "config": cfg,
-        "rng": rmt.RNG_ALGORITHM,
-        "seed_streams": rmt._STREAMS,
-        "versions": _versions(),
-    }
 
 
 def _approx_columns(profile, protocol, t_grid):
@@ -414,73 +468,31 @@ def _approx_columns(profile, protocol, t_grid):
     }
 
 
-def _run_simulation_scenario(cfg: dict, out_dir: Path) -> dict:
-    """Shared fidelity / double_pretherm pipeline."""
-    scenario = cfg["scenario"]
+def _run_simulation_scenario(cfg: dict, meta: dict, out_dir: Path) -> dict:
+    """Shared fidelity / double_pretherm pipeline on a checked config."""
     protocol = build_protocol(cfg["protocol"])
-    t_grid = _output_grid(cfg)
+    t_grid = _output_grid(cfg["grid"])
 
     # flat spectra fix d0 = 1/spacing; modulated spectra use the density
     # measured in the occupied window when profile.d0 is null.  Sampling V
     # needs only vtilde, so a placeholder d0 is fine until it is measured.
-    flat = cfg["model"]["spectrum"]["variant"] == "flat"
-    d0_guess = 1.0 / float(cfg["model"]["spectrum"]["spacing"]) if flat else 1.0
-    profile = build_profile(cfg["profile"], d0_override=d0_guess)
-    model = _build_model(cfg, profile)
-    if cfg["profile"].get("d0") is None and not flat:
+    spec = rmt.SpectrumSpec(m=cfg["model"]["m"], **cfg["model"]["spectrum"])
+    flat = spec.variant == "flat"
+    profile = build_profile(cfg["profile"], d0_override=1.0 / spec.spacing if flat else 1.0)
+    model = _build_model(cfg, spec, profile)
+    if cfg["profile"]["d0"] is None and not flat:
         profile = build_profile(cfg["profile"], d0_override=model.derived["d0_window"])
 
-    method = cfg["model"].get("method", "piecewise_exact")
-    traj = rmt.propagate(
-        model, protocol, t_grid, method=method, step=cfg["model"].get("trotter_step")
-    )
+    traj = rmt.propagate(model, protocol, t_grid, method=cfg["model"]["method"],
+                         step=cfg["model"]["trotter_step"])
 
     # prediction on the output grid (solver runs on a refined grid)
-    h, substeps, n_pred = _prediction_grid(cfg, profile, protocol, t_grid)
+    h, substeps, n_pred = _prediction_grid(cfg["prediction"], profile, protocol, t_grid)
     gamma_sq_fine = response.gamma_diagonal(profile, protocol, h, n_pred * substeps)
     gamma_sq = gamma_sq_fine[::substeps]
     a_th = model.derived["a_th"]
     pred = response.predict_observable(
         t_grid[: n_pred + 1], gamma_sq, traj.undriven_a_series[: n_pred + 1], a_th
-    )
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    meta = _base_meta(cfg)
-    meta["derived"] = model.derived
-    meta["method"] = {"name": method, "step": traj.step}
-
-    files = []
-    files.append(
-        write_csv(
-            out_dir / "simulation.csv",
-            {
-                "t": t_grid,
-                "a_driven": traj.a_series,
-                "a_undriven": traj.undriven_a_series,
-                "h0": traj.h0_series,
-                "norm": traj.norm_series,
-            },
-        )
-    )
-    files.append(
-        write_csv(
-            out_dir / "prediction.csv",
-            {"t": pred.t_grid, "gamma_sq": pred.gamma_sq, "a_pred": pred.a_pred},
-        )
-    )
-    files.append(write_csv(out_dir / "approximations.csv",
-                           _approx_columns(profile, protocol, t_grid)))
-    files.append(
-        write_csv(
-            out_dir / "joined.csv",
-            {
-                "t": pred.t_grid,
-                "a_sim": traj.a_series[: n_pred + 1],
-                "a_pred": pred.a_pred,
-                "a_undriven": pred.undriven,
-                "gamma_sq": pred.gamma_sq,
-            },
-        )
     )
 
     # metrics: early window (two driving periods when defined) and full window
@@ -496,7 +508,7 @@ def _run_simulation_scenario(cfg: dict, out_dir: Path) -> dict:
         "norm_max_drift": float(np.max(np.abs(traj.norm_series - 1.0))),
     }
 
-    if scenario == "double_pretherm":
+    if cfg["scenario"] == "double_pretherm":
         metrics["undriven_h0_drift"] = float(np.ptp(traj.undriven_h0_series))
         if ts is not None and t_grid[-1] >= 2 * ts:
             per = max(1, int(round(ts / (t_grid[1] - t_grid[0]))))
@@ -515,28 +527,36 @@ def _run_simulation_scenario(cfg: dict, out_dir: Path) -> dict:
                     "a_bar0": model.derived["a_bar0"],
                 }
 
-    (out_dir / "metrics.json").write_text(
-        json.dumps(metrics, sort_keys=True, indent=2, default=float) + "\n", encoding="utf-8"
-    )
-    files.append(out_dir / "metrics.json")
-    for f in files:
-        if str(f).endswith(".csv"):
-            write_sidecar(f, meta)
-    return {"files": [str(f) for f in files], "metrics": metrics}
+    meta = {**meta, "derived": model.derived, "method": {"name": traj.method, "step": traj.step}}
+    csvs = {
+        "simulation.csv": {
+            "t": t_grid,
+            "a_driven": traj.a_series,
+            "a_undriven": traj.undriven_a_series,
+            "h0": traj.h0_series,
+            "norm": traj.norm_series,
+        },
+        "prediction.csv": {"t": pred.t_grid, "gamma_sq": pred.gamma_sq, "a_pred": pred.a_pred},
+        "approximations.csv": _approx_columns(profile, protocol, t_grid),
+        "joined.csv": {
+            "t": pred.t_grid,
+            "a_sim": traj.a_series[: n_pred + 1],
+            "a_pred": pred.a_pred,
+            "a_undriven": pred.undriven,
+            "gamma_sq": pred.gamma_sq,
+        },
+    }
+    files = _write_outputs(out_dir, meta, csvs, {"metrics.json": metrics})
+    return {"files": files, "metrics": metrics}
 
 
-def _run_strong_scale(cfg: dict, out_dir: Path) -> dict:
+def _run_strong_scale(cfg: dict, meta: dict, out_dir: Path) -> dict:
     profile = build_profile(cfg["profile"])
     protocol = build_protocol(cfg["protocol"])
-    t_grid = _output_grid(cfg)
+    t_grid = _output_grid(cfg["grid"])
     sigma0 = profiles.moment(profile, 0)
     r = approximations.r_scale_array(profile, protocol, t_grid)
     phi1, phi2 = protocols.phi_arrays(protocol, t_grid)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    f = write_csv(
-        out_dir / "strong_scale.csv",
-        {"t": t_grid, "r": r, "margin": r / sigma0, "phi1": phi1, "phi2": phi2},
-    )
     metrics = {"sigma0": sigma0}
     ts = protocol.timescale()
     if ts is not None and t_grid[-1] > ts:
@@ -548,22 +568,19 @@ def _run_strong_scale(cfg: dict, out_dir: Path) -> dict:
         metrics["crossover_amplitude"] = approximations.crossover_amplitude(
             profile, 1.0 / profile.d0
         )
-    (out_dir / "metrics.json").write_text(
-        json.dumps(metrics, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    write_sidecar(f, {**_base_meta(cfg), "derived": metrics})
-    return {"files": [str(f), str(out_dir / "metrics.json")], "metrics": metrics}
+    csv = {"t": t_grid, "r": r, "margin": r / sigma0, "phi1": phi1, "phi2": phi2}
+    files = _write_outputs(out_dir, {**meta, "derived": metrics}, {"strong_scale.csv": csv},
+                           {"metrics.json": metrics})
+    return {"files": files, "metrics": metrics}
 
 
-def _run_quench_asymptotics(cfg: dict, out_dir: Path) -> dict:
+def _run_quench_asymptotics(cfg: dict, meta: dict, out_dir: Path) -> dict:
     protocol = build_protocol(cfg["protocol"])
     if protocol.variant != "linear_ramp":
         raise ConfigError("quench asymptotics are defined for the linear ramp")
-    t_grid = _output_grid(cfg)
+    t_grid = _output_grid(cfg["grid"])
     phi1, phi2 = protocols.phi_arrays(protocol, t_grid)
     f0, T = protocol.f0, protocol.period
-    out_dir.mkdir(parents=True, exist_ok=True)
-    f = write_csv(out_dir / "quench_asymptotics.csv", {"t": t_grid, "phi1": phi1, "phi2": phi2})
     tl = float(t_grid[-1])
     p1, p2 = protocols.phi_arrays(protocol, np.asarray([tl]))
     metrics = {
@@ -573,23 +590,17 @@ def _run_quench_asymptotics(cfg: dict, out_dir: Path) -> dict:
         "phi2_late": float(p2[0]),
         "phi2_limit": f0**2 * T**2 / 16.0,
     }
-    (out_dir / "metrics.json").write_text(
-        json.dumps(metrics, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    write_sidecar(f, {**_base_meta(cfg), "derived": metrics})
-    return {"files": [str(f), str(out_dir / "metrics.json")], "metrics": metrics}
+    csv = {"t": t_grid, "phi1": phi1, "phi2": phi2}
+    files = _write_outputs(out_dir, {**meta, "derived": metrics},
+                           {"quench_asymptotics.csv": csv}, {"metrics.json": metrics})
+    return {"files": files, "metrics": metrics}
 
 
 def run(cfg: dict, out_dir) -> dict:
     """Run the configured scenario; writes CSVs, sidecars and metrics into out_dir."""
-    validate_scenario_config(cfg)
-    out_dir = Path(out_dir)
-    scenario = cfg["scenario"]
-    if scenario in ("fidelity", "double_pretherm"):
-        return _run_simulation_scenario(cfg, out_dir)
-    if scenario == "strong_scale":
-        return _run_strong_scale(cfg, out_dir)
-    return _run_quench_asymptotics(cfg, out_dir)
+    c = validate_scenario_config(cfg)
+    runners = {"strong_scale": _run_strong_scale, "quench_asymptotics": _run_quench_asymptotics}
+    return runners.get(c["scenario"], _run_simulation_scenario)(c, _base_meta(cfg), Path(out_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -599,51 +610,31 @@ def run(cfg: dict, out_dir) -> dict:
 
 def run_respond(cfg: dict, out_dir) -> dict:
     """Solve for gamma: diagonal always, plus any requested fixed t' curves."""
-    _check_keys(cfg, _SCENARIO_KEYS["respond"], "respond config")
-    h_req = _positive_or_null(cfg, "solver_step", "respond config")
-    profile = build_profile(cfg["profile"])
-    protocol = build_protocol(cfg["protocol"])
-    t_grid = _output_grid(cfg)
-    h, substeps = _solver_grid(h_req, profile, protocol, float(t_grid[1] - t_grid[0]),
-                               float(t_grid[-1]))
+    c = _checked(_RESPOND, cfg)
+    profile = build_profile(c["profile"])
+    protocol = build_protocol(c["protocol"])
+    t_grid = _output_grid(c["grid"])
+    h, substeps = _solver_grid(c["solver_step"], profile, protocol,
+                               float(t_grid[1] - t_grid[0]), float(t_grid[-1]))
     n = (len(t_grid) - 1) * substeps
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    meta = _base_meta(cfg)
-    files = []
     diag = response.gamma_diagonal_values(profile, protocol, h, n)[::substeps]
-    files.append(
-        write_csv(
-            out_dir / "respond_diagonal.csv",
-            {"t": t_grid, "gamma": diag, "gamma_sq": diag**2},
-        )
-    )
-    for i, tp in enumerate(cfg.get("t_primes") or []):
-        sol = response.solve_gamma(profile, protocol, float(tp), h, n)
-        g = sol.gamma[::substeps]
-        files.append(
-            write_csv(
-                out_dir / f"respond_tprime_{i:03d}.csv",
-                {"t": t_grid, "gamma": g, "gamma_sq": g**2},
-            )
-        )
-    for f in files:
-        write_sidecar(f, meta)
-    return {"files": [str(f) for f in files], "metrics": {"solver_step": h}}
+    csvs = {"respond_diagonal.csv": {"t": t_grid, "gamma": diag, "gamma_sq": diag**2}}
+    for i, tp in enumerate(c["t_primes"] or []):
+        g = response.solve_gamma(profile, protocol, tp, h, n).gamma[::substeps]
+        csvs[f"respond_tprime_{i:03d}.csv"] = {"t": t_grid, "gamma": g, "gamma_sq": g**2}
+    files = _write_outputs(out_dir, _base_meta(cfg), csvs, {})
+    return {"files": files, "metrics": {"solver_step": h}}
 
 
 def run_approx(cfg: dict, out_dir) -> dict:
     """Closed-form approximation curves (evaluated on the diagonal t' = t)."""
-    _check_keys(cfg, _SCENARIO_KEYS["approx"], "approx config")
-    profile = build_profile(cfg["profile"])
-    protocol = build_protocol(cfg["protocol"])
-    t_grid = _output_grid(cfg)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    f = write_csv(out_dir / "approximations.csv", _approx_columns(profile, protocol, t_grid))
-    write_sidecar(f, _base_meta(cfg))
-    return {"files": [str(f)], "metrics": {"sigma0": profiles.moment(profile, 0)}}
+    c = _checked(_APPROX, cfg)
+    profile = build_profile(c["profile"])
+    protocol = build_protocol(c["protocol"])
+    csvs = {"approximations.csv": _approx_columns(profile, protocol, _output_grid(c["grid"]))}
+    files = _write_outputs(out_dir, _base_meta(cfg), csvs, {})
+    return {"files": files, "metrics": {"sigma0": profiles.moment(profile, 0)}}
 
 
 # ---------------------------------------------------------------------------
@@ -652,40 +643,36 @@ def run_approx(cfg: dict, out_dir) -> dict:
 
 
 def _apply_override(cfg: dict, dotted: str, value) -> None:
-    keys = dotted.split(".")
+    *parents, last = dotted.split(".")
     node = cfg
-    for k in keys[:-1]:
-        if not isinstance(node, dict) or k not in node:
-            raise ConfigError(f"override path {dotted!r} does not exist in the base config")
-        node = node[k]
-    if not isinstance(node, dict) or keys[-1] not in node:
+    for k in parents:
+        node = node.get(k) if isinstance(node, dict) else None
+    if not isinstance(node, dict) or last not in node:
         raise ConfigError(f"override path {dotted!r} does not exist in the base config")
-    node[keys[-1]] = value
+    node[last] = value
+
+
+def validate_sweep_config(cfg: dict) -> dict:
+    """Check a `sweep` config's own keys; returns {"base": <raw base>, "variations": [...]}."""
+    return _checked(_SWEEP, cfg)["sweep"]
 
 
 def run_sweep(cfg: dict, out_dir) -> dict:
     """Fan a base scenario config out over parameter variations.
 
     Each variation is a mapping of dotted config paths to values and runs in
-    its own subdirectory; results are collected in variation order.
+    its own subdirectory; results are collected in variation order.  Every
+    variation is checked before the first one runs.
     """
-    _check_keys(cfg, {"sweep"}, "sweep config")
-    sweep = cfg["sweep"]
-    _check_keys(sweep, {"base", "variations"}, "sweep")
-    base = _require(sweep, "base", "sweep")
-    variations = _require(sweep, "variations", "sweep")
-    validate_scenario_config(base)
-    out_dir = Path(out_dir)
-
-    results = []
-    for i, var in enumerate(variations):
-        c = copy.deepcopy(base)
+    sweep = validate_sweep_config(cfg)
+    validate_scenario_config(sweep["base"])
+    configs = []
+    for var in sweep["variations"]:
+        c = copy.deepcopy(sweep["base"])
         for key, value in sorted(var.items()):
             _apply_override(c, key, value)
         validate_scenario_config(c)
-        results.append(run(c, out_dir / f"var_{i:03d}"))
-    summary = {
-        "variations": len(results),
-        "files": [f for r in results for f in r["files"]],
-    }
-    return summary
+        configs.append(c)
+    out_dir = Path(out_dir)
+    results = [run(c, out_dir / f"var_{i:03d}") for i, c in enumerate(configs)]
+    return {"variations": len(results), "files": [f for r in results for f in r["files"]]}

@@ -30,6 +30,8 @@ import numpy as np
 
 _SUPPORT_CUT = 1e-12  # segments with vtilde below this (relative) are dropped
 
+VARIANTS = ("exponential", "tabulated")
+
 
 @dataclass(frozen=True)
 class PerturbationProfile:
@@ -43,7 +45,7 @@ class PerturbationProfile:
     values: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.variant not in ("exponential", "tabulated"):
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown profile variant {self.variant!r}")
         if not (np.isfinite(self.d0) and self.d0 > 0):
             raise ValueError("density of states d0 must be positive")

@@ -32,6 +32,13 @@ NORM_TOL = 1e-6  # propagation aborts beyond this norm drift
 _STREAMS = {"v_matrix": 0, "observable_diag": 1, "observable_offdiag": 2, "initial_state": 3}
 RNG_ALGORITHM = "PCG64"
 
+# the names the constructors below accept (the harness config schema checks them too)
+SPECTRUM_VARIANTS = ("flat", "cosine_modulated")
+STATE_KINDS = ("eigenstate", "filtered_random")
+Q_KINDS = ("identity", "one_plus_kappa_a")
+SECTORS = ("all", "even")
+METHODS = ("piecewise_exact", "trotter")
+
 
 def _rng(master_seed: int, stream: str) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=(_STREAMS[stream],))
@@ -62,7 +69,7 @@ class SpectrumSpec:
     def __post_init__(self) -> None:
         if self.m < 2:
             raise ValueError("need at least two levels")
-        if self.variant not in ("flat", "cosine_modulated"):
+        if self.variant not in SPECTRUM_VARIANTS:
             raise ValueError(f"unknown spectrum variant {self.variant!r}")
         if self.variant == "flat" and not self.spacing > 0:
             raise ValueError("flat spacing must be positive")
@@ -184,28 +191,24 @@ def build_initial_state(
     normalizes.  Operator order: filter after Q.
     """
     m = len(energies)
+    if kind not in STATE_KINDS or sector not in SECTORS or q not in Q_KINDS:
+        raise ValueError(f"unknown initial-state kind, sector or Q: {kind!r}, {sector!r}, {q!r}")
     if kind == "eigenstate":
         if index is None or not (0 <= index < m):
             raise ValueError("eigenstate index out of range")
         psi = np.zeros(m, dtype=complex)
         psi[index] = 1.0
         return psi
-    if kind != "filtered_random":
-        raise ValueError(f"unknown initial-state kind {kind!r}")
     if delta_e <= 0:
         raise ValueError("delta_e must be positive")
     rng = _rng(master_seed, "initial_state")
     phi = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     if sector == "even":
         phi[1::2] = 0.0
-    elif sector != "all":
-        raise ValueError(f"unknown sector {sector!r}")
     if q == "one_plus_kappa_a":
         if observable is None:
             raise ValueError("Q = 1 + kappa*A needs the observable matrix")
         phi = phi + kappa * (observable @ phi)
-    elif q != "identity":
-        raise ValueError(f"unknown Q kind {q!r}")
     psi = np.exp(-((energies - e_center) ** 2) / (4.0 * delta_e**2)) * phi
     nrm = np.linalg.norm(psi)
     if nrm < 1e-12 * np.linalg.norm(phi):
@@ -397,7 +400,7 @@ def propagate(
     model: RandomMatrixModel,
     protocol: protocols.DrivingProtocol,
     t_grid: np.ndarray,
-    method: str = "piecewise_exact",
+    method: str,
     step: Optional[float] = None,
 ) -> TrajectoryResult:
     """Exact Schroedinger propagation under H0 + f(t) V, recorded on t_grid.
@@ -409,6 +412,8 @@ def propagate(
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
         raise ValueError("t_grid must be increasing and nonnegative")
+    if method not in METHODS:
+        raise ConfigError(f"unknown propagation method {method!r}")
     used_step = None
     if method == "piecewise_exact":
         rows = _propagate_piecewise(model, protocol, t_grid)
@@ -416,8 +421,6 @@ def propagate(
         if step is None or step <= 0:
             raise ConfigError("trotter propagation needs a positive step")
         rows, used_step = _propagate_trotter(model, protocol, t_grid, step)
-    else:
-        raise ConfigError(f"unknown propagation method {method!r}")
     undriven = undriven_series(model, t_grid)
     return TrajectoryResult(
         t_grid=t_grid,

@@ -1,6 +1,8 @@
 """Config handling, CSV artifacts, metrics, scenario runs, CLI."""
 
+import copy
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,46 @@ def small_fidelity_cfg(f0=0.08, period=0.5, m=128, t_max=1.0, n_out=40):
         },
         "grid": {"t_max": t_max, "n_out": n_out},
     }
+
+
+def small_eth_cfg(m=64):
+    """double_pretherm's model at m = 64, spectral span 32 as in configs/double_pretherm.yaml."""
+    return {
+        "scenario": "double_pretherm",
+        "seed": 1,
+        "profile": {"variant": "exponential", "v0": 1.0, "delta_v": 0.5, "d0": None},
+        "protocol": {"variant": "step", "f0": 0.12, "period": 2.0},
+        "model": {
+            "m": m,
+            "spectrum": {"variant": "cosine_modulated", "alpha": 0.1, "mean_spacing": 0.5},
+            "observable": {"kind": "eth", "a0_plus": 1.0, "a0_minus": 0.25},
+            "initial_state": {"kind": "filtered_random", "e_center": 12.0, "delta_e": 4.0,
+                              "q": "one_plus_kappa_a", "kappa": 1.0, "sector": "even"},
+            "method": "piecewise_exact",
+        },
+        "grid": {"t_max": 4.0, "n_out": 40},
+        "prediction": {"t_max": 1.0},
+    }
+
+
+def respond_cfg():
+    return {
+        "profile": {"variant": "exponential", "v0": 1.0, "delta_v": 0.5, "d0": 128.0},
+        "protocol": {"variant": "step", "f0": 0.08, "period": 0.5},
+        "grid": {"t_max": 1.0, "n_out": 50},
+        "t_primes": [0.25, 0.6],
+    }
+
+
+def set_field(cfg, dotted, value):
+    """Copy of cfg with the dotted field set to value (parents must exist)."""
+    cfg = copy.deepcopy(cfg)
+    *parents, last = dotted.split(".")
+    node = cfg
+    for k in parents:
+        node = node[k]
+    node[last] = value
+    return cfg
 
 
 # --- config --------------------------------------------------------------------
@@ -96,13 +138,129 @@ def test_respond_rejects_bad_solver_step_before_solving(tmp_path, monkeypatch, b
         harness.run_respond(cfg, tmp_path)
 
 
+# (config, dotted field, bad value): each must fail at load, naming the field
+BAD_FIELDS = [
+    ("fidelity", "grid.t_max", float("nan")),
+    ("fidelity", "grid.t_max", float("inf")),
+    ("fidelity", "grid.t_max", 0),
+    ("fidelity", "grid.n_out", 2.7),
+    ("fidelity", "grid.n_out", 0),
+    ("fidelity", "seed", 1.5),
+    ("fidelity", "seed", -1),
+    ("fidelity", "seed", "one"),
+    ("fidelity", "profile.variant", "gaussian"),
+    ("fidelity", "profile.delta_v", -1),
+    ("fidelity", "profile.v0", "x"),
+    ("fidelity", "profile.d0", 0),
+    ("fidelity", "protocol.variant", "square"),
+    ("fidelity", "protocol.f0", "abc"),
+    ("fidelity", "protocol.period", 0),
+    ("fidelity", "protocol.table", "no/such/table.csv"),
+    ("fidelity", "model.m", 2.5),
+    ("fidelity", "model.m", 1),
+    ("fidelity", "model.method", "rk4"),
+    ("fidelity", "model.method", "trotter"),  # no trotter_step
+    ("fidelity", "model.trotter_step", -1),
+    ("fidelity", "model.spectrum.variant", "bogus"),
+    ("fidelity", "model.spectrum.spacing", 0),
+    ("fidelity", "model.spectrum.spacing", "x"),
+    ("fidelity", "model.observable.kind", "bogus"),
+    ("fidelity", "model.initial_state.kind", "bogus"),
+    ("fidelity", "model.initial_state.kind", "filtered_random"),  # fidelity needs an eigenstate
+    ("fidelity", "model.initial_state.index", 9999),
+    ("fidelity", "model.initial_state.index", 128),
+    ("fidelity", "model.initial_state.index", -1),
+    ("fidelity", "model.initial_state.index", 2.5),
+    ("fidelity", "model.initial_state.index", "first"),
+    ("fidelity", "model.initial_state.index", None),  # an eigenstate needs an index
+    ("fidelity", "prediction", None),
+    ("eth", "model.m", 63),  # two sectors need an even m
+    ("eth", "model.spectrum.alpha", -1),
+    ("eth", "model.spectrum.mean_spacing", 0),
+    ("eth", "model.observable.a0_plus", "x"),
+    ("eth", "model.observable.a0_minus", None),
+    ("eth", "model.initial_state.delta_e", -1),
+    ("eth", "model.initial_state.e_center", float("nan")),
+    ("eth", "model.initial_state.sector", "odd"),
+    ("eth", "model.initial_state.q", "bogus"),
+    ("eth", "model.initial_state.kappa", "x"),
+    ("eth", "window_halfwidth_factor", "x"),
+    ("eth", "window_halfwidth_factor", -2.0),
+]
+
+
+@pytest.mark.parametrize("which,field,bad", BAD_FIELDS)
+def test_bad_field_fails_at_load(tmp_path, monkeypatch, which, field, bad):
+    monkeypatch.setattr(rmt, "sample_v", _must_not_run)
+    base = small_fidelity_cfg() if which == "fidelity" else small_eth_cfg()
+    cfg = set_field(base, field, bad)
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        harness.validate_scenario_config(cfg)
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        harness.run(cfg, tmp_path)
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("t_primes", [-0.5]),
+    ("t_primes", [float("nan")]),
+    ("t_primes", ["x"]),
+    ("t_primes", 0.3),
+    ("grid.n_out", 2.7),
+    ("protocol.f0", "abc"),
+    ("profile.delta_v", -1),
+])
+def test_respond_bad_field_fails_before_solving(tmp_path, monkeypatch, field, bad):
+    monkeypatch.setattr(response, "gamma_diagonal_values", _must_not_run)
+    monkeypatch.setattr(response, "solve_gamma", _must_not_run)
+    with pytest.raises(ConfigError, match=re.escape(field)):
+        harness.run_respond(set_field(respond_cfg(), field, bad), tmp_path)
+    assert not (tmp_path / "respond_diagonal.csv").exists()
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).parents[1].glob("configs/*.yaml")),
+                         ids=lambda p: p.name)
+def test_shipped_configs_validate(path):
+    harness.validate_scenario_config(harness.load_config(path))
+
+
+def test_validate_returns_normalised_copy():
+    cfg = small_fidelity_cfg()
+    cfg["protocol"]["f0"] = "1e-2"  # YAML reads 1e-2 (no dot) as a string
+    cfg["grid"]["n_out"] = 40.0
+    raw = copy.deepcopy(cfg)
+    c = harness.validate_scenario_config(cfg)
+    assert cfg == raw  # the raw config (and so the sidecar echo) is untouched
+    assert c["protocol"] == {"variant": "step", "f0": 0.01, "period": 0.5}
+    assert c["grid"]["n_out"] == 40 and isinstance(c["grid"]["n_out"], int)
+    assert c["prediction"] == {"t_max": None, "solver_step": None}
+    assert c["window_halfwidth_factor"] == 2.0
+    assert c["model"]["initial_state"]["index"] == 64  # "middle" of m = 128
+    assert c["model"]["trotter_step"] is None
+    # keys passed straight to a library call stay absent, so its default applies
+    assert c["model"]["spectrum"] == {"variant": "flat", "spacing": 1.0 / 32}
+    assert "period" not in harness.validate_scenario_config(
+        set_field(cfg, "protocol", {"variant": "constant", "f0": 0.1}))["protocol"]
+
+
+def test_filtered_random_state_defaults(tmp_path):
+    cfg = small_eth_cfg()
+    del cfg["model"]["initial_state"]["e_center"], cfg["model"]["initial_state"]["delta_e"]
+    out = harness.run(cfg, tmp_path)
+    # one default each (e_center 0, delta_e 1) feeds both the state and the window
+    assert out["metrics"]["derived"]["window"] == (-2.0, 2.0)
+    cfg["model"]["initial_state"].update(e_center=0.0, delta_e=1.0)
+    harness.run(cfg, tmp_path / "explicit")
+    for name in ("simulation.csv", "joined.csv"):
+        assert (tmp_path / name).read_bytes() == (tmp_path / "explicit" / name).read_bytes()
+
+
 def test_null_prediction_grid_means_default(tmp_path):
     cfg = small_fidelity_cfg(m=64, t_max=0.5, n_out=20)
     cfg["prediction"] = {"t_max": None, "solver_step": None}
-    harness.validate_scenario_config(cfg)
+    c = harness.validate_scenario_config(cfg)
     h, substeps, n_pred = harness._prediction_grid(
-        cfg, harness.build_profile(cfg["profile"], d0_override=32.0),
-        harness.build_protocol(cfg["protocol"]), harness._output_grid(cfg))
+        c["prediction"], harness.build_profile(c["profile"], d0_override=32.0),
+        harness.build_protocol(c["protocol"]), harness._output_grid(c["grid"]))
     assert n_pred == 20 and substeps >= 1 and h * substeps == pytest.approx(0.025)
 
 
@@ -257,6 +415,31 @@ def test_compare_files_subcommand(tmp_path):
         harness.compare_files(cfg, tmp_path)
 
 
+def test_compare_files_missing_column_names_it(tmp_path):
+    t = np.linspace(0, 1, 21)
+    harness.write_csv(tmp_path / "a.csv", {"t": t, "x": np.sin(t)})
+    cfg = {"file_a": str(tmp_path / "a.csv"), "column_a": "nope",
+           "file_b": str(tmp_path / "a.csv"), "column_b": "x"}
+    with pytest.raises(GridMismatchError, match=r"a\.csv has no column 'nope'"):
+        harness.compare_files(cfg, tmp_path)
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("window", [0.5]),
+    ("window", 0.5),
+    ("window", [0.0, "end"]),
+    ("file_a", "missing.csv"),
+    ("column_b", 3),
+])
+def test_compare_files_bad_field(tmp_path, field, bad):
+    t = np.linspace(0, 1, 21)
+    harness.write_csv(tmp_path / "a.csv", {"t": t, "x": np.sin(t)})
+    cfg = {"file_a": str(tmp_path / "a.csv"), "column_a": "x",
+           "file_b": str(tmp_path / "a.csv"), "column_b": "x", field: bad}
+    with pytest.raises(ConfigError, match=field):
+        harness.compare_files(cfg, tmp_path)
+
+
 def test_sweep(tmp_path):
     base = small_fidelity_cfg(m=64, t_max=0.5, n_out=20)
     cfg = {"sweep": {"base": base, "variations": [
@@ -272,6 +455,17 @@ def test_sweep(tmp_path):
     cfg["sweep"]["variations"] = [{"protocol.nope": 1}]
     with pytest.raises(ConfigError):
         harness.run_sweep(cfg, tmp_path)
+
+
+def test_sweep_checks_every_variation_first(tmp_path, monkeypatch):
+    monkeypatch.setattr(rmt, "sample_v", _must_not_run)
+    base = small_fidelity_cfg(m=64, t_max=0.5, n_out=20)
+    cfg = {"sweep": {"base": base, "variations": [{"protocol.f0": 0.04}, {"grid.n_out": 2.5}]}}
+    with pytest.raises(ConfigError, match=r"grid\.n_out"):
+        harness.run_sweep(cfg, tmp_path)
+    for bad in ({}, {"sweep": {"base": base}}, {"sweep": {"base": base, "variations": [1]}}):
+        with pytest.raises(ConfigError):
+            harness.run_sweep(bad, tmp_path)
 
 
 # --- CLI -------------------------------------------------------------------------
@@ -308,6 +502,25 @@ def test_cli_error_record(tmp_path, capsys):
     assert rc == 1
     assert record["status"] == "error"
     assert record["error"] == "ConfigError"
+
+
+def test_cli_sweep_seed_without_sweep_section(tmp_path, capsys):
+    path = write_cfg(tmp_path, small_fidelity_cfg(m=64, t_max=0.5, n_out=20))
+    rc = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "3"])
+    record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert rc == 1
+    assert record["error"] == "ConfigError" and "sweep" in record["message"]
+
+
+def test_cli_sweep_seed_override(tmp_path, capsys):
+    base = small_fidelity_cfg(m=64, t_max=0.5, n_out=20)
+    del base["seed"]
+    path = write_cfg(tmp_path, {"sweep": {"base": base, "variations": [{"protocol.f0": 0.04}]}})
+    rc = cli.main(["sweep", "--config", str(path), "--out", str(tmp_path / "out"), "--seed", "5"])
+    capsys.readouterr()
+    assert rc == 0
+    meta = json.loads((tmp_path / "out" / "var_000" / "simulation.csv.meta.json").read_text())
+    assert meta["config"]["seed"] == 5
 
 
 def test_cli_respond_and_approx(tmp_path, capsys):
