@@ -41,19 +41,6 @@ RESOLVENT_TOL = 1e-10  # sup-change of G at which the iteration stops
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StrongDrivingScale:
-    """Decay scale r of the strong-driving form and its validity margin r/Sigma_0."""
-
-    r: float
-    sigma0: float
-    margin: float
-
-    @property
-    def valid(self) -> bool:
-        return self.margin > VALID_MARGIN
-
-
 def r_scale_array(
     profile: profiles.PerturbationProfile,
     protocol: protocols.DrivingProtocol,
@@ -64,17 +51,6 @@ def r_scale_array(
     s0 = profiles.moment(profile, 0)
     s2 = profiles.moment(profile, 2)
     return np.sqrt(4.0 * profile.v0 * profile.d0 * (s0 * phi1 + s2 * phi2))
-
-
-def r_scale(
-    profile: profiles.PerturbationProfile,
-    protocol: protocols.DrivingProtocol,
-    t: float,
-) -> StrongDrivingScale:
-    """Strong-driving scale and margin at a single time t >= 0."""
-    r = float(r_scale_array(profile, protocol, np.asarray([float(t)]))[0])
-    s0 = profiles.moment(profile, 0)
-    return StrongDrivingScale(r=r, sigma0=s0, margin=r / s0)
 
 
 def _shaped(out: np.ndarray, *args):

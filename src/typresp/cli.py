@@ -42,16 +42,10 @@ def main(argv=None) -> int:
         if args.seed is not None and args.command == "sweep":
             harness.validate_sweep_config(cfg)  # a missing sweep.base is a ConfigError
             cfg["sweep"]["base"]["seed"] = args.seed
-        if args.command == "respond":
-            summary = harness.run_respond(cfg, args.out)
-        elif args.command == "approx":
-            summary = harness.run_approx(cfg, args.out)
-        elif args.command == "simulate":
-            summary = harness.run(cfg, args.out)
-        elif args.command == "compare":
-            summary = harness.compare_files(cfg, args.out)
-        else:
-            summary = harness.run_sweep(cfg, args.out)
+        runners = {"respond": harness.run_respond, "approx": harness.run_approx,
+                   "simulate": harness.run, "compare": harness.compare_files,
+                   "sweep": harness.run_sweep}
+        summary = runners[args.command](cfg, args.out)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports all failures
         record = {"command": args.command, "status": "error",
                   "error": type(exc).__name__, "message": str(exc)}

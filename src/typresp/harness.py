@@ -162,14 +162,12 @@ _SCENARIO = {
         "solver_step": _opt(_POSITIVE, None),  # null: response.default_step
     }, {}),
     "window_halfwidth_factor": _opt(_POSITIVE, 2.0),
-    "out_dir": _opt(_NAME),
 }
 _RESPOND = {
     **_INPUTS,
     "t_primes": _opt(_list_of(_NONNEG), None),
     "solver_step": _opt(_POSITIVE, None),
 }
-_APPROX = {**_INPUTS, "t_prime": _opt(_NONNEG, None)}
 _COMPARE = {
     "file_a": _req(_PATH),
     "column_a": _req(_NAME),
@@ -235,9 +233,10 @@ def validate_scenario_config(cfg: dict) -> dict:
     """Check a `simulate` config; returns its normalised copy.
 
     Beyond the schema, the rules that cross fields are checked here, without
-    matrix work: the fidelity observable projects on an eigenstate, the eth
-    observable needs an even m, trotter needs trotter_step, and the state
-    index ("middle" resolves to m // 2) lies in [0, m).
+    matrix work: fidelity needs an eigenstate, eth an even m, piecewise_exact
+    a piecewise-constant protocol, trotter a trotter_step whose split step
+    fits the protocol, the state index ("middle" is m // 2) lies in [0, m),
+    and a filtered state's occupied window holds a level of the spectrum.
     """
     c = _checked(_SCENARIO, cfg)
     if "model" not in c:
@@ -249,12 +248,39 @@ def validate_scenario_config(cfg: dict) -> dict:
                           f"but model.initial_state.kind is {state['kind']!r}")
     if obs["kind"] == "eth" and m % 2:
         raise ConfigError(f"model.m must be even for the two-sector eth observable, got {m}")
-    if model["method"] == "trotter" and model["trotter_step"] is None:
-        raise ConfigError("model.trotter_step must be set for model.method trotter")
+    variant = c["protocol"]["variant"]
+    if model["method"] == "piecewise_exact" and variant not in protocols.PIECEWISE_CONSTANT:
+        raise ConfigError(f"model.method piecewise_exact needs protocol.variant in "
+                          f"{list(protocols.PIECEWISE_CONSTANT)}, got {variant!r}")
+    if model["method"] == "trotter":
+        if model["trotter_step"] is None:
+            raise ConfigError("model.trotter_step must be set for model.method trotter")
+        grid = c["grid"]
+        try:
+            rmt.split_step(build_protocol(c["protocol"]), grid["t_max"] / grid["n_out"],
+                           model["trotter_step"], grid["t_max"])
+        except ConfigError as exc:
+            raise ConfigError(f"model.trotter_step {model['trotter_step']!r}: {exc}") from None
     index = state["index"] = m // 2 if state["index"] == "middle" else state["index"]
     if (index is None and state["kind"] == "eigenstate") or (index is not None and index >= m):
         raise ConfigError(f"model.initial_state.index must lie in [0, {m}), got {index!r}")
+    window = _occupied_window(c)
+    if window:
+        e = rmt.SpectrumSpec(m=m, **model["spectrum"]).energies()
+        if not np.any((e >= window[0]) & (e <= window[1])):
+            raise ConfigError(f"model.initial_state.e_center +- window_halfwidth_factor * "
+                              f"delta_e = {window} holds no level of the spectrum "
+                              f"[{e[0]}, {e[-1]}]")
     return c
+
+
+def _occupied_window(cfg: dict) -> Optional[tuple]:
+    """The energy window (lo, hi) a filtered_random state occupies, else None."""
+    state = cfg["model"]["initial_state"]
+    if state["kind"] != "filtered_random":
+        return None
+    k, e0, de = cfg["window_halfwidth_factor"], state["e_center"], state["delta_e"]
+    return (e0 - k * de, e0 + k * de)
 
 
 def build_profile(section: dict, d0_override: Optional[float] = None):
@@ -423,12 +449,7 @@ def _build_model(cfg: dict, spec: rmt.SpectrumSpec,
             energies, spec.e_top, obs["a0_plus"], obs["a0_minus"], seed
         )
     psi = rmt.build_initial_state(energies, master_seed=seed, observable=observable, **state)
-
-    window = None
-    if state["kind"] == "filtered_random":
-        k, e0, de = cfg["window_halfwidth_factor"], state["e_center"], state["delta_e"]
-        window = (e0 - k * de, e0 + k * de)
-
+    window = _occupied_window(cfg)
     model = rmt.RandomMatrixModel(spec, energies, v, observable, psi, seed, window)
     model.derived = rmt.reference_constants(
         energies, np.real(np.diag(observable)), np.abs(psi) ** 2, window
@@ -581,13 +602,11 @@ def _run_quench_asymptotics(cfg: dict, meta: dict, out_dir: Path) -> dict:
     t_grid = _output_grid(cfg["grid"])
     phi1, phi2 = protocols.phi_arrays(protocol, t_grid)
     f0, T = protocol.f0, protocol.period
-    tl = float(t_grid[-1])
-    p1, p2 = protocols.phi_arrays(protocol, np.asarray([tl]))
     metrics = {
-        "t_late": tl,
-        "phi1_late": float(p1[0]),
+        "t_late": float(t_grid[-1]),
+        "phi1_late": float(phi1[-1]),
         "phi1_limit": f0**2,
-        "phi2_late": float(p2[0]),
+        "phi2_late": float(phi2[-1]),
         "phi2_limit": f0**2 * T**2 / 16.0,
     }
     csv = {"t": t_grid, "phi1": phi1, "phi2": phi2}
@@ -629,7 +648,7 @@ def run_respond(cfg: dict, out_dir) -> dict:
 
 def run_approx(cfg: dict, out_dir) -> dict:
     """Closed-form approximation curves (evaluated on the diagonal t' = t)."""
-    c = _checked(_APPROX, cfg)
+    c = _checked(_INPUTS, cfg)
     profile = build_profile(c["profile"])
     protocol = build_protocol(c["protocol"])
     csvs = {"approximations.csv": _approx_columns(profile, protocol, _output_grid(c["grid"]))}

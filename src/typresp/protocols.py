@@ -14,9 +14,8 @@ interpolant (piecewise polynomial), which meets the 1e-10 fallback
 tolerance on smooth inputs.
 
 eval_f, f1_f2 and phi_arrays accept scalar or ndarray time arguments;
-integrals takes a single time, and phi_arrays is the array route to phi1 and
-phi2.  All evaluation functions are pure; protocol objects are immutable and
-safe for concurrent use.
+phi_arrays returns arrays even for a scalar time.  All evaluation functions
+are pure; protocol objects are immutable and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -35,6 +34,9 @@ VARIANTS = (
     "pseudorandom_b",
     "tabulated",
 )
+
+# the piecewise-constant variants: the ones exact piecewise propagation can take
+PIECEWISE_CONSTANT = ("constant", "step")
 
 # variants for which `period` is meaningful (period or ramp/characteristic time)
 _TIMESCALED = ("step", "sinusoid", "linear_ramp", "pseudorandom_a", "pseudorandom_b")
@@ -96,28 +98,18 @@ class DrivingProtocol:
         """Piecewise-constant segmentation on [0, t_max], or None.
 
         Returns (boundaries, values) with len(values) = len(boundaries) - 1.
-        Only constant and step protocols are piecewise constant.
+        Only the PIECEWISE_CONSTANT variants have one.
         """
+        if self.variant not in PIECEWISE_CONSTANT:
+            return None
         if self.variant == "constant":
             return np.array([0.0, t_max]), np.array([self.f0])
-        if self.variant == "step":
-            half = self.period / 2.0
-            nseg = int(np.ceil(t_max / half - 1e-12))
-            bounds = np.arange(nseg + 1) * half
-            bounds[-1] = t_max
-            vals = np.where(np.arange(nseg) % 2 == 0, self.f0, -self.f0)
-            return bounds, vals
-        return None
-
-
-@dataclass(frozen=True)
-class ProtocolIntegrals:
-    """F1, F2 and the effective strengths phi1 = (F1/t)^2, phi2 = (F2/t - F1/2)^2."""
-
-    f1: float
-    f2: float
-    phi1: float
-    phi2: float
+        half = self.period / 2.0
+        nseg = int(np.ceil(t_max / half - 1e-12))
+        bounds = np.arange(nseg + 1) * half
+        bounds[-1] = t_max
+        vals = np.where(np.arange(nseg) % 2 == 0, self.f0, -self.f0)
+        return bounds, vals
 
 
 def _check_times(t: np.ndarray) -> None:
@@ -230,15 +222,6 @@ def phi_arrays(p: DrivingProtocol, t):
         phi1[zero] = float(eval_f(p, 0.0)) ** 2
         phi2[zero] = 0.0
     return phi1, phi2
-
-
-def integrals(p: DrivingProtocol, t: float) -> ProtocolIntegrals:
-    """Exact protocol integrals and effective strengths at a single time t >= 0."""
-    t = float(t)
-    _check_times(np.asarray([t]))
-    F1, F2 = f1_f2(p, t)
-    phi1, phi2 = phi_arrays(p, np.asarray([t]))
-    return ProtocolIntegrals(F1, F2, float(phi1[0]), float(phi2[0]))
 
 
 class _TabulatedIntegrals:

@@ -107,15 +107,15 @@ def solve_gamma(
         raise ValueError("step size h must be positive")
     if n < 1:
         raise ValueError("need at least one step")
-    ints = protocols.integrals(protocol, t_prime)
+    phi1, phi2 = protocols.phi_arrays(protocol, t_prime)
     t_grid = np.arange(n + 1) * h
     v, vdd = profiles.v_of_t(profile, t_grid), profiles.v_second_deriv(profile, t_grid)
-    g = _volterra_heun(np.array([ints.phi1]), np.array([ints.phi2]), v, vdd, h, np.array([n]))[0]
+    g = _volterra_heun(phi1, phi2, v, vdd, h, np.array([n]))[0]
     overshoot = float(np.max(np.abs(g))) - 1.0
     if overshoot > OVERSHOOT_TOL:
         warnings.warn(f"|gamma| overshoots 1 by {overshoot:.3g}; the grid may be too coarse",
                       RuntimeWarning, stacklevel=2)
-    return ResponseSolution(t_grid, g, float(t_prime), ints.phi1, ints.phi2)
+    return ResponseSolution(t_grid, g, float(t_prime), float(phi1[0]), float(phi2[0]))
 
 
 def gamma_diagonal_values(

@@ -7,9 +7,9 @@ the initial eigenstate (survival probability) or a two-sector smooth
 diagonal with GUE fluctuations.  Propagation is exact: piecewise-constant
 protocols are evolved in the eigenbasis of each distinct H0 + f V, smooth
 protocols by split-step e^{-iH0 h/2} e^{-if(t_mid)V h} e^{-iH0 h/2} with the
-eigendecomposition of V cached once.  Every route, the undriven series and
-the auxiliary-Hamiltonian check included, hands its states to one readout of
-<A>, <H0> and the norm, which checks the norm at every output.
+eigendecomposition of V cached once.  Every route, the undriven series
+included, hands its states to one readout of <A>, <H0> and the norm, which
+checks the norm at every output.
 
 All randomness flows from one 64-bit master seed through named PCG64
 substreams (one per matrix/vector), so adding an observable never perturbs
@@ -362,23 +362,33 @@ def _propagate_piecewise(model, protocol, t_grid):
     return out
 
 
-def _propagate_trotter(model, protocol, t_grid, step):
-    if t_grid[0] != 0.0 or len(t_grid) < 2:
-        raise ConfigError("split-step propagation needs a uniform grid starting at t = 0")
-    dt_out = float(t_grid[1] - t_grid[0])
-    if not np.allclose(np.diff(t_grid), dt_out, rtol=1e-9):
-        raise ConfigError("split-step propagation needs a uniform output grid")
+def split_step(protocol: protocols.DrivingProtocol, dt_out: float, step: float,
+               t_end: float) -> tuple:
+    """(n_sub, h): the largest split step h = dt_out / n_sub <= step.
+
+    ConfigError unless h divides the segment length of a piecewise-constant
+    protocol that switches before t_end (no step may straddle a switch).
+    """
     n_sub = max(1, int(np.ceil(dt_out / step - 1e-12)))
     h = dt_out / n_sub
-    segs = protocol.piecewise_segments(float(t_grid[-1]))
+    segs = protocol.piecewise_segments(t_end)
     if segs is not None and len(segs[1]) > 1:
-        # exact segment values require steps that do not straddle a switch
         switch = float(segs[0][1] - segs[0][0])
         if abs(switch / h - round(switch / h)) > 1e-9:
             raise ConfigError(
                 f"split-step size {h:.6g} must divide the protocol segment "
                 f"length {switch:.6g} for piecewise-constant protocols"
             )
+    return n_sub, h
+
+
+def _propagate_trotter(model, protocol, t_grid, step):
+    if t_grid[0] != 0.0 or len(t_grid) < 2:
+        raise ConfigError("split-step propagation needs a uniform grid starting at t = 0")
+    dt_out = float(t_grid[1] - t_grid[0])
+    if not np.allclose(np.diff(t_grid), dt_out, rtol=1e-9):
+        raise ConfigError("split-step propagation needs a uniform output grid")
+    n_sub, h = split_step(protocol, dt_out, step, float(t_grid[-1]))
     w, u = np.linalg.eigh(model.v_matrix)
     half = np.exp(-1j * model.energies * (h / 2.0))
     psi = model.initial_state
@@ -432,45 +442,3 @@ def propagate(
         method=method,
         step=used_step,
     )
-
-
-def auxiliary_hamiltonian(
-    model: RandomMatrixModel,
-    protocol: protocols.DrivingProtocol,
-    t_prime: float,
-) -> np.ndarray:
-    """H0 + (F1/t')V + (F2/t' - F1/2) i[V, H0] as a dense Hermitian matrix.
-
-    The commutator term is elementwise: (i[V, H0])_{mu nu} = i V_{mu nu}
-    (E_nu - E_mu).  For t' -> 0 the coefficients tend to f(0) and 0.
-    """
-    if t_prime <= 0:
-        coef_v = float(protocols.eval_f(protocol, 0.0))
-        coef_c = 0.0
-    else:
-        ints = protocols.integrals(protocol, t_prime)
-        coef_v = ints.f1 / t_prime
-        coef_c = ints.f2 / t_prime - 0.5 * ints.f1
-    de = model.energies[None, :] - model.energies[:, None]  # E_nu - E_mu
-    w = model.v_matrix * (coef_v + 1j * coef_c * de)
-    return np.diag(model.energies) + w
-
-
-def auxiliary_magnus_check(
-    model: RandomMatrixModel,
-    protocol: protocols.DrivingProtocol,
-    t_prime: float,
-    t_grid: np.ndarray,
-) -> np.ndarray:
-    """<A> under the fixed auxiliary Hamiltonian of t_prime, on t_grid.
-
-    At t = t_prime this approximates the true driven value up to the
-    truncation error of the underlying second-order average, which shrinks
-    with the protocol time scale.  Dense diagonalization: small models only.
-    """
-    if model.m > 1024:
-        raise ConfigError("auxiliary check is limited to m <= 1024 (dense diagonalization)")
-    h_aux = auxiliary_hamiltonian(model, protocol, t_prime)
-    w, u = np.linalg.eigh(h_aux)
-    t_grid = np.asarray(t_grid, dtype=float)
-    return _series(model, w, u, _to_basis(u, model.initial_state), t_grid, t_grid)[0]

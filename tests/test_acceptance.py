@@ -51,16 +51,16 @@ def test_c1_periodic_identities():
     worst = 0.0
     for variant in ("step", "sinusoid"):
         p = protocols.DrivingProtocol(variant=variant, f0=0.3, period=0.7)
-        for n in range(1, 11):
-            worst = max(worst, protocols.integrals(p, n * 0.7).phi1)
-            worst = max(worst, protocols.integrals(p, (n - 0.5) * 0.7).phi2)
+        n = np.arange(1, 11)
+        worst = max(worst, float(np.max(protocols.phi_arrays(p, n * 0.7)[0])),
+                    float(np.max(protocols.phi_arrays(p, (n - 0.5) * 0.7)[1])))
     ok = worst <= 1e-12
     assert report("1a periodic phi identities", ok, f"worst residual {worst:.2e} (<= 1e-12)")
 
 
 def test_c1_constant_phi2_exact():
     p = protocols.DrivingProtocol(variant="constant", f0=0.13)
-    vals = [protocols.integrals(p, t).phi2 for t in (1e-6, 0.3, 2.0, 77.0)]
+    vals = protocols.phi_arrays(p, [1e-6, 0.3, 2.0, 77.0])[1].tolist()
     ok = all(v == 0.0 for v in vals)
     assert report("1b constant phi2 exact", ok, f"values {vals}")
 
@@ -68,7 +68,7 @@ def test_c1_constant_phi2_exact():
 def test_c1_linear_ramp_phi1_at_50T():
     f0, T = 0.2, 0.5
     p = protocols.DrivingProtocol(variant="linear_ramp", f0=f0, period=T)
-    phi1 = protocols.integrals(p, 50 * T).phi1
+    phi1 = float(protocols.phi_arrays(p, 50 * T)[0][0])
     dev = abs(phi1 / f0**2 - 1.0)
     ok = dev <= 0.02
     assert report("1c ramp phi1 at 50T", ok, f"deviation {dev:.4f} (<= 0.02)")
@@ -89,11 +89,11 @@ def test_c1_linear_ramp_phi2_at_50T():
     f0, T = 0.2, 0.5
     p = protocols.DrivingProtocol(variant="linear_ramp", f0=f0, period=T)
     limit = f0**2 * T**2 / 16
-    phi2 = protocols.integrals(p, 50 * T).phi2
+    phi2 = float(protocols.phi_arrays(p, 50 * T)[1][0])
     dev_quad = abs(phi2 / ramp_phi2_by_quadrature(p, 50 * T) - 1.0)
     dev_closed = abs(phi2 / (f0**2 * T**2 * (1 / 4 - 1 / 300) ** 2) - 1.0)
     ts = T * np.geomspace(67.0, 1e4, 40)
-    devs = np.array([abs(protocols.integrals(p, t).phi2 / limit - 1.0) for t in ts])
+    devs = np.abs(protocols.phi_arrays(p, ts)[1] / limit - 1.0)
     shape = devs / (4 * T / (3 * ts))  # exactly 1 - T/3t
     ok = (
         dev_quad <= 1e-10
@@ -158,12 +158,12 @@ def test_c3_dual_route_agreement():
     ]
     sups = []
     for profile, proto, tp in triples:
-        ints = protocols.integrals(proto, tp)
-        r = ap.r_scale(profile, proto, tp).r
+        phi1, phi2 = (float(x[0]) for x in protocols.phi_arrays(proto, tp))
+        r = float(ap.r_scale_array(profile, proto, tp)[0])
         span = 5 * max(r, profiles.moment(profile, 0))
         e = np.linspace(-span, span, 4000)
         eta = ap.default_eta(e)
-        rg = ap.resolvent_solve(profile, ints.phi1, ints.phi2, e, eta, t_prime=tp)
+        rg = ap.resolvent_solve(profile, phi1, phi2, e, eta, t_prime=tp)
         t_max = min(2.5, 0.5 / eta)
         h = min(response.default_step(profile, proto, t_max), 0.01)
         sol = response.solve_gamma(profile, proto, tp, h, int(t_max / h))
@@ -219,13 +219,13 @@ def test_c4_bessel_matches_solver_when_margin_valid():
     sups, margins = [], []
     for f0 in (0.08, 0.1, 0.2):
         proto = protocols.DrivingProtocol(variant="constant", f0=f0)
-        sc = ap.r_scale(p, proto, 1.0)
-        margins.append(sc.margin)
-        h = min(1.0 / profiles.moment(p, 0), 1.0 / sc.r) / 80
-        n = int(np.ceil(3.8317 / sc.r / h)) + 10
+        r = float(ap.r_scale_array(p, proto, 1.0)[0])
+        margins.append(r / profiles.moment(p, 0))
+        h = min(1.0 / profiles.moment(p, 0), 1.0 / r) / 80
+        n = int(np.ceil(3.8317 / r / h)) + 10
         sol = response.solve_gamma(p, proto, 1.0, h, n)
-        bes = ap.strong_driving_gamma(sc.r, sol.t_grid)
-        lobe = sol.t_grid <= 3.8317 / sc.r
+        bes = ap.strong_driving_gamma(r, sol.t_grid)
+        lobe = sol.t_grid <= 3.8317 / r
         sups.append(float(np.max(np.abs(sol.gamma[lobe] - bes[lobe]))))
     ok = all(m > 3 for m in margins) and all(s < 0.05 for s in sups)
     assert report(

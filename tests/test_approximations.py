@@ -93,16 +93,16 @@ def test_strong_driving_envelope_exponent():
 def test_r_scale_zero_without_driving():
     p = exp_profile()
     proto = protocols.DrivingProtocol(variant="constant", f0=0.0)
-    assert ap.r_scale(p, proto, 1.0).r == 0.0
+    assert ap.r_scale_array(p, proto, 1.0)[0] == 0.0
 
 
 def test_r_scale_step_half_period():
     p = exp_profile()
     f0, T = 0.08, 0.6
     proto = protocols.DrivingProtocol(variant="step", f0=f0, period=T)
-    sc = ap.r_scale(p, proto, T / 2)
-    assert sc.r == pytest.approx(f0 * np.sqrt(8 * p.v0 * p.d0 * p.delta_v), rel=1e-12)
-    assert sc.margin == pytest.approx(sc.r / (2 * p.delta_v), rel=1e-12)
+    r = float(ap.r_scale_array(p, proto, T / 2)[0])
+    assert r == pytest.approx(f0 * np.sqrt(8 * p.v0 * p.d0 * p.delta_v), rel=1e-12)
+    assert r / profiles.moment(p, 0) == pytest.approx(r / (2 * p.delta_v), rel=1e-12)
 
 
 def test_r_scale_larger_in_first_period():
@@ -119,8 +119,9 @@ def test_r_scale_validity_flag():
     p = exp_profile()
     strong = protocols.DrivingProtocol(variant="constant", f0=0.2)
     weak = protocols.DrivingProtocol(variant="constant", f0=0.01)
-    assert ap.r_scale(p, strong, 1.0).valid
-    assert not ap.r_scale(p, weak, 1.0).valid
+    s0 = profiles.moment(p, 0)
+    assert ap.r_scale_array(p, strong, 1.0)[0] / s0 > ap.VALID_MARGIN
+    assert not ap.r_scale_array(p, weak, 1.0)[0] / s0 > ap.VALID_MARGIN
 
 
 # --- fast driving ----------------------------------------------------------------
@@ -290,11 +291,11 @@ def test_semicircle_fourier_is_bessel():
 def test_dual_route_matches_time_domain():
     p = exp_profile()
     proto = protocols.DrivingProtocol(variant="step", f0=0.05, period=1.0)
-    ints = protocols.integrals(proto, 0.6)
-    r = ap.r_scale(p, proto, 0.6).r
+    phi1, phi2 = (float(x[0]) for x in protocols.phi_arrays(proto, 0.6))
+    r = float(ap.r_scale_array(p, proto, 0.6)[0])
     e = grid_for(r, profiles.moment(p, 0))
     eta = ap.default_eta(e)
-    rg = ap.resolvent_solve(p, ints.phi1, ints.phi2, e, eta, t_prime=0.6)
+    rg = ap.resolvent_solve(p, phi1, phi2, e, eta, t_prime=0.6)
     t_max = min(2.5, 0.5 / eta)
     h = 0.01
     sol = response.solve_gamma(p, proto, 0.6, h, int(t_max / h))

@@ -1,6 +1,7 @@
 """Config handling, CSV artifacts, metrics, scenario runs, CLI."""
 
 import copy
+import inspect
 import json
 import re
 from pathlib import Path
@@ -47,6 +48,13 @@ def small_eth_cfg(m=64):
         "grid": {"t_max": 4.0, "n_out": 40},
         "prediction": {"t_max": 1.0},
     }
+
+
+def small_trotter_cfg():
+    """The fidelity config under split-step propagation: h = 1/120 divides T/2 = 0.25."""
+    cfg = small_fidelity_cfg(n_out=30)
+    cfg["model"].update(method="trotter", trotter_step=0.01)
+    return cfg
 
 
 def respond_cfg():
@@ -174,6 +182,8 @@ BAD_FIELDS = [
     ("fidelity", "model.initial_state.index", "first"),
     ("fidelity", "model.initial_state.index", None),  # an eigenstate needs an index
     ("fidelity", "prediction", None),
+    ("fidelity", "protocol.variant", "sinusoid"),  # piecewise_exact needs piecewise constant
+    ("trotter", "model.trotter_step", 0.012),  # h = 1/90 does not divide T/2 = 0.25
     ("eth", "model.m", 63),  # two sectors need an even m
     ("eth", "model.spectrum.alpha", -1),
     ("eth", "model.spectrum.mean_spacing", 0),
@@ -186,18 +196,41 @@ BAD_FIELDS = [
     ("eth", "model.initial_state.kappa", "x"),
     ("eth", "window_halfwidth_factor", "x"),
     ("eth", "window_halfwidth_factor", -2.0),
+    ("eth", "model.initial_state.e_center", 500.0),  # window [492, 508] misses 0..32
 ]
 
 
 @pytest.mark.parametrize("which,field,bad", BAD_FIELDS)
 def test_bad_field_fails_at_load(tmp_path, monkeypatch, which, field, bad):
     monkeypatch.setattr(rmt, "sample_v", _must_not_run)
-    base = small_fidelity_cfg() if which == "fidelity" else small_eth_cfg()
+    base = {"fidelity": small_fidelity_cfg, "eth": small_eth_cfg,
+            "trotter": small_trotter_cfg}[which]()
     cfg = set_field(base, field, bad)
     with pytest.raises(ConfigError, match=re.escape(field)):
         harness.validate_scenario_config(cfg)
     with pytest.raises(ConfigError, match=re.escape(field)):
         harness.run(cfg, tmp_path)
+
+
+def test_load_checks_pass_fitting_configs():
+    harness.validate_scenario_config(small_trotter_cfg())
+    sinusoid = set_field(small_trotter_cfg(), "protocol.variant", "sinusoid")
+    harness.validate_scenario_config(set_field(sinusoid, "model.trotter_step", 0.012))
+    # the window [-16, 0] holds one level, E = 0
+    harness.validate_scenario_config(set_field(small_eth_cfg(), "model.initial_state.e_center",
+                                               -8.0))
+
+
+@pytest.mark.parametrize("run,cfg,key", [
+    (harness.run, {**small_fidelity_cfg(), "out_dir": "results"}, "out_dir"),
+    (harness.run_approx, {**{k: respond_cfg()[k] for k in ("profile", "protocol", "grid")},
+                          "t_prime": 0.5}, "t_prime"),
+])
+def test_unread_keys_rejected(tmp_path, monkeypatch, run, cfg, key):
+    monkeypatch.setattr(rmt, "sample_v", _must_not_run)
+    with pytest.raises(ConfigError, match=key):
+        run(cfg, tmp_path)
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("field,bad", [
@@ -466,6 +499,19 @@ def test_sweep_checks_every_variation_first(tmp_path, monkeypatch):
     for bad in ({}, {"sweep": {"base": base}}, {"sweep": {"base": base, "variations": [1]}}):
         with pytest.raises(ConfigError):
             harness.run_sweep(bad, tmp_path)
+
+
+# --- package --------------------------------------------------------------------
+
+
+def test_package_exposes_submodules_and_version():
+    import typresp
+
+    for name in ("approximations", "errors", "harness", "profiles", "protocols", "response",
+                 "rmt"):
+        assert inspect.ismodule(getattr(typresp, name))
+    assert typresp.__version__ == harness.__version__ == "0.1.0"
+    assert not hasattr(typresp, "solve_gamma")  # each function has one name, in its module
 
 
 # --- CLI -------------------------------------------------------------------------

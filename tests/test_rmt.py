@@ -317,13 +317,42 @@ def test_trotter_step_must_respect_switches():
 # --- auxiliary Hamiltonian ----------------------------------------------------------
 
 
+def auxiliary_hamiltonian(model, protocol, t_prime):
+    """H0 + (F1/t')V + (F2/t' - F1/2) i[V, H0] as a dense Hermitian matrix.
+
+    The commutator term is elementwise: (i[V, H0])_{mu nu} = i V_{mu nu}
+    (E_nu - E_mu).  For t' -> 0 the coefficients tend to f(0) and 0.
+    """
+    if t_prime <= 0:
+        coef_v, coef_c = float(protocols.eval_f(protocol, 0.0)), 0.0
+    else:
+        f1, f2 = protocols.f1_f2(protocol, t_prime)
+        coef_v, coef_c = f1 / t_prime, f2 / t_prime - 0.5 * f1
+    de = model.energies[None, :] - model.energies[:, None]  # E_nu - E_mu
+    return np.diag(model.energies) + model.v_matrix * (coef_v + 1j * coef_c * de)
+
+
+def auxiliary_magnus_check(model, protocol, t_prime, t_grid):
+    """<A> under the fixed auxiliary Hamiltonian of t_prime, on t_grid.
+
+    At t = t_prime this approximates the true driven value up to the
+    truncation error of the underlying second-order average, which shrinks
+    with the protocol time scale.
+    """
+    w, u = np.linalg.eigh(auxiliary_hamiltonian(model, protocol, t_prime))
+    c = u.conj().T @ model.initial_state
+    states = u @ (np.exp(-1j * np.outer(w, t_grid)) * c[:, None])
+    assert np.all(np.abs(np.linalg.norm(states, axis=0) - 1.0) <= rmt.NORM_TOL)
+    return np.einsum("ij,ij->j", states.conj(), model.observable @ states).real
+
+
 def test_auxiliary_hamiltonian_limits():
     model = small_fidelity_model(m=128)
     proto = protocols.DrivingProtocol(variant="sinusoid", f0=0.2, period=0.7)
-    h_aux = rmt.auxiliary_hamiltonian(model, proto, 0.0)
+    h_aux = auxiliary_hamiltonian(model, proto, 0.0)
     ref = np.diag(model.energies) + protocols.eval_f(proto, 0.0) * model.v_matrix
     assert np.max(np.abs(h_aux - ref)) < 1e-14
-    h_aux = rmt.auxiliary_hamiltonian(model, proto, 0.9)
+    h_aux = auxiliary_hamiltonian(model, proto, 0.9)
     assert np.max(np.abs(h_aux - h_aux.conj().T)) < 1e-14
 
 
@@ -331,7 +360,7 @@ def test_auxiliary_constant_protocol_is_plain_perturbation():
     model = small_fidelity_model(m=128)
     proto = protocols.DrivingProtocol(variant="constant", f0=0.17)
     for tp in (0.3, 1.7):
-        h_aux = rmt.auxiliary_hamiltonian(model, proto, tp)
+        h_aux = auxiliary_hamiltonian(model, proto, tp)
         ref = np.diag(model.energies) + 0.17 * model.v_matrix
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(h_aux - ref)) < 1e-12 * scale
@@ -345,23 +374,9 @@ def test_auxiliary_magnus_truncation_error_shrinks_with_period():
         proto = protocols.DrivingProtocol(variant="step", f0=f0, period=T)
         tp = 2.25 * T  # matched phase within the period
         exact = rmt.propagate(model, proto, np.array([0.0, tp]), method="piecewise_exact")
-        aux = rmt.auxiliary_magnus_check(model, proto, tp, np.array([tp]))
+        aux = auxiliary_magnus_check(model, proto, tp, np.array([tp]))
         errs.append(abs(exact.a_series[-1] - aux[0]))
     assert errs[0] / errs[1] > 2.0
-
-
-def test_auxiliary_rejects_large_models():
-    big = rmt.RandomMatrixModel(
-        spectrum=rmt.SpectrumSpec(m=2048, variant="flat", spacing=1.0),
-        energies=np.arange(2048.0),
-        v_matrix=np.zeros((2, 2)),
-        observable=np.zeros((2, 2)),
-        initial_state=np.zeros(2),
-        master_seed=0,
-    )
-    proto = protocols.DrivingProtocol(variant="constant", f0=0.1)
-    with pytest.raises(ConfigError):
-        rmt.auxiliary_magnus_check(big, proto, 0.5, np.array([0.5]))
 
 
 # --- self-averaging -----------------------------------------------------------------
