@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.special import j1 as bessel_j1  # public name of J1 in this package
@@ -168,12 +167,11 @@ def weak_fast_gamma(
 
 @dataclass(frozen=True)
 class ResolventGrid:
-    """G(E - i eta, t') sampled on a uniform energy grid."""
+    """G(E - i eta) of one (phi1, phi2) pair, sampled on a uniform energy grid."""
 
     e_grid: np.ndarray
     eta: float
     g: np.ndarray
-    t_prime: Optional[float] = None
 
     def spectral_function(self) -> np.ndarray:
         """u(E) = (1/pi) Im G(E - i eta); integrates to ~1 on an adequate grid."""
@@ -192,7 +190,6 @@ def resolvent_solve(
     phi2: float,
     e_grid: np.ndarray,
     eta: float,
-    t_prime: Optional[float] = None,
     max_iter: int = 10_000,
 ) -> ResolventGrid:
     """Damped fixed-point solve of the self-consistent resolvent equation.
@@ -263,7 +260,7 @@ def resolvent_solve(
         )
     if not np.all(g.imag > 0):
         raise ResolventConvergenceError("Im G lost its sign (must oppose Im z)")
-    return ResolventGrid(e_grid=e_grid, eta=float(eta), g=g, t_prime=t_prime)
+    return ResolventGrid(e_grid=e_grid, eta=float(eta), g=g)
 
 
 def gamma_from_resolvent(rg: ResolventGrid, t):

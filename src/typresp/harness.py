@@ -30,7 +30,6 @@ import json
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -236,7 +235,8 @@ def validate_scenario_config(cfg: dict) -> dict:
     matrix work: fidelity needs an eigenstate, eth an even m, piecewise_exact
     a piecewise-constant protocol, trotter a trotter_step whose split step
     fits the protocol, the state index ("middle" is m // 2) lies in [0, m),
-    and a filtered state's occupied window holds a level of the spectrum.
+    and a filtered state's occupied window holds a level of the spectrum and
+    its filter leaves weight on a level the state can occupy.
     """
     c = _checked(_SCENARIO, cfg)
     if "model" not in c:
@@ -271,6 +271,13 @@ def validate_scenario_config(cfg: dict) -> dict:
             raise ConfigError(f"model.initial_state.e_center +- window_halfwidth_factor * "
                               f"delta_e = {window} holds no level of the spectrum "
                               f"[{e[0]}, {e[-1]}]")
+        # Q = 1 + kappa A spreads an even-sector state over every level
+        even = state.get("sector") == "even" and state.get("q") != "one_plus_kappa_a"
+        weight = rmt.filter_weights(e[::2] if even else e, state["e_center"], state["delta_e"])
+        if weight.max() < rmt.FILTER_CUT:
+            raise ConfigError(f"model.initial_state.e_center {state['e_center']!r} with delta_e "
+                              f"{state['delta_e']!r}: the filter leaves no weight above "
+                              f"{rmt.FILTER_CUT:g} on the levels the state can occupy")
     return c
 
 
@@ -374,25 +381,13 @@ def _write_outputs(out_dir, meta: Optional[dict], csvs: dict, jsons: dict) -> li
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComparisonMetrics:
-    """RMS and max deviation between two aligned series over a time window."""
-
-    rms: float
-    max_abs: float
-    window: tuple
-
-    def as_dict(self) -> dict:
-        return {"rms": self.rms, "max_abs": self.max_abs, "window": list(self.window)}
-
-
 def compare(
     t_grid: np.ndarray,
     series_a: np.ndarray,
     series_b: np.ndarray,
     window: tuple,
-) -> ComparisonMetrics:
-    """Deviation metrics of two series sharing t_grid, over window = (t_a, t_b)."""
+) -> dict:
+    """{"rms", "max_abs", "window": [t_a, t_b]} of a - b on t_grid, over window = (t_a, t_b)."""
     t_grid = np.asarray(t_grid, dtype=float)
     a = np.asarray(series_a, dtype=float)
     b = np.asarray(series_b, dtype=float)
@@ -405,11 +400,8 @@ def compare(
         raise ValueError("window must lie within the grid")
     sel = (t_grid >= ta - 1e-12) & (t_grid <= tb + 1e-12)
     diff = a[sel] - b[sel]
-    return ComparisonMetrics(
-        rms=float(np.sqrt(np.mean(diff**2))),
-        max_abs=float(np.max(np.abs(diff))),
-        window=(ta, tb),
-    )
+    return {"rms": float(np.sqrt(np.mean(diff**2))), "max_abs": float(np.max(np.abs(diff))),
+            "window": [ta, tb]}
 
 
 def compare_files(cfg: dict, out_dir) -> dict:
@@ -424,8 +416,8 @@ def compare_files(cfg: dict, out_dir) -> dict:
         raise GridMismatchError("time grids differ between the two files")
     window = c["window"] or [float(a["t"][0]), float(a["t"][-1])]
     metrics = compare(a["t"], a[c["column_a"]], b[c["column_b"]], (window[0], window[1]))
-    files = _write_outputs(out_dir, None, {}, {"compare_metrics.json": metrics.as_dict()})
-    return {"files": files, "metrics": metrics.as_dict()}
+    files = _write_outputs(out_dir, None, {}, {"compare_metrics.json": metrics})
+    return {"files": files, "metrics": metrics}
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +430,8 @@ def _output_grid(grid: dict) -> np.ndarray:
 
 
 def _build_model(cfg: dict, spec: rmt.SpectrumSpec,
-                 profile: profiles.PerturbationProfile) -> rmt.RandomMatrixModel:
+                 profile: profiles.PerturbationProfile) -> tuple:
+    """(model, derived): the sampled model and its rmt.reference_constants."""
     seed, obs, state = cfg["seed"], cfg["model"]["observable"], cfg["model"]["initial_state"]
     energies = spec.energies()
     v = rmt.sample_v(energies, profile, seed)
@@ -449,31 +442,24 @@ def _build_model(cfg: dict, spec: rmt.SpectrumSpec,
             energies, spec.e_top, obs["a0_plus"], obs["a0_minus"], seed
         )
     psi = rmt.build_initial_state(energies, master_seed=seed, observable=observable, **state)
-    window = _occupied_window(cfg)
-    model = rmt.RandomMatrixModel(spec, energies, v, observable, psi, seed, window)
-    model.derived = rmt.reference_constants(
-        energies, np.real(np.diag(observable)), np.abs(psi) ** 2, window
+    derived = rmt.reference_constants(
+        energies, np.real(np.diag(observable)), np.abs(psi) ** 2, _occupied_window(cfg)
     )
-    return model
+    return rmt.RandomMatrixModel(energies, v, observable, psi), derived
 
 
-def _solver_grid(h_req, profile, protocol, dt: float, t_end: float):
-    """(h, substeps): the largest h = dt / substeps <= h_req, default_step(t_end) if None."""
+def _diagonal_on_grid(profile, protocol, h_req, dt: float, n_out: int, t_end: float):
+    """(gamma(t_k, t_k) at t_k = k dt for k = 0..n_out, h, substeps).
+
+    The solver runs on t_i = i h with h = dt / substeps the largest such step
+    <= h_req (default_step(t_end) for a null h_req), and every substeps-th
+    diagonal point is kept.
+    """
     h_req = response.default_step(profile, protocol, t_end) if h_req is None else h_req
     substeps = max(1, int(np.ceil(dt / h_req - 1e-12)))
-    return dt / substeps, substeps
-
-
-def _prediction_grid(prediction: dict, profile, protocol, t_grid):
-    """Solver step and output subsampling for the diagonal prediction."""
-    dt = float(t_grid[1] - t_grid[0])
-    t_end, t_ts = float(t_grid[-1]), protocol.timescale()
-    t_default = t_end if t_ts is None else min(t_end, 5.0 * t_ts)  # default validity window
-    pred_t_max = min(prediction["t_max"] or t_default, t_end)
-    n_pred = int(round(pred_t_max / dt))
-    h, substeps = _solver_grid(prediction["solver_step"], profile, protocol, dt,
-                               max(pred_t_max, dt))
-    return h, substeps, n_pred
+    h = dt / substeps
+    diag = response.gamma_diagonal_values(profile, protocol, h, n_out * substeps)
+    return diag[::substeps], h, substeps
 
 
 def _approx_columns(profile, protocol, t_grid):
@@ -500,32 +486,32 @@ def _run_simulation_scenario(cfg: dict, meta: dict, out_dir: Path) -> dict:
     spec = rmt.SpectrumSpec(m=cfg["model"]["m"], **cfg["model"]["spectrum"])
     flat = spec.variant == "flat"
     profile = build_profile(cfg["profile"], d0_override=1.0 / spec.spacing if flat else 1.0)
-    model = _build_model(cfg, spec, profile)
+    model, derived = _build_model(cfg, spec, profile)
     if cfg["profile"]["d0"] is None and not flat:
-        profile = build_profile(cfg["profile"], d0_override=model.derived["d0_window"])
+        profile = build_profile(cfg["profile"], d0_override=derived["d0_window"])
 
-    traj = rmt.propagate(model, protocol, t_grid, method=cfg["model"]["method"],
-                         step=cfg["model"]["trotter_step"])
+    method = cfg["model"]["method"]
+    traj = rmt.propagate(model, protocol, t_grid, method=method, step=cfg["model"]["trotter_step"])
 
-    # prediction on the output grid (solver runs on a refined grid)
-    h, substeps, n_pred = _prediction_grid(cfg["prediction"], profile, protocol, t_grid)
-    gamma_sq_fine = response.gamma_diagonal(profile, protocol, h, n_pred * substeps)
-    gamma_sq = gamma_sq_fine[::substeps]
-    a_th = model.derived["a_th"]
-    pred = response.predict_observable(
-        t_grid[: n_pred + 1], gamma_sq, traj.undriven_a_series[: n_pred + 1], a_th
-    )
+    # prediction on the output grid up to its horizon, by default the whole
+    # grid or five time scales, whichever is shorter
+    dt, t_end, ts = float(t_grid[1] - t_grid[0]), float(t_grid[-1]), protocol.timescale()
+    t_default = t_end if ts is None else min(t_end, 5.0 * ts)
+    pred_t_max = min(cfg["prediction"]["t_max"] or t_default, t_end)
+    n_pred = int(round(pred_t_max / dt))
+    gamma_sq = _diagonal_on_grid(profile, protocol, cfg["prediction"]["solver_step"], dt,
+                                 n_pred, max(pred_t_max, dt))[0] ** 2
+    t_pred, a_sim = t_grid[: n_pred + 1], traj.a_series[: n_pred + 1]
+    undriven, a_th = traj.undriven_a_series[: n_pred + 1], derived["a_th"]
+    a_pred = response.predict_observable(t_pred, gamma_sq, undriven, a_th)
 
     # metrics: early window (two driving periods when defined) and full window
-    t_pred_end = float(pred.t_grid[-1])
-    ts = protocol.timescale()
+    t_pred_end = float(t_pred[-1])
     early_end = min(2.0 * ts, t_pred_end) if ts is not None else t_pred_end
-    m_early = compare(pred.t_grid, pred.a_pred, traj.a_series[: n_pred + 1], (0.0, early_end))
-    m_full = compare(pred.t_grid, pred.a_pred, traj.a_series[: n_pred + 1], (0.0, t_pred_end))
     metrics = {
-        "rms_early": m_early.as_dict(),
-        "rms_full": m_full.as_dict(),
-        "derived": model.derived,
+        "rms_early": compare(t_pred, a_pred, a_sim, (0.0, early_end)),
+        "rms_full": compare(t_pred, a_pred, a_sim, (0.0, t_pred_end)),
+        "derived": derived,
         "norm_max_drift": float(np.max(np.abs(traj.norm_series - 1.0))),
     }
 
@@ -537,18 +523,18 @@ def _run_simulation_scenario(cfg: dict, meta: dict, out_dir: Path) -> dict:
                 "h0_first_period": float(np.mean(traj.h0_series[: per + 1])),
                 "h0_last_period": float(np.mean(traj.h0_series[-per:])),
             }
-            band_sel = (pred.t_grid >= 2 * ts) & (pred.t_grid <= t_pred_end)
+            band_sel = (t_pred >= 2 * ts) & (t_pred <= t_pred_end)
             if np.any(band_sel):
-                band = pred.a_pred[band_sel]
+                band = a_pred[band_sel]
                 metrics["band"] = {
                     "min": float(band.min()),
                     "max": float(band.max()),
                     "center": float(0.5 * (band.min() + band.max())),
                     "a_th": a_th,
-                    "a_bar0": model.derived["a_bar0"],
+                    "a_bar0": derived["a_bar0"],
                 }
 
-    meta = {**meta, "derived": model.derived, "method": {"name": traj.method, "step": traj.step}}
+    meta = {**meta, "derived": derived, "method": {"name": method, "step": traj.step}}
     csvs = {
         "simulation.csv": {
             "t": t_grid,
@@ -557,14 +543,14 @@ def _run_simulation_scenario(cfg: dict, meta: dict, out_dir: Path) -> dict:
             "h0": traj.h0_series,
             "norm": traj.norm_series,
         },
-        "prediction.csv": {"t": pred.t_grid, "gamma_sq": pred.gamma_sq, "a_pred": pred.a_pred},
+        "prediction.csv": {"t": t_pred, "gamma_sq": gamma_sq, "a_pred": a_pred},
         "approximations.csv": _approx_columns(profile, protocol, t_grid),
         "joined.csv": {
-            "t": pred.t_grid,
-            "a_sim": traj.a_series[: n_pred + 1],
-            "a_pred": pred.a_pred,
-            "a_undriven": pred.undriven,
-            "gamma_sq": pred.gamma_sq,
+            "t": t_pred,
+            "a_sim": a_sim,
+            "a_pred": a_pred,
+            "a_undriven": undriven,
+            "gamma_sq": gamma_sq,
         },
     }
     files = _write_outputs(out_dir, meta, csvs, {"metrics.json": metrics})
@@ -632,15 +618,12 @@ def run_respond(cfg: dict, out_dir) -> dict:
     c = _checked(_RESPOND, cfg)
     profile = build_profile(c["profile"])
     protocol = build_protocol(c["protocol"])
-    t_grid = _output_grid(c["grid"])
-    h, substeps = _solver_grid(c["solver_step"], profile, protocol,
-                               float(t_grid[1] - t_grid[0]), float(t_grid[-1]))
-    n = (len(t_grid) - 1) * substeps
-
-    diag = response.gamma_diagonal_values(profile, protocol, h, n)[::substeps]
+    t_grid, n_out = _output_grid(c["grid"]), c["grid"]["n_out"]
+    diag, h, substeps = _diagonal_on_grid(profile, protocol, c["solver_step"],
+                                          float(t_grid[1] - t_grid[0]), n_out, float(t_grid[-1]))
     csvs = {"respond_diagonal.csv": {"t": t_grid, "gamma": diag, "gamma_sq": diag**2}}
     for i, tp in enumerate(c["t_primes"] or []):
-        g = response.solve_gamma(profile, protocol, tp, h, n).gamma[::substeps]
+        g = response.solve_gamma(profile, protocol, tp, h, n_out * substeps).gamma[::substeps]
         csvs[f"respond_tprime_{i:03d}.csv"] = {"t": t_grid, "gamma": g, "gamma_sq": g**2}
     files = _write_outputs(out_dir, _base_meta(cfg), csvs, {})
     return {"files": files, "metrics": {"solver_step": h}}

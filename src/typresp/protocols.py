@@ -212,8 +212,6 @@ def phi_arrays(p: DrivingProtocol, t):
     if p.variant == "constant":
         return np.full_like(t_arr, p.f0**2), np.zeros_like(t_arr)
     F1, F2 = f1_f2(p, t_arr)
-    F1 = np.atleast_1d(F1)
-    F2 = np.atleast_1d(F2)
     with np.errstate(divide="ignore", invalid="ignore"):
         phi1 = (F1 / t_arr) ** 2
         phi2 = (F2 / t_arr - 0.5 * F1) ** 2

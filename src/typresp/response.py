@@ -37,24 +37,20 @@ POINTS_PER_SCALE = 40  # default_step: grid points per fastest time scale
 
 @dataclass(frozen=True)
 class ResponseSolution:
-    """gamma(t_i, t_prime) on the uniform grid t_i = i*h."""
+    """gamma(t_i, t') on the uniform grid t_i = i*h, with phi1(t') and phi2(t')."""
 
     t_grid: np.ndarray
     gamma: np.ndarray
-    t_prime: float
     phi1: float
     phi2: float
 
 
-@dataclass(frozen=True)
-class PredictionSeries:
-    """Observable prediction assembled from gamma(t, t)^2 and the undriven series."""
-
-    t_grid: np.ndarray
-    gamma_sq: np.ndarray
-    undriven: np.ndarray
-    a_th: float
-    a_pred: np.ndarray
+def _check_grid(h: float, n: int) -> None:
+    """ValueError unless the step h is positive and finite and n >= 1."""
+    if not (h > 0 and np.isfinite(h)):
+        raise ValueError(f"step size h must be positive and finite, got {h!r}")
+    if n < 1:
+        raise ValueError(f"need at least one step beyond t = 0, got n = {n!r}")
 
 
 def _volterra_heun(phi1, phi2, v_grid, vdd_grid, h: float, ends) -> np.ndarray:
@@ -103,10 +99,7 @@ def solve_gamma(
     parameters of the equation, not functions of the integration variable.
     This is the one-row call of the batched Heun kernel (16 (n + 1) bytes).
     """
-    if not (h > 0 and np.isfinite(h)):
-        raise ValueError("step size h must be positive")
-    if n < 1:
-        raise ValueError("need at least one step")
+    _check_grid(h, n)
     phi1, phi2 = protocols.phi_arrays(protocol, t_prime)
     t_grid = np.arange(n + 1) * h
     v, vdd = profiles.v_of_t(profile, t_grid), profiles.v_second_deriv(profile, t_grid)
@@ -115,7 +108,7 @@ def solve_gamma(
     if overshoot > OVERSHOOT_TOL:
         warnings.warn(f"|gamma| overshoots 1 by {overshoot:.3g}; the grid may be too coarse",
                       RuntimeWarning, stacklevel=2)
-    return ResponseSolution(t_grid, g, float(t_prime), float(phi1[0]), float(phi2[0]))
+    return ResponseSolution(t_grid, g, float(phi1[0]), float(phi2[0]))
 
 
 def gamma_diagonal_values(
@@ -131,8 +124,7 @@ def gamma_diagonal_values(
     and the batch holds 16 (n + 1)^2 bytes (5.8 MB at n = 600).  A blow-up
     raises SolverBlowUpError at the first step where a row passed the threshold.
     """
-    if n < 1:
-        raise ValueError("need at least one grid point beyond t = 0")
+    _check_grid(h, n)
     t_grid = np.arange(n + 1) * h
     phi1, phi2 = protocols.phi_arrays(protocol, t_grid)
     ends = np.arange(n + 1)
@@ -156,8 +148,8 @@ def predict_observable(
     gamma_sq: np.ndarray,
     undriven: np.ndarray,
     a_th: float,
-) -> PredictionSeries:
-    """a_pred = a_th + gamma_sq * (undriven - a_th), pointwise on a shared grid."""
+) -> np.ndarray:
+    """a_pred = a_th + gamma_sq * (undriven - a_th), pointwise on a shared grid t_grid."""
     t_grid = np.asarray(t_grid, dtype=float)
     gamma_sq = np.asarray(gamma_sq, dtype=float)
     undriven = np.asarray(undriven, dtype=float)
@@ -166,8 +158,7 @@ def predict_observable(
             f"series lengths differ: t {t_grid.shape}, gamma_sq {gamma_sq.shape}, "
             f"undriven {undriven.shape}"
         )
-    a_pred = a_th + gamma_sq * (undriven - a_th)
-    return PredictionSeries(t_grid, gamma_sq, undriven, float(a_th), a_pred)
+    return a_th + gamma_sq * (undriven - a_th)
 
 
 def default_step(

@@ -18,7 +18,7 @@ the V sample.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -27,6 +27,7 @@ from . import profiles, protocols
 from .errors import ConfigError, EmptyWindowError, NormDriftError
 
 NORM_TOL = 1e-6  # propagation aborts beyond this norm drift
+FILTER_CUT = 1e-12  # a filtered state keeping less of its norm than this is empty
 
 # fixed substream indices off the master seed (order is part of the format)
 _STREAMS = {"v_matrix": 0, "observable_diag": 1, "observable_offdiag": 2, "initial_state": 3}
@@ -171,6 +172,12 @@ def fidelity_observable(m: int, index: int) -> np.ndarray:
     return a
 
 
+def filter_weights(energies: np.ndarray, e_center: float = 0.0,
+                   delta_e: float = 1.0) -> np.ndarray:
+    """Gaussian energy filter exp(-(E_mu - e_center)^2 / 4 delta_e^2) of a filtered state."""
+    return np.exp(-((energies - e_center) ** 2) / (4.0 * delta_e**2))
+
+
 def build_initial_state(
     energies: np.ndarray,
     kind: str,
@@ -209,29 +216,21 @@ def build_initial_state(
         if observable is None:
             raise ValueError("Q = 1 + kappa*A needs the observable matrix")
         phi = phi + kappa * (observable @ phi)
-    psi = np.exp(-((energies - e_center) ** 2) / (4.0 * delta_e**2)) * phi
+    psi = filter_weights(energies, e_center, delta_e) * phi
     nrm = np.linalg.norm(psi)
-    if nrm < 1e-12 * np.linalg.norm(phi):
+    if nrm < FILTER_CUT * np.linalg.norm(phi):
         raise EmptyWindowError("filter left no weight (window misses the spectrum)")
     return psi / nrm
 
 
 @dataclass
 class RandomMatrixModel:
-    """A fully sampled model: spectrum, V, observable, initial state, references."""
+    """A fully sampled model: the H0 levels, V, the observable and the initial state."""
 
-    spectrum: SpectrumSpec
     energies: np.ndarray
     v_matrix: np.ndarray
     observable: np.ndarray
     initial_state: np.ndarray
-    master_seed: int
-    window: Optional[tuple] = None  # occupied energy window for a_th / d0
-    derived: dict = field(default_factory=dict)
-
-    @property
-    def m(self) -> int:
-        return len(self.energies)
 
 
 def reference_constants(
@@ -275,15 +274,16 @@ def reference_constants(
 
 @dataclass
 class TrajectoryResult:
-    """Aligned series from one driven run plus the undriven baseline."""
+    """Aligned series from one driven run plus the undriven baseline.
 
-    t_grid: np.ndarray
+    step is the split step a trotter run used (None for piecewise_exact).
+    """
+
     a_series: np.ndarray
     h0_series: np.ndarray
     norm_series: np.ndarray
     undriven_a_series: np.ndarray
     undriven_h0_series: np.ndarray
-    method: str
     step: Optional[float] = None
 
 
@@ -433,12 +433,10 @@ def propagate(
         rows, used_step = _propagate_trotter(model, protocol, t_grid, step)
     undriven = undriven_series(model, t_grid)
     return TrajectoryResult(
-        t_grid=t_grid,
         a_series=rows[0],
         h0_series=rows[1],
         norm_series=rows[2],
         undriven_a_series=undriven[0],
         undriven_h0_series=undriven[1],
-        method=method,
         step=used_step,
     )

@@ -163,7 +163,7 @@ def test_c3_dual_route_agreement():
         span = 5 * max(r, profiles.moment(profile, 0))
         e = np.linspace(-span, span, 4000)
         eta = ap.default_eta(e)
-        rg = ap.resolvent_solve(profile, phi1, phi2, e, eta, t_prime=tp)
+        rg = ap.resolvent_solve(profile, phi1, phi2, e, eta)
         t_max = min(2.5, 0.5 / eta)
         h = min(response.default_step(profile, proto, t_max), 0.01)
         sol = response.solve_gamma(profile, proto, tp, h, int(t_max / h))
@@ -310,9 +310,10 @@ def fidelity_runs(tmp_path_factory):
 
 def late_rms(run, window=(2.0, 4.0)):
     data = harness.read_csv(run["dir"] / "joined.csv")
-    return harness.compare(data["t"], data["a_pred"], data["a_sim"], window).rms
+    return harness.compare(data["t"], data["a_pred"], data["a_sim"], window)["rms"]
 
 
+@pytest.mark.slow
 def test_c5_fidelity_rms(fidelity_runs):
     rms = {k: fidelity_runs[k]["result"]["metrics"]["rms_early"]["rms"]
            for k in ("step_a", "step_b", "sin_a", "sin_b")}
@@ -321,6 +322,7 @@ def test_c5_fidelity_rms(fidelity_runs):
                   f"{ {k: f'{v:.4f}' for k, v in rms.items()} } (each < 0.05)")
 
 
+@pytest.mark.slow
 def test_c5_smaller_period_longer_agreement(fidelity_runs):
     fast = late_rms(fidelity_runs["step_a"])
     slow = late_rms(fidelity_runs["step_T1"])
@@ -329,6 +331,7 @@ def test_c5_smaller_period_longer_agreement(fidelity_runs):
                   f"late rms T=0.5: {fast:.4f} < T=1.0: {slow:.4f}")
 
 
+@pytest.mark.slow
 def test_c5_narrower_profile_better_late(fidelity_runs):
     narrow = late_rms(fidelity_runs["step_dv025"])
     wide = late_rms(fidelity_runs["step_T1"])
@@ -488,6 +491,7 @@ def dp_run(tmp_path_factory):
     return harness.run(DP_CFG, out_dir)
 
 
+@pytest.mark.slow
 def test_c7_prediction_tracks_simulation(dp_run):
     rms = dp_run["metrics"]["rms_full"]["rms"]
     window = dp_run["metrics"]["rms_full"]["window"]
@@ -495,6 +499,7 @@ def test_c7_prediction_tracks_simulation(dp_run):
     assert report("7a dp rms over [0, 5T]", ok, f"rms {rms:.4f} (< 0.05)")
 
 
+@pytest.mark.slow
 def test_c7_band_between_references(dp_run):
     band = dp_run["metrics"]["band"]
     lo, hi = sorted((band["a_th"], band["a_bar0"]))
@@ -503,6 +508,7 @@ def test_c7_band_between_references(dp_run):
                   f"center {band['center']:.4f} within [{lo:.4f}, {hi:.4f}]")
 
 
+@pytest.mark.slow
 def test_c7_heating(dp_run):
     heat = dp_run["metrics"]["heating"]
     drift = dp_run["metrics"]["undriven_h0_drift"]
@@ -536,6 +542,7 @@ def test_c8_crossover_range():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_c9_determinism(fidelity_runs, tmp_path):
     rerun_dir = tmp_path / "rerun"
     harness.run(FIDELITY_POINTS["step_a"], rerun_dir)

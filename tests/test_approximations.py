@@ -295,7 +295,7 @@ def test_dual_route_matches_time_domain():
     r = float(ap.r_scale_array(p, proto, 0.6)[0])
     e = grid_for(r, profiles.moment(p, 0))
     eta = ap.default_eta(e)
-    rg = ap.resolvent_solve(p, phi1, phi2, e, eta, t_prime=0.6)
+    rg = ap.resolvent_solve(p, phi1, phi2, e, eta)
     t_max = min(2.5, 0.5 / eta)
     h = 0.01
     sol = response.solve_gamma(p, proto, 0.6, h, int(t_max / h))

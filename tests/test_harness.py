@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from typresp import cli, harness, response, rmt
-from typresp.errors import ConfigError, GridMismatchError
+from typresp.errors import ConfigError, EmptyWindowError, GridMismatchError
 
 
 def small_fidelity_cfg(f0=0.08, period=0.5, m=128, t_max=1.0, n_out=40):
@@ -197,6 +197,9 @@ BAD_FIELDS = [
     ("eth", "window_halfwidth_factor", "x"),
     ("eth", "window_halfwidth_factor", -2.0),
     ("eth", "model.initial_state.e_center", 500.0),  # window [492, 508] misses 0..32
+    # the window [-128, 32] holds every level, but the nearest, E = 0, is 12 delta_e
+    # away: its filter weight exp(-36) is under rmt.FILTER_CUT
+    ("eth_wide", "model.initial_state.e_center", -48.0),
 ]
 
 
@@ -204,6 +207,7 @@ BAD_FIELDS = [
 def test_bad_field_fails_at_load(tmp_path, monkeypatch, which, field, bad):
     monkeypatch.setattr(rmt, "sample_v", _must_not_run)
     base = {"fidelity": small_fidelity_cfg, "eth": small_eth_cfg,
+            "eth_wide": lambda: {**small_eth_cfg(), "window_halfwidth_factor": 20.0},
             "trotter": small_trotter_cfg}[which]()
     cfg = set_field(base, field, bad)
     with pytest.raises(ConfigError, match=re.escape(field)):
@@ -219,6 +223,24 @@ def test_load_checks_pass_fitting_configs():
     # the window [-16, 0] holds one level, E = 0
     harness.validate_scenario_config(set_field(small_eth_cfg(), "model.initial_state.e_center",
                                                -8.0))
+
+
+@pytest.mark.parametrize("q", ["identity", "one_plus_kappa_a"])
+def test_even_sector_filter_weight_checked_at_load(tmp_path, monkeypatch, q):
+    # a narrow filter on the odd level E_1 leaves the even levels no weight;
+    # only Q = 1 + kappa A moves an even-sector state onto the odd levels
+    cfg = small_eth_cfg()
+    e = rmt.SpectrumSpec(m=64, **cfg["model"]["spectrum"]).energies()
+    cfg["model"]["initial_state"].update(e_center=float(e[1]), delta_e=0.01, q=q)
+    if q == "one_plus_kappa_a":
+        harness.run(cfg, tmp_path)
+        return
+    with pytest.raises(EmptyWindowError):  # what the run would hit after sampling
+        rmt.build_initial_state(e, "filtered_random", 1, e_center=float(e[1]), delta_e=0.01,
+                                sector="even")
+    monkeypatch.setattr(rmt, "sample_v", _must_not_run)
+    with pytest.raises(ConfigError, match=re.escape("model.initial_state.e_center")):
+        harness.validate_scenario_config(cfg)
 
 
 @pytest.mark.parametrize("run,cfg,key", [
@@ -287,14 +309,19 @@ def test_filtered_random_state_defaults(tmp_path):
         assert (tmp_path / name).read_bytes() == (tmp_path / "explicit" / name).read_bytes()
 
 
-def test_null_prediction_grid_means_default(tmp_path):
+def test_null_prediction_grid_means_default(tmp_path, monkeypatch):
     cfg = small_fidelity_cfg(m=64, t_max=0.5, n_out=20)
     cfg["prediction"] = {"t_max": None, "solver_step": None}
-    c = harness.validate_scenario_config(cfg)
-    h, substeps, n_pred = harness._prediction_grid(
-        c["prediction"], harness.build_profile(c["profile"], d0_override=32.0),
-        harness.build_protocol(c["protocol"]), harness._output_grid(c["grid"]))
-    assert n_pred == 20 and substeps >= 1 and h * substeps == pytest.approx(0.025)
+    solves = []
+    diagonal = response.gamma_diagonal_values
+    monkeypatch.setattr(response, "gamma_diagonal_values",
+                        lambda *a: solves.append(a[2:]) or diagonal(*a))
+    harness.run(cfg, tmp_path)
+    (h, n), = solves
+    n_pred = len(harness.read_csv(tmp_path / "prediction.csv")["t"]) - 1
+    substeps = n // n_pred
+    assert n_pred == 20 and substeps >= 1 and n == n_pred * substeps
+    assert h * substeps == pytest.approx(0.025)
 
 
 def test_tabulated_inputs_from_csv(tmp_path):
@@ -337,11 +364,11 @@ def test_compare_identical_and_offset():
     t = np.linspace(0, 1, 101)
     a = np.sin(t)
     m = harness.compare(t, a, a, (0.0, 1.0))
-    assert m.rms == 0.0 and m.max_abs == 0.0
+    assert m == {"rms": 0.0, "max_abs": 0.0, "window": [0.0, 1.0]}
     m = harness.compare(t, a, a + 0.25, (0.0, 1.0))
-    assert m.rms == pytest.approx(0.25, rel=1e-12)
-    assert m.max_abs == pytest.approx(0.25, rel=1e-12)
-    assert m.rms <= m.max_abs
+    assert m["rms"] == pytest.approx(0.25, rel=1e-12)
+    assert m["max_abs"] == pytest.approx(0.25, rel=1e-12)
+    assert m["rms"] <= m["max_abs"]
 
 
 def test_compare_sine_rms():
@@ -350,7 +377,7 @@ def test_compare_sine_rms():
     t = np.arange(n) * (periods / n)
     a = amp * np.sin(2 * np.pi * t)
     m = harness.compare(t, a, np.zeros(n), (t[0], t[-1]))
-    assert m.rms == pytest.approx(amp / np.sqrt(2), abs=1e-6)
+    assert m["rms"] == pytest.approx(amp / np.sqrt(2), abs=1e-6)
 
 
 def test_compare_window_validation():
@@ -388,6 +415,23 @@ def test_fidelity_run_artifacts(tmp_path):
     joined = harness.read_csv(tmp_path / "joined.csv")
     assert joined["gamma_sq"][0] == 1.0
     assert out["metrics"]["rms_early"]["rms"] < 0.2
+    metrics = json.loads((tmp_path / "metrics.json").read_text())
+    for key, end in (("rms_early", 2 * cfg["protocol"]["period"]), ("rms_full", 1.0)):
+        assert set(metrics[key]) == {"rms", "max_abs", "window"}
+        assert metrics[key]["window"] == [0.0, end]
+        assert metrics[key]["rms"] <= metrics[key]["max_abs"]
+
+
+@pytest.mark.parametrize("make_cfg,method", [
+    (small_fidelity_cfg, {"name": "piecewise_exact", "step": None}),
+    # dt = 1/30 split into the fewest steps <= trotter_step 0.01: four of 1/120
+    (small_trotter_cfg, {"name": "trotter", "step": pytest.approx(1 / 120, rel=1e-12)}),
+], ids=["piecewise_exact", "trotter"])
+def test_sidecar_records_method_and_step(tmp_path, make_cfg, method):
+    harness.run(make_cfg(), tmp_path)
+    for name in ("simulation.csv", "prediction.csv", "approximations.csv", "joined.csv"):
+        meta = json.loads((tmp_path / (name + ".meta.json")).read_text())
+        assert meta["method"] == method
 
 
 def test_fidelity_determinism(tmp_path):

@@ -109,6 +109,16 @@ def test_phi2_zero_is_bitwise_first_order_path():
     assert np.array_equal(g_full, g_first)
 
 
+@pytest.mark.parametrize("h", [0.0, -1.0, float("inf"), float("nan")])
+def test_bad_step_rejected_by_both_solvers(h):
+    p = exp_profile()
+    proto = protocols.DrivingProtocol(variant="step", f0=0.04, period=0.5)
+    with pytest.raises(ValueError, match="step size h"):
+        response.solve_gamma(p, proto, 0.3, h, 10)
+    with pytest.raises(ValueError, match="step size h"):
+        response.gamma_diagonal_values(p, proto, h, 10)
+
+
 def test_blowup_raises():
     p = exp_profile(v0=50.0, dv=0.5, d0=512.0)
     proto = protocols.DrivingProtocol(variant="constant", f0=5.0)
@@ -186,13 +196,13 @@ def test_predict_observable_cases():
     t = np.linspace(0, 1, 11)
     undriven = np.linspace(1.0, 0.4, 11)
     ones = np.ones(11)
-    pred = response.predict_observable(t, ones, undriven, a_th=0.2)
-    assert np.allclose(pred.a_pred, undriven)  # gamma^2 = 1: identity response
-    pred = response.predict_observable(t, np.zeros(11), undriven, a_th=0.2)
-    assert np.allclose(pred.a_pred, 0.2)  # fully relaxed
-    pred = response.predict_observable(t, 0.5 * ones, ones, a_th=0.0)
-    assert np.allclose(pred.a_pred, 0.5)  # fidelity setup: a_pred = gamma^2
-    assert pred.a_pred[0] == pytest.approx(pred.undriven[0] * 0.5)
+    a_pred = response.predict_observable(t, ones, undriven, a_th=0.2)
+    assert np.allclose(a_pred, undriven)  # gamma^2 = 1: identity response
+    a_pred = response.predict_observable(t, np.zeros(11), undriven, a_th=0.2)
+    assert np.allclose(a_pred, 0.2)  # fully relaxed
+    a_pred = response.predict_observable(t, 0.5 * ones, ones, a_th=0.0)
+    assert np.allclose(a_pred, 0.5)  # fidelity setup: a_pred = gamma^2
+    assert a_pred[0] == pytest.approx(ones[0] * 0.5)
 
 
 def test_predict_observable_convexity_and_t0():
@@ -202,11 +212,11 @@ def test_predict_observable_convexity_and_t0():
     gsq = np.clip(rng.uniform(0, 1, 40), 0, 1)
     gsq[0] = 1.0
     a_th = 0.1
-    pred = response.predict_observable(t, gsq, undriven, a_th)
+    a_pred = response.predict_observable(t, gsq, undriven, a_th)
     lo = np.minimum(undriven, a_th)
     hi = np.maximum(undriven, a_th)
-    assert np.all(pred.a_pred >= lo - 1e-12) and np.all(pred.a_pred <= hi + 1e-12)
-    assert pred.a_pred[0] == undriven[0]
+    assert np.all(a_pred >= lo - 1e-12) and np.all(a_pred <= hi + 1e-12)
+    assert a_pred[0] == undriven[0]
 
 
 def test_predict_observable_grid_mismatch():

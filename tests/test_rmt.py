@@ -19,12 +19,7 @@ def small_fidelity_model(m=256, eps=1.0 / 64, f_seed=1, dv=0.5):
     v = rmt.sample_v(e, prof, f_seed)
     a = rmt.fidelity_observable(m, m // 2)
     psi = rmt.build_initial_state(e, "eigenstate", f_seed, index=m // 2)
-    model = rmt.RandomMatrixModel(
-        spectrum=spec, energies=e, v_matrix=v, observable=a,
-        initial_state=psi, master_seed=f_seed,
-    )
-    model.derived = rmt.reference_constants(e, np.real(np.diag(a)), np.abs(psi) ** 2, None)
-    return model
+    return rmt.RandomMatrixModel(energies=e, v_matrix=v, observable=a, initial_state=psi)
 
 
 # --- spectra -------------------------------------------------------------------
@@ -173,11 +168,14 @@ def test_eigenstate_bounds():
 
 def test_reference_constants_fidelity():
     model = small_fidelity_model()
+    m = len(model.energies)
+    refs = rmt.reference_constants(model.energies, np.real(np.diag(model.observable)),
+                                   np.abs(model.initial_state) ** 2, None)
     # observable projects on the initial state: diagonal ensemble stays 1
-    assert model.derived["a_bar0"] == 1.0
-    assert model.derived["a_inf"] == pytest.approx(1 / model.m, rel=1e-12)
-    assert model.derived["a_th"] == pytest.approx(1 / model.m, rel=1e-12)
-    assert model.derived["d0_window"] == pytest.approx(64.0, rel=1e-2)
+    assert refs["a_bar0"] == 1.0
+    assert refs["a_inf"] == pytest.approx(1 / m, rel=1e-12)
+    assert refs["a_th"] == pytest.approx(1 / m, rel=1e-12)
+    assert refs["d0_window"] == pytest.approx(64.0, rel=1e-2)
 
 
 def test_reference_constants_window_sensitivity():
@@ -243,10 +241,7 @@ def small_eth_model(m=64, spacing=1.0 / 8, seed=5):
     v = rmt.sample_v(e, exp_profile(d0=1.0 / spacing), seed)
     a = rmt.build_eth_observable(e, spec.e_top, 1.0, 0.25, seed)
     psi = rmt.build_initial_state(e, "filtered_random", seed, e_center=4.0, delta_e=1.0)
-    return rmt.RandomMatrixModel(
-        spectrum=spec, energies=e, v_matrix=v, observable=a,
-        initial_state=psi, master_seed=seed,
-    )
+    return rmt.RandomMatrixModel(energies=e, v_matrix=v, observable=a, initial_state=psi)
 
 
 def expm_loop(model, protocol, t_grid):
@@ -265,6 +260,7 @@ def expm_loop(model, protocol, t_grid):
     return np.array(rows).T
 
 
+@pytest.mark.slow
 def test_readout_blocks_match_per_time_loops():
     # 100 outputs per segment: each segment crosses a 64-output block
     # boundary, and the grid crosses two segment switches
@@ -382,6 +378,7 @@ def test_auxiliary_magnus_truncation_error_shrinks_with_period():
 # --- self-averaging -----------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_self_averaging_fluctuations_shrink_with_size():
     # across-realization std of the driven signal at fixed t decreases with m.
     # The spectral span and the products f0^2 d0 (response rates) are held
@@ -401,10 +398,8 @@ def test_self_averaging_fluctuations_shrink_with_size():
         for seed in range(8):
             v = rmt.sample_v(e, prof, seed)
             model = rmt.RandomMatrixModel(
-                spectrum=spec, energies=e, v_matrix=v,
-                observable=rmt.fidelity_observable(m, m // 2),
+                energies=e, v_matrix=v, observable=rmt.fidelity_observable(m, m // 2),
                 initial_state=rmt.build_initial_state(e, "eigenstate", seed, index=m // 2),
-                master_seed=seed,
             )
             traj = rmt.propagate(model, proto, t, method="trotter", step=0.5 / 100)
             vals.append(traj.a_series[1:])
