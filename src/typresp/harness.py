@@ -234,13 +234,22 @@ def validate_scenario_config(cfg: dict) -> dict:
     Beyond the schema, the rules that cross fields are checked here, without
     matrix work: fidelity needs an eigenstate, eth an even m, piecewise_exact
     a piecewise-constant protocol, trotter a trotter_step whose split step
-    fits the protocol, the state index ("middle" is m // 2) lies in [0, m),
-    and a filtered state's occupied window holds a level of the spectrum and
-    its filter leaves weight on a level the state can occupy.
+    fits the protocol, the prediction horizon reaches half an output step, the
+    state index ("middle" is m // 2) lies in [0, m), and a filtered state's
+    occupied window holds a level of the spectrum and its filter leaves
+    weight on a level the state can occupy.
     """
     c = _checked(_SCENARIO, cfg)
     if "model" not in c:
         return c
+    protocol, t_grid = build_protocol(c["protocol"]), _output_grid(c["grid"])
+    t_max = c["prediction"]["t_max"]
+    horizon, n_pred = _prediction_steps(t_max, protocol.timescale(), float(t_grid[1]),
+                                        float(t_grid[-1]))
+    if n_pred == 0:
+        raise ConfigError(f"prediction.t_max {t_max!r} (null: min(grid.t_max, 5 protocol time "
+                          f"scales)) gives the horizon {horizon:g}, under half the output step "
+                          f"{t_grid[1]:g}, so the prediction would hold no step beyond t = 0")
     model = c["model"]
     m, obs, state = model["m"], model["observable"], model["initial_state"]
     if obs["kind"] == "fidelity" and state["kind"] != "eigenstate":
@@ -255,10 +264,8 @@ def validate_scenario_config(cfg: dict) -> dict:
     if model["method"] == "trotter":
         if model["trotter_step"] is None:
             raise ConfigError("model.trotter_step must be set for model.method trotter")
-        grid = c["grid"]
         try:
-            rmt.split_step(build_protocol(c["protocol"]), grid["t_max"] / grid["n_out"],
-                           model["trotter_step"], grid["t_max"])
+            rmt.split_step(protocol, float(t_grid[1]), model["trotter_step"], float(t_grid[-1]))
         except ConfigError as exc:
             raise ConfigError(f"model.trotter_step {model['trotter_step']!r}: {exc}") from None
     index = state["index"] = m // 2 if state["index"] == "middle" else state["index"]
@@ -279,6 +286,15 @@ def validate_scenario_config(cfg: dict) -> dict:
                               f"{state['delta_e']!r}: the filter leaves no weight above "
                               f"{rmt.FILTER_CUT:g} on the levels the state can occupy")
     return c
+
+
+def _prediction_steps(t_max: Optional[float], ts: Optional[float], dt: float,
+                      t_end: float) -> tuple:
+    """(horizon, output steps) of the prediction: t_max, by default the whole
+    grid or five time scales ts, whichever is shorter, and never past t_end."""
+    t_default = t_end if ts is None else min(t_end, 5.0 * ts)
+    horizon = min(t_max or t_default, t_end)
+    return horizon, int(round(horizon / dt))
 
 
 def _occupied_window(cfg: dict) -> Optional[tuple]:
@@ -493,12 +509,9 @@ def _run_simulation_scenario(cfg: dict, meta: dict, out_dir: Path) -> dict:
     method = cfg["model"]["method"]
     traj = rmt.propagate(model, protocol, t_grid, method=method, step=cfg["model"]["trotter_step"])
 
-    # prediction on the output grid up to its horizon, by default the whole
-    # grid or five time scales, whichever is shorter
+    # prediction on the output grid up to its horizon
     dt, t_end, ts = float(t_grid[1] - t_grid[0]), float(t_grid[-1]), protocol.timescale()
-    t_default = t_end if ts is None else min(t_end, 5.0 * ts)
-    pred_t_max = min(cfg["prediction"]["t_max"] or t_default, t_end)
-    n_pred = int(round(pred_t_max / dt))
+    pred_t_max, n_pred = _prediction_steps(cfg["prediction"]["t_max"], ts, dt, t_end)
     gamma_sq = _diagonal_on_grid(profile, protocol, cfg["prediction"]["solver_step"], dt,
                                  n_pred, max(pred_t_max, dt))[0] ** 2
     t_pred, a_sim = t_grid[: n_pred + 1], traj.a_series[: n_pred + 1]

@@ -105,7 +105,7 @@ class DrivingProtocol:
         if self.variant == "constant":
             return np.array([0.0, t_max]), np.array([self.f0])
         half = self.period / 2.0
-        nseg = int(np.ceil(t_max / half - 1e-12))
+        nseg = max(1, int(np.ceil(t_max / half - 1e-12)))  # t_max = 0: one empty segment
         bounds = np.arange(nseg + 1) * half
         bounds[-1] = t_max
         vals = np.where(np.arange(nseg) % 2 == 0, self.f0, -self.f0)

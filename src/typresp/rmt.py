@@ -7,9 +7,12 @@ the initial eigenstate (survival probability) or a two-sector smooth
 diagonal with GUE fluctuations.  Propagation is exact: piecewise-constant
 protocols are evolved in the eigenbasis of each distinct H0 + f V, smooth
 protocols by split-step e^{-iH0 h/2} e^{-if(t_mid)V h} e^{-iH0 h/2} with the
-eigendecomposition of V cached once.  Every route, the undriven series
-included, hands its states to one readout of <A>, <H0> and the norm, which
-checks the norm at every output.
+eigendecomposition of V cached once.  Every eigendecomposition is one call
+of scipy's `evr` (MRRR) driver.  A piecewise run first chains the segments,
+keeping the start coefficients of those that hold outputs, then reads out
+all outputs of one f value together, one GEMM per 64 of them.  Every route,
+the undriven series included, hands its states to one readout of <A>, <H0>
+and the norm, and the norm is checked at every output.
 
 All randomness flows from one 64-bit master seed through named PCG64
 substreams (one per matrix/vector), so adding an observable never perturbs
@@ -291,14 +294,27 @@ class TrajectoryResult:
 _BLOCK = 64
 
 
-def _readout(model: RandomMatrixModel, states: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Rows <A>, <H0> and norm of the state columns, taken at the times t.
+def _eigh(h: np.ndarray) -> tuple:
+    """(w, u) of the Hermitian h by LAPACK's MRRR driver (?heevr).
 
-    Raises NormDriftError at the first t whose norm drifts beyond NORM_TOL.
+    scipy.linalg is imported here so that importing the package does not load
+    it, and called through the module attribute so a wrapper set on
+    scipy.linalg.eigh sees every call.
     """
+    import scipy.linalg
+
+    return scipy.linalg.eigh(h, driver="evr")
+
+
+def _readout(model: RandomMatrixModel, states: np.ndarray) -> np.ndarray:
+    """Rows <A>, <H0> and norm of the state columns."""
     probs = np.abs(states) ** 2
     a = np.einsum("ij,ij->j", states.conj(), model.observable @ states).real
-    rows = np.stack((a, model.energies @ probs, np.sqrt(probs.sum(axis=0))))
+    return np.stack((a, model.energies @ probs, np.sqrt(probs.sum(axis=0))))
+
+
+def _check_norm(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """rows, unless a norm drifts beyond NORM_TOL: NormDriftError at the first such t."""
     bad = np.flatnonzero(np.abs(rows[2] - 1.0) > NORM_TOL)
     if bad.size:
         k = bad[0]
@@ -306,19 +322,19 @@ def _readout(model: RandomMatrixModel, states: np.ndarray, t: np.ndarray) -> np.
     return rows
 
 
-def _series(model, w, u, c, taus, t) -> np.ndarray:
-    """Readout rows of u @ (exp(-i w tau) c) for each tau, one GEMM per block.
+def _series(model, w, u, c, cols, taus) -> np.ndarray:
+    """Readout rows of u @ (exp(-i w tau_j) c[:, cols_j]) for each j, one GEMM per block.
 
     u = None means the H0 eigenbasis, where the phased coefficients are the
-    state itself.  t holds the absolute times named in a NormDriftError.
+    state itself.
     """
     out = np.empty((3, len(taus)))
     for s in range(0, len(taus), _BLOCK):
         blk = slice(s, s + _BLOCK)
-        states = np.exp(-1j * np.outer(w, taus[blk])) * c[:, None]
+        states = np.exp(-1j * np.outer(w, taus[blk])) * c[:, cols[blk]]
         if u is not None:
             states = u @ states
-        out[:, blk] = _readout(model, states, t[blk])
+        out[:, blk] = _readout(model, states)
     return out
 
 
@@ -330,7 +346,9 @@ def _to_basis(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
 def undriven_series(model: RandomMatrixModel, t_grid: np.ndarray) -> np.ndarray:
     """Readout rows <A>, <H0>, norm under H0 alone (pure phase evolution)."""
     t_grid = np.asarray(t_grid, dtype=float)
-    return _series(model, model.energies, None, model.initial_state, t_grid, t_grid)
+    cols = np.zeros(len(t_grid), dtype=int)
+    rows = _series(model, model.energies, None, model.initial_state[:, None], cols, t_grid)
+    return _check_norm(rows, t_grid)
 
 
 def _propagate_piecewise(model, protocol, t_grid):
@@ -342,24 +360,37 @@ def _propagate_piecewise(model, protocol, t_grid):
         )
     bounds, values = segs
     cache = {0.0: (model.energies, None)}  # f = 0: pure phase evolution
-    out = np.empty((3, len(t_grid)))
+    groups = {}  # f -> (start coefficients, output indices) of its segments with outputs
+    taus = np.empty(len(t_grid))
     psi = model.initial_state
     oi = 0
     for k in range(len(values)):
         t0, t1, fv = bounds[k], bounds[k + 1], float(values[k])
         if fv not in cache:
-            cache[fv] = np.linalg.eigh(np.diag(model.energies) + fv * model.v_matrix)
+            h = fv * model.v_matrix
+            h[np.diag_indices(len(h))] += model.energies
+            cache[fv] = _eigh(h)
         w, u = cache[fv]
         c = psi if u is None else _to_basis(u, psi)
-        oj = int(np.searchsorted(t_grid, t1 + 1e-12, side="right"))
-        out[:, oi:oj] = _series(model, w, u, c, t_grid[oi:oj] - t0, t_grid[oi:oj])
+        oj = int(np.searchsorted(t_grid, t1 + 1e-12, side="right"))  # t1 itself: this segment
+        if oj > oi:
+            starts, outputs = groups.setdefault(fv, ([], []))
+            starts.append(c)
+            outputs.append(np.arange(oi, oj))
+            taus[oi:oj] = t_grid[oi:oj] - t0
         oi = oj
         if oi >= len(t_grid):
             break
         psi = np.exp(-1j * w * (t1 - t0)) * c
         if u is not None:
             psi = u @ psi
-    return out
+    out = np.empty((3, len(t_grid)))
+    for fv, (starts, outputs) in groups.items():
+        idx = np.concatenate(outputs)
+        cols = np.repeat(np.arange(len(outputs)), [len(o) for o in outputs])
+        w, u = cache[fv]
+        out[:, idx] = _series(model, w, u, np.stack(starts, axis=1), cols, taus[idx])
+    return _check_norm(out, t_grid)
 
 
 def split_step(protocol: protocols.DrivingProtocol, dt_out: float, step: float,
@@ -389,11 +420,11 @@ def _propagate_trotter(model, protocol, t_grid, step):
     if not np.allclose(np.diff(t_grid), dt_out, rtol=1e-9):
         raise ConfigError("split-step propagation needs a uniform output grid")
     n_sub, h = split_step(protocol, dt_out, step, float(t_grid[-1]))
-    w, u = np.linalg.eigh(model.v_matrix)
+    w, u = _eigh(model.v_matrix)
     half = np.exp(-1j * model.energies * (h / 2.0))
     psi = model.initial_state
     out = np.empty((3, len(t_grid)))
-    out[:, :1] = _readout(model, psi[:, None], t_grid[:1])
+    out[:, :1] = _check_norm(_readout(model, psi[:, None]), t_grid[:1])
     n_steps = (len(t_grid) - 1) * n_sub
     f_mid = protocols.eval_f(protocol, (np.arange(n_steps) + 0.5) * h)
     for k in range(n_steps):
@@ -402,7 +433,8 @@ def _propagate_trotter(model, protocol, t_grid, step):
         psi = half * psi
         if (k + 1) % n_sub == 0:
             oi = (k + 1) // n_sub
-            out[:, oi : oi + 1] = _readout(model, psi[:, None], t_grid[oi : oi + 1])
+            out[:, oi : oi + 1] = _check_norm(_readout(model, psi[:, None]),
+                                              t_grid[oi : oi + 1])
     return out, h
 
 

@@ -67,12 +67,12 @@ def respond_cfg():
 
 
 def set_field(cfg, dotted, value):
-    """Copy of cfg with the dotted field set to value (parents must exist)."""
+    """Copy of cfg with the dotted field set to value (missing parents are added)."""
     cfg = copy.deepcopy(cfg)
     *parents, last = dotted.split(".")
     node = cfg
     for k in parents:
-        node = node[k]
+        node = node.setdefault(k, {})
     node[last] = value
     return cfg
 
@@ -182,6 +182,7 @@ BAD_FIELDS = [
     ("fidelity", "model.initial_state.index", "first"),
     ("fidelity", "model.initial_state.index", None),  # an eigenstate needs an index
     ("fidelity", "prediction", None),
+    ("fidelity", "prediction.t_max", 0.01),  # rounds to 0 steps of dt = 0.025
     ("fidelity", "protocol.variant", "sinusoid"),  # piecewise_exact needs piecewise constant
     ("trotter", "model.trotter_step", 0.012),  # h = 1/90 does not divide T/2 = 0.25
     ("eth", "model.m", 63),  # two sectors need an even m
@@ -213,6 +214,16 @@ def test_bad_field_fails_at_load(tmp_path, monkeypatch, which, field, bad):
     with pytest.raises(ConfigError, match=re.escape(field)):
         harness.validate_scenario_config(cfg)
     with pytest.raises(ConfigError, match=re.escape(field)):
+        harness.run(cfg, tmp_path)
+
+
+def test_empty_default_prediction_fails_at_load(tmp_path, monkeypatch):
+    # a null prediction.t_max means five periods here: 0.01, under half of dt = 0.025
+    monkeypatch.setattr(rmt, "sample_v", _must_not_run)
+    cfg = small_fidelity_cfg(period=0.002)
+    with pytest.raises(ConfigError, match=r"prediction\.t_max None .* horizon 0\.01,"):
+        harness.validate_scenario_config(cfg)
+    with pytest.raises(ConfigError, match=r"prediction\.t_max"):
         harness.run(cfg, tmp_path)
 
 

@@ -226,6 +226,7 @@ def test_piecewise_segments():
     bounds, vals = p.piecewise_segments(2.3)
     assert bounds[0] == 0.0 and bounds[-1] == 2.3
     assert list(vals) == [0.2, -0.2, 0.2, -0.2, 0.2]
+    assert [list(a) for a in p.piecewise_segments(0.0)] == [[0.0, 0.0], [0.2]]
     assert make("sinusoid").piecewise_segments(1.0) is None
     cb, cv = make("constant", f0=0.5).piecewise_segments(4.0)
     assert list(cb) == [0.0, 4.0] and list(cv) == [0.5]

@@ -1,5 +1,9 @@
 """Random-matrix models and exact propagation."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -247,12 +251,16 @@ def small_eth_model(m=64, spacing=1.0 / 8, seed=5):
 def expm_loop(model, protocol, t_grid):
     """<A>, <H0>, norm by scipy's expm from t = 0 to each output time in turn."""
     bounds, values = protocol.piecewise_segments(float(t_grid[-1]))
+    props = {}  # (f, duration) -> its propagator; whole segments repeat
     rows = []
     for t in t_grid:
         psi = model.initial_state
         for k, fv in enumerate(values):
-            h = np.diag(model.energies) + fv * model.v_matrix
-            psi = expm(-1j * (min(t, bounds[k + 1]) - bounds[k]) * h) @ psi
+            tau = min(t, bounds[k + 1]) - bounds[k]
+            if (fv, tau) not in props:
+                h = np.diag(model.energies) + fv * model.v_matrix
+                props[fv, tau] = expm(-1j * tau * h)
+            psi = props[fv, tau] @ psi
             if t <= bounds[k + 1]:
                 break
         rows.append((np.vdot(psi, model.observable @ psi).real,
@@ -260,7 +268,6 @@ def expm_loop(model, protocol, t_grid):
     return np.array(rows).T
 
 
-@pytest.mark.slow
 def test_readout_blocks_match_per_time_loops():
     # 100 outputs per segment: each segment crosses a 64-output block
     # boundary, and the grid crosses two segment switches
@@ -281,6 +288,50 @@ def test_readout_blocks_match_per_time_loops():
     np.testing.assert_allclose(traj.norm_series, ref[2], rtol=0.0, atol=1e-12)
     np.testing.assert_array_equal(traj.undriven_a_series, undriven[0])
     np.testing.assert_array_equal(traj.undriven_h0_series, undriven[1])
+
+
+# outputs on switch times (0.3 k from linspace lands an ulp off the bound),
+# a period shorter than the output step (segments without outputs), one
+# constant segment over two readout blocks, f0 = 0 (pure phase evolution),
+# and the single output t = 0
+PIECEWISE_GRIDS = {
+    "on_switches": (dict(variant="step", f0=0.3, period=0.6), np.linspace(0.0, 2.4, 25)),
+    "short_period": (dict(variant="step", f0=0.3, period=0.15), np.linspace(0.0, 2.0, 11)),
+    "constant": (dict(variant="constant", f0=0.3), np.linspace(0.0, 2.0, 81)),
+    "zero_amplitude": (dict(variant="step", f0=0.0, period=0.5), np.linspace(0.0, 2.0, 21)),
+    "t_zero": (dict(variant="step", f0=0.3, period=0.6), np.array([0.0])),
+}
+
+
+@pytest.mark.parametrize("grid", PIECEWISE_GRIDS)
+def test_batched_readout_matches_expm_loop(grid):
+    model = small_eth_model()
+    kwargs, t = PIECEWISE_GRIDS[grid]
+    proto = protocols.DrivingProtocol(**kwargs)
+    traj = rmt.propagate(model, proto, t, method="piecewise_exact")
+    ref = expm_loop(model, proto, t)
+    np.testing.assert_allclose(traj.a_series, ref[0], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(traj.h0_series, ref[1], rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(traj.norm_series, ref[2], rtol=0.0, atol=1e-12)
+
+
+def test_eigh_residual_orthonormality_and_eigenvalues():
+    model = small_fidelity_model(m=256)
+    h = np.diag(model.energies) + 0.3 * model.v_matrix
+    assert np.any(h.imag != 0)
+    w, u = rmt._eigh(h)
+    assert np.linalg.norm(h @ u - u * w) < 1e-10
+    assert np.linalg.norm(u.conj().T @ u - np.eye(256)) < 1e-10
+    np.testing.assert_allclose(w, np.linalg.eigvalsh(h), rtol=0.0, atol=1e-10)
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # rmt._eigh imports scipy.linalg at its first call, which keeps it out of
+    # every command's start-up time
+    src = str(Path(rmt.__file__).resolve().parents[1])
+    code = "import sys, typresp.cli; sys.exit('scipy.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=60)
+    assert proc.returncode == 0
 
 
 @pytest.mark.parametrize("method", ["piecewise_exact", "trotter"])
