@@ -18,6 +18,12 @@ on a uniform energy grid just below the real axis (z = E - i eta) by damped
 fixed-point iteration, and reconstructs gamma(t) = (1/pi) int dE e^{iEt}
 Im G(E - i eta) with an e^{eta t} factor compensating the regularization.
 Im G and Im z keep opposite signs throughout.
+
+Every function of time or energy takes its arguments as numpy does and
+returns their broadcast shape (scalars give 0-d results); `r`, `t` and
+`t_prime` broadcast against each other.  Powers and complex products of such
+values are ufunc calls (np.square, np.power, np.multiply), for the reason
+given in `protocols`.
 """
 
 from __future__ import annotations
@@ -45,34 +51,28 @@ def r_scale_array(
     protocol: protocols.DrivingProtocol,
     t,
 ) -> np.ndarray:
-    """r(t) = sqrt(4 vtilde(0) d0 [Sigma_0 phi1(t) + Sigma_2 phi2(t)]) on an array."""
+    """r(t) = sqrt(4 vtilde(0) d0 [Sigma_0 phi1(t) + Sigma_2 phi2(t)]) in the shape of t."""
     phi1, phi2 = protocols.phi_arrays(protocol, t)
     s0 = profiles.moment(profile, 0)
     s2 = profiles.moment(profile, 2)
     return np.sqrt(4.0 * profile.v0 * profile.d0 * (s0 * phi1 + s2 * phi2))
 
 
-def _shaped(out: np.ndarray, *args):
-    """A float when every argument is a scalar, else out in their broadcast shape."""
-    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
-    return float(out[0]) if shape == () else out.reshape(shape)
-
-
 def strong_driving_gamma(r, t):
     """gamma = 2 J1(r t) / (r t), with the series limit 1 at r t = 0.
 
-    r (a scalar or an array, e.g. r(t') on the diagonal) broadcasts against t.
+    r (e.g. r(t') on the diagonal) broadcasts against t.
     """
     if np.any(np.asarray(r) < 0):
         raise ValueError("scale r must be >= 0")
-    x = np.atleast_1d(np.asarray(t, dtype=float) * r)
-    if np.any(x < 0):
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):  # checked on t itself: r = 0 makes x = r t look >= 0
         raise ValueError("time must be >= 0")
-    out = np.empty_like(x)
+    x = t * r
     tiny = x < 1e-3
-    out[tiny] = 1.0 - x[tiny] ** 2 / 8.0 + x[tiny] ** 4 / 192.0
-    out[~tiny] = 2.0 * bessel_j1(x[~tiny]) / x[~tiny]
-    return _shaped(out, r, t)
+    xs = np.where(tiny, 1.0, x)  # keeps the J1 branch off 0/0
+    series = 1.0 - np.square(x) / 8.0 + np.power(x, 4) / 192.0
+    return np.where(tiny, series, 2.0 * bessel_j1(xs) / xs)
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +84,10 @@ def strong_driving_gamma(r, t):
 class FastDrivingRates:
     """Rates of the first-order (high-frequency) form; complex when 2 pi r_hat > Sigma_0."""
 
-    r_hat: float
-    r_minus1: complex
+    r_hat: np.ndarray
+    r_minus1: np.ndarray
     r_0: float
-    r_plus1: complex
+    r_plus1: np.ndarray
 
 
 # below this |1 - 2 pi r_hat/Sigma_0| the three-exponential form is evaluated
@@ -101,18 +101,12 @@ def fast_rates(
     protocol: protocols.DrivingProtocol,
     t_prime,
 ) -> FastDrivingRates:
-    """r_hat(t') and r_n(t'); r_0 is independent of t'.
-
-    A scalar t_prime gives float/complex rates, a 1-d array gives arrays.
-    """
+    """r_hat(t') and r_n(t') in the shape of t'; r_0 is independent of t'."""
     phi1 = protocols.phi_arrays(protocol, t_prime)[0]
     s0 = profiles.moment(profile, 0)
     r_hat = np.pi * profile.v0 * phi1 * profile.d0
     r0 = s0 / np.pi
     s = np.sqrt((1.0 - 2.0 * np.pi * r_hat / s0).astype(complex))
-    if np.ndim(t_prime) == 0:
-        return FastDrivingRates(float(r_hat[0]), complex(r0 * (1.0 - s[0])), float(r0),
-                                complex(r0 * (1.0 + s[0])))
     return FastDrivingRates(r_hat, r0 * (1.0 - s), float(r0), r0 * (1.0 + s))
 
 
@@ -128,24 +122,24 @@ def fast_driving_gamma(
     each element near the degenerate point 2 pi r_hat = Sigma_0 takes the
     series branch on its own.
     """
-    rates = fast_rates(profile, protocol, np.atleast_1d(t_prime))
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < 0):
+    rates = fast_rates(profile, protocol, t_prime)
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("time must be >= 0")
     r0, rh, rm, rp = rates.r_0, rates.r_hat, rates.r_minus1, rates.r_plus1
     disc = 1.0 - 2.0 * rh / r0  # = 1 - 2 pi r_hat / Sigma_0 = s^2
     series = np.abs(disc) < _DEGENERATE_CUT
-    x = r0 * t_arr
+    x = r0 * t
     with np.errstate(divide="ignore", invalid="ignore"):  # r0 = 2 rh: a series element
-        num = (rp - rh) * np.exp(-rm * t_arr) - 2.0 * rh * np.exp(-r0 * t_arr)
-        val = (num + (rm - rh) * np.exp(-rp * t_arr)) / (2.0 * (r0 - 2.0 * rh))
+        num = np.multiply(rp - rh, np.exp(-rm * t)) - 2.0 * rh * np.exp(-r0 * t)
+        val = (num + np.multiply(rm - rh, np.exp(-rp * t))) / (2.0 * (r0 - 2.0 * rh))
     max_imag = float(np.max(np.abs(np.where(series, 0.0, val.imag))))
     if max_imag >= 1e-10:
         raise AssertionError(f"high-frequency gamma grew an imaginary part ({max_imag:.3e})")
-    out = np.where(series, np.exp(-x) * (
-        (1.0 + x + 0.25 * x * x) + disc * (0.25 * x * x + x**3 / 6.0 + x**4 / 48.0)
+    return np.where(series, np.exp(-x) * (
+        (1.0 + x + 0.25 * x * x) + disc * (0.25 * x * x + np.power(x, 3) / 6.0
+                                           + np.power(x, 4) / 48.0)
     ), val.real)
-    return _shaped(out, t, t_prime)
 
 
 def weak_fast_gamma(
@@ -155,9 +149,8 @@ def weak_fast_gamma(
     t_prime,
 ):
     """Weak-amplitude fast-driving form exp(-r_hat(t') |t|); t and t_prime broadcast."""
-    r_hat = fast_rates(profile, protocol, np.atleast_1d(t_prime)).r_hat
-    out = np.exp(-r_hat * np.abs(np.asarray(t, dtype=float)))
-    return _shaped(out, t, t_prime)
+    r_hat = fast_rates(profile, protocol, t_prime).r_hat
+    return np.exp(-r_hat * np.abs(np.asarray(t, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +263,8 @@ def gamma_from_resolvent(rg: ResolventGrid, t):
     finite regularization (exact for the broadening itself; grid truncation
     limits the accuracy to the 1e-2/2e-2 level).  Warns for t > 1/(2 eta).
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr > 0.5 / rg.eta):
+    t = np.asarray(t, dtype=float)
+    if np.any(t > 0.5 / rg.eta):
         warnings.warn(
             f"t exceeds the resolution limit 1/(2 eta) = {0.5 / rg.eta:.3g}; "
             "the reconstruction degrades there",
@@ -279,9 +272,8 @@ def gamma_from_resolvent(rg: ResolventGrid, t):
             stacklevel=2,
         )
     u = rg.spectral_function()
-    phases = np.exp(1j * np.outer(t_arr, rg.e_grid))
-    vals = np.trapezoid(phases * u, rg.e_grid, axis=1).real * np.exp(rg.eta * t_arr)
-    return _shaped(vals, t)
+    phases = np.exp(1j * (t[..., None] * rg.e_grid))
+    return np.trapezoid(phases * u, rg.e_grid, axis=-1).real * np.exp(rg.eta * t)
 
 
 def resolvent_closed_form(r: float, z):
@@ -290,10 +282,9 @@ def resolvent_closed_form(r: float, z):
     Principal square root; Im G and Im z have opposite signs, and G -> 1/z
     for |z| -> infinity.
     """
-    z_arr = np.asarray(z, dtype=complex)
-    sgn = np.where(z_arr.imag >= 0, 1.0, -1.0)
-    g = (2.0 / r**2) * (z_arr - 1j * sgn * np.sqrt(r * r - z_arr * z_arr))
-    return complex(g) if np.isscalar(z) or z_arr.ndim == 0 else g
+    z = np.asarray(z, dtype=complex)
+    sgn = np.where(z.imag >= 0, 1.0, -1.0)
+    return (2.0 / r**2) * (z - 1j * sgn * np.sqrt(r * r - z * z))
 
 
 def crossover_amplitude(profile: profiles.PerturbationProfile, epsilon: float) -> float:

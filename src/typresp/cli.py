@@ -1,7 +1,7 @@
 """Command-line interface.
 
     typresp respond|approx|simulate|compare|sweep --config <path> --out <dir>
-            [--seed N]
+    typresp simulate|sweep ... [--seed N]
 
 Every subcommand prints a one-line JSON summary to standard output and exits
 nonzero with a machine-readable error record on failure.
@@ -29,7 +29,8 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="YAML config file")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
+        if name in ("simulate", "sweep"):
+            p.add_argument("--seed", type=int, default=None, help="override the config seed")
     return parser
 
 
@@ -37,9 +38,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = harness.load_config(args.config)
-        if args.seed is not None and args.command == "simulate":
+        if args.command == "simulate" and args.seed is not None:
             cfg["seed"] = args.seed
-        if args.seed is not None and args.command == "sweep":
+        if args.command == "sweep" and args.seed is not None:
             harness.validate_sweep_config(cfg)  # a missing sweep.base is a ConfigError
             cfg["sweep"]["base"]["seed"] = args.seed
         runners = {"respond": harness.run_respond, "approx": harness.run_approx,

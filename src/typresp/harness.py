@@ -232,7 +232,9 @@ def validate_scenario_config(cfg: dict) -> dict:
     """Check a `simulate` config; returns its normalised copy.
 
     Beyond the schema, the rules that cross fields are checked here, without
-    matrix work: fidelity needs an eigenstate, eth an even m, piecewise_exact
+    matrix work: the protocol and profile build (their tables included; a
+    null d0 only where the model measures it), quench_asymptotics has a
+    linear ramp, fidelity needs an eigenstate, eth an even m, piecewise_exact
     a piecewise-constant protocol, trotter a trotter_step whose split step
     fits the protocol, the prediction horizon reaches half an output step, the
     state index ("middle" is m // 2) lies in [0, m), and a filtered state's
@@ -240,9 +242,14 @@ def validate_scenario_config(cfg: dict) -> dict:
     weight on a level the state can occupy.
     """
     c = _checked(_SCENARIO, cfg)
+    protocol = build_protocol(c["protocol"])
+    build_profile(c["profile"], d0_override=1.0 if "model" in c else None)  # 1.0: a placeholder
+    if c["scenario"] == "quench_asymptotics" and protocol.variant != "linear_ramp":
+        raise ConfigError(f"protocol.variant must be linear_ramp for quench_asymptotics, "
+                          f"got {protocol.variant!r}")
     if "model" not in c:
         return c
-    protocol, t_grid = build_protocol(c["protocol"]), _output_grid(c["grid"])
+    t_grid = _output_grid(c["grid"])
     t_max = c["prediction"]["t_max"]
     horizon, n_pred = _prediction_steps(t_max, protocol.timescale(), float(t_grid[1]),
                                         float(t_grid[-1]))
@@ -313,8 +320,8 @@ def build_profile(section: dict, d0_override: Optional[float] = None):
     if d0 is None:
         raise ConfigError("profile.d0 is null and no measured value is available")
     if p["variant"] == "tabulated":
-        e, v = _read_two_column(p["table"])
-        return profiles.PerturbationProfile("tabulated", d0, energies=e, values=v)
+        return _from_table("profile.table", p["table"], lambda e, v: profiles.PerturbationProfile(
+            "tabulated", d0, energies=e, values=v))
     return profiles.PerturbationProfile("exponential", d0, v0=p["v0"], delta_v=p["delta_v"])
 
 
@@ -322,17 +329,22 @@ def build_protocol(section: dict) -> protocols.DrivingProtocol:
     """The protocol of a `protocol` section."""
     p = _checked(_PROTOCOL, section, "protocol.")
     if p["variant"] == "tabulated":
-        times, values = _read_two_column(p["table"])
-        return protocols.DrivingProtocol(variant="tabulated", times=times, values=values)
+        return _from_table("protocol.table", p["table"], lambda t, f: protocols.DrivingProtocol(
+            variant="tabulated", times=t, values=f))
     p.pop("table", None)
     return protocols.DrivingProtocol(**p)
 
 
-def _read_two_column(path) -> tuple:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 2:
-        raise ConfigError(f"{path}: expected a two-column CSV")
-    return data[:, 0], data[:, 1]
+def _from_table(field: str, path, build: Callable):
+    """build(first column, second column) of a two-column CSV; a bad table is a
+    ConfigError naming the field."""
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        if data.shape[1] != 2:
+            raise ValueError("expected a two-column CSV")
+        return build(data[:, 0], data[:, 1])
+    except ValueError as exc:
+        raise ConfigError(f"{field} {str(path)!r}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +427,8 @@ def compare(
     if ta < t_grid[0] - 1e-12 or tb > t_grid[-1] + 1e-12:
         raise ValueError("window must lie within the grid")
     sel = (t_grid >= ta - 1e-12) & (t_grid <= tb + 1e-12)
+    if not np.any(sel):
+        raise ValueError(f"window [{ta}, {tb}] holds no grid point")
     diff = a[sel] - b[sel]
     return {"rms": float(np.sqrt(np.mean(diff**2))), "max_abs": float(np.max(np.abs(diff))),
             "window": [ta, tb]}
@@ -596,8 +610,6 @@ def _run_strong_scale(cfg: dict, meta: dict, out_dir: Path) -> dict:
 
 def _run_quench_asymptotics(cfg: dict, meta: dict, out_dir: Path) -> dict:
     protocol = build_protocol(cfg["protocol"])
-    if protocol.variant != "linear_ramp":
-        raise ConfigError("quench asymptotics are defined for the linear ramp")
     t_grid = _output_grid(cfg["grid"])
     phi1, phi2 = protocols.phi_arrays(protocol, t_grid)
     f0, T = protocol.f0, protocol.period

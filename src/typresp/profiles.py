@@ -19,6 +19,11 @@ interpolant (stable for arbitrarily oscillatory exp(iEt)).  v'' uses the
 same rule applied to the sampled integrand E^2 vtilde(E), and the moments
 use the matching trapezoid so that v(0) = v0*d0*Sigma_0 and
 v''(0) = -v0*d0*Sigma_2 hold exactly for the sampled data.
+
+vtilde, v_of_t and v_second_deriv take their argument as numpy does and
+return its shape (a scalar gives a 0-d result); the cosine transform sums
+segments on a trailing axis.  Powers of the argument are np.square/np.power
+calls, for the reason given in `protocols`.
 """
 
 from __future__ import annotations
@@ -72,13 +77,11 @@ class PerturbationProfile:
             object.__setattr__(self, "v0", float(v[0]))
 
     def vtilde(self, e):
-        """vtilde(|E|); scalar or array."""
-        e_arr = np.abs(np.asarray(e, dtype=float))
+        """vtilde(|E|) in the shape of e."""
+        e = np.abs(np.asarray(e, dtype=float))
         if self.variant == "exponential":
-            out = self.v0 * np.exp(-e_arr / self.delta_v)
-        else:
-            out = np.interp(e_arr, self.energies, self.values, left=0.0, right=0.0)
-        return float(out) if np.isscalar(e) or np.asarray(e).ndim == 0 else out
+            return self.v0 * np.exp(-e / self.delta_v)
+        return np.interp(e, self.energies, self.values, left=0.0, right=0.0)
 
 
 def moment(p: PerturbationProfile, n: int) -> float:
@@ -93,33 +96,25 @@ def moment(p: PerturbationProfile, n: int) -> float:
 
 def v_of_t(p: PerturbationProfile, t):
     """Time-domain profile v(t) = int dE d0 exp(iEt) vtilde(E); real and even."""
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t_arr)):
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
         raise ValueError("time argument must be finite")
     if p.variant == "exponential":
-        out = 2.0 * p.v0 * p.d0 * p.delta_v / (1.0 + (p.delta_v * t_arr) ** 2)
-    else:
-        out = 2.0 * p.d0 * _cos_transform(p.energies, p.values, np.atleast_1d(t_arr))
-        out = out.reshape(t_arr.shape)
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+        return 2.0 * p.v0 * p.d0 * p.delta_v / (1.0 + np.square(p.delta_v * t))
+    return 2.0 * p.d0 * _cos_transform(p.energies, p.values, t)
 
 
 def v_second_deriv(p: PerturbationProfile, t):
     """d^2 v / dt^2; analytic for the exponential variant."""
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t_arr)):
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
         raise ValueError("time argument must be finite")
     if p.variant == "exponential":
         a = p.delta_v**2
         c = 2.0 * p.v0 * p.d0 * p.delta_v
-        out = -2.0 * a * c * (1.0 - 3.0 * a * t_arr**2) / (1.0 + a * t_arr**2) ** 3
-    else:
-        # differentiate under the integral: v'' = -2 d0 int dE E^2 cos(Et) vtilde
-        out = -2.0 * p.d0 * _cos_transform(
-            p.energies, p.energies**2 * p.values, np.atleast_1d(t_arr)
-        )
-        out = out.reshape(t_arr.shape)
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+        return -2.0 * a * c * (1.0 - 3.0 * a * np.square(t)) / np.power(1.0 + a * np.square(t), 3)
+    # differentiate under the integral: v'' = -2 d0 int dE E^2 cos(Et) vtilde
+    return -2.0 * p.d0 * _cos_transform(p.energies, p.energies**2 * p.values, t)
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +146,9 @@ def _cos_transform(e: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
     a = w[:-1][keep]
     b = (np.diff(w) / np.diff(e))[keep]
 
-    x = np.outer(t, de)  # (nt, nseg)
+    x = t[..., None] * de  # (*t.shape, nseg)
     S, G, H, K = _stable_kernels(x)
-    c0 = np.cos(np.outer(t, e0))
-    s0 = np.sin(np.outer(t, e0))
+    c0 = np.cos(t[..., None] * e0)
+    s0 = np.sin(t[..., None] * e0)
     seg = a * de * (c0 * S - s0 * G) + b * de**2 * (c0 * H - s0 * K)
-    return seg.sum(axis=1)
+    return seg.sum(axis=-1)

@@ -13,9 +13,12 @@ protocols are interpolated linearly and integrated exactly for the
 interpolant (piecewise polynomial), which meets the 1e-10 fallback
 tolerance on smooth inputs.
 
-eval_f, f1_f2 and phi_arrays accept scalar or ndarray time arguments;
-phi_arrays returns arrays even for a scalar time.  All evaluation functions
-are pure; protocol objects are immutable and safe for concurrent use.
+eval_f, f1_f2 and phi_arrays take t as numpy does and return its shape (a
+scalar gives 0-d results); frequency sums run on a trailing axis.  Powers are
+np.square/np.power calls: on the numpy scalars a 0-d input turns into, `**`
+(like complex `*`) runs scalar code that can differ in the last bit from the
+array loop.  All evaluation functions are pure; protocol objects are
+immutable and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -120,14 +123,9 @@ def _check_times(t: np.ndarray) -> None:
 
 
 def eval_f(p: DrivingProtocol, t):
-    """Evaluate f(t).  Accepts scalar or array t >= 0."""
-    t_arr = np.asarray(t, dtype=float)
-    _check_times(t_arr)
-    out = _eval_f(p, t_arr)
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
-
-
-def _eval_f(p: DrivingProtocol, t: np.ndarray) -> np.ndarray:
+    """f(t) for t >= 0, in the shape of t."""
+    t = np.asarray(t, dtype=float)
+    _check_times(t)
     f0, T = p.f0, p.period
     if p.variant == "constant":
         return np.full_like(t, f0)
@@ -138,87 +136,71 @@ def _eval_f(p: DrivingProtocol, t: np.ndarray) -> np.ndarray:
     if p.variant == "linear_ramp":
         return f0 * np.where(t <= T, t / T, 1.0)
     if p.variant == "pseudorandom_a":
-        w = _PRA_ROOTS / T
-        return f0 * np.sum(_PRA_SIGNS[:, None] * np.cos(np.outer(w, t)), axis=0).reshape(t.shape)
+        return f0 * np.sum(_PRA_SIGNS * np.cos(t[..., None] * (_PRA_ROOTS / T)), axis=-1)
     if p.variant == "pseudorandom_b":
-        a = _PRB_ODD / T
-        b = _PRB_EVEN / T
-        s = np.sum(np.sin(np.outer(a, t)), axis=0) + np.sum(np.cos(np.outer(b, t)), axis=0)
-        return f0 * s.reshape(t.shape)
+        at, bt = t[..., None] * (_PRB_ODD / T), t[..., None] * (_PRB_EVEN / T)
+        return f0 * (np.sum(np.sin(at), axis=-1) + np.sum(np.cos(bt), axis=-1))
     # tabulated: linear interpolation, zero outside the sample range
     return np.interp(t, p.times, p.values, left=0.0, right=0.0)
 
 
 def f1_f2(p: DrivingProtocol, t):
-    """Closed-form (F1(t), F2(t)); scalar or array t >= 0."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    _check_times(t_arr)
+    """Closed-form (F1(t), F2(t)) for t >= 0, each in the shape of t."""
+    t = np.asarray(t, dtype=float)
+    _check_times(t)
     f0, T = p.f0, p.period
 
     if p.variant == "constant":
-        F1 = f0 * t_arr
-        F2 = 0.5 * f0 * t_arr**2
-    elif p.variant == "step":
-        k, tau = np.divmod(t_arr, T)
+        return f0 * t, 0.5 * f0 * np.square(t)
+    if p.variant == "step":
+        k, tau = np.divmod(t, T)
         first = tau <= T / 2
         F1 = f0 * np.where(first, tau, T - tau)
         F2 = k * f0 * T * T / 4 + f0 * np.where(
-            first, 0.5 * tau**2, T * tau - 0.5 * tau**2 - T * T / 4
+            first, 0.5 * np.square(tau), T * tau - 0.5 * np.square(tau) - T * T / 4
         )
-    elif p.variant == "sinusoid":
+        return F1, F2
+    if p.variant == "sinusoid":
         om = 2 * np.pi / T
-        F1 = f0 / om * (1.0 - np.cos(om * t_arr))
-        F2 = f0 / om * (t_arr - np.sin(om * t_arr) / om)
-    elif p.variant == "linear_ramp":
-        pre = t_arr <= T
-        F1 = f0 * np.where(pre, 0.5 * t_arr**2 / T, t_arr - T / 2)
-        F2 = f0 * np.where(
-            pre, t_arr**3 / (6 * T), T * T / 6 + 0.5 * t_arr * (t_arr - T)
-        )
-    elif p.variant == "pseudorandom_a":
+        return f0 / om * (1.0 - np.cos(om * t)), f0 / om * (t - np.sin(om * t) / om)
+    if p.variant == "linear_ramp":
+        pre = t <= T
+        F1 = f0 * np.where(pre, 0.5 * np.square(t) / T, t - T / 2)
+        F2 = f0 * np.where(pre, np.power(t, 3) / (6 * T), T * T / 6 + 0.5 * t * (t - T))
+        return F1, F2
+    if p.variant == "pseudorandom_a":
         w = _PRA_ROOTS / T
-        wt = np.outer(w, t_arr)
-        F1 = f0 * np.sum((_PRA_SIGNS / w)[:, None] * np.sin(wt), axis=0)
-        F2 = f0 * np.sum((_PRA_SIGNS / w**2)[:, None] * (1.0 - np.cos(wt)), axis=0)
-    elif p.variant == "pseudorandom_b":
-        a = _PRB_ODD / T
-        b = _PRB_EVEN / T
-        at = np.outer(a, t_arr)
-        bt = np.outer(b, t_arr)
-        F1 = f0 * (
-            np.sum((1.0 - np.cos(at)) / a[:, None], axis=0)
-            + np.sum(np.sin(bt) / b[:, None], axis=0)
-        )
+        wt = t[..., None] * w
+        F1 = f0 * np.sum(_PRA_SIGNS / w * np.sin(wt), axis=-1)
+        F2 = f0 * np.sum(_PRA_SIGNS / w**2 * (1.0 - np.cos(wt)), axis=-1)
+        return F1, F2
+    if p.variant == "pseudorandom_b":
+        a, b = _PRB_ODD / T, _PRB_EVEN / T
+        at, bt = t[..., None] * a, t[..., None] * b
+        F1 = f0 * (np.sum((1.0 - np.cos(at)) / a, axis=-1) + np.sum(np.sin(bt) / b, axis=-1))
         F2 = f0 * (
-            np.sum(t_arr[None, :] / a[:, None] - np.sin(at) / (a**2)[:, None], axis=0)
-            + np.sum((1.0 - np.cos(bt)) / (b**2)[:, None], axis=0)
+            np.sum(t[..., None] / a - np.sin(at) / a**2, axis=-1)
+            + np.sum((1.0 - np.cos(bt)) / b**2, axis=-1)
         )
-    else:  # tabulated
-        F1, F2 = p._table.f1_f2(t_arr)
-
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return float(F1[0]), float(F2[0])
-    return F1, F2
+        return F1, F2
+    return p._table.f1_f2(t)
 
 
 def phi_arrays(p: DrivingProtocol, t):
-    """(phi1(t), phi2(t)) on an array of times, with exact t = 0 limits.
+    """(phi1(t), phi2(t)) in the shape of t, with exact t = 0 limits.
 
     The constant protocol returns phi1 = f0^2 and phi2 = 0 exactly (its
     closed forms, free of the F2/t - F1/2 cancellation noise).
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    _check_times(t_arr)
+    t = np.asarray(t, dtype=float)
+    _check_times(t)
     if p.variant == "constant":
-        return np.full_like(t_arr, p.f0**2), np.zeros_like(t_arr)
-    F1, F2 = f1_f2(p, t_arr)
+        return np.full_like(t, p.f0**2), np.zeros_like(t)
+    F1, F2 = f1_f2(p, t)
+    zero = t == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        phi1 = (F1 / t_arr) ** 2
-        phi2 = (F2 / t_arr - 0.5 * F1) ** 2
-    zero = t_arr == 0.0
-    if np.any(zero):
-        phi1[zero] = float(eval_f(p, 0.0)) ** 2
-        phi2[zero] = 0.0
+        phi1 = np.where(zero, np.square(eval_f(p, 0.0)), np.square(F1 / t))
+        phi2 = np.where(zero, 0.0, np.square(F2 / t - 0.5 * F1))
     return phi1, phi2
 
 
@@ -240,14 +222,11 @@ class _TabulatedIntegrals:
         self.b = b
 
     def f1_f2(self, t: np.ndarray):
-        F1 = np.empty_like(t)
-        F2 = np.empty_like(t)
+        F1 = np.zeros_like(t)  # zero below the table
+        F2 = np.zeros_like(t)
 
-        below = t <= self.t[0]
         above = t >= self.t[-1]
-        inside = ~(below | above)
-        F1[below] = 0.0
-        F2[below] = 0.0
+        inside = ~((t <= self.t[0]) | above)
         F1[above] = self.F1_nodes[-1]
         F2[above] = self.F2_nodes[-1] + self.F1_nodes[-1] * (t[above] - self.t[-1])
 

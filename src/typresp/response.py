@@ -100,7 +100,7 @@ def solve_gamma(
     This is the one-row call of the batched Heun kernel (16 (n + 1) bytes).
     """
     _check_grid(h, n)
-    phi1, phi2 = protocols.phi_arrays(protocol, t_prime)
+    phi1, phi2 = protocols.phi_arrays(protocol, [t_prime])  # a one-row batch
     t_grid = np.arange(n + 1) * h
     v, vdd = profiles.v_of_t(profile, t_grid), profiles.v_second_deriv(profile, t_grid)
     g = _volterra_heun(phi1, phi2, v, vdd, h, np.array([n]))[0]

@@ -68,7 +68,7 @@ def test_c1_constant_phi2_exact():
 def test_c1_linear_ramp_phi1_at_50T():
     f0, T = 0.2, 0.5
     p = protocols.DrivingProtocol(variant="linear_ramp", f0=f0, period=T)
-    phi1 = float(protocols.phi_arrays(p, 50 * T)[0][0])
+    phi1 = float(protocols.phi_arrays(p, 50 * T)[0])
     dev = abs(phi1 / f0**2 - 1.0)
     ok = dev <= 0.02
     assert report("1c ramp phi1 at 50T", ok, f"deviation {dev:.4f} (<= 0.02)")
@@ -89,7 +89,7 @@ def test_c1_linear_ramp_phi2_at_50T():
     f0, T = 0.2, 0.5
     p = protocols.DrivingProtocol(variant="linear_ramp", f0=f0, period=T)
     limit = f0**2 * T**2 / 16
-    phi2 = float(protocols.phi_arrays(p, 50 * T)[1][0])
+    phi2 = float(protocols.phi_arrays(p, 50 * T)[1])
     dev_quad = abs(phi2 / ramp_phi2_by_quadrature(p, 50 * T) - 1.0)
     dev_closed = abs(phi2 / (f0**2 * T**2 * (1 / 4 - 1 / 300) ** 2) - 1.0)
     ts = T * np.geomspace(67.0, 1e4, 40)
@@ -158,8 +158,8 @@ def test_c3_dual_route_agreement():
     ]
     sups = []
     for profile, proto, tp in triples:
-        phi1, phi2 = (float(x[0]) for x in protocols.phi_arrays(proto, tp))
-        r = float(ap.r_scale_array(profile, proto, tp)[0])
+        phi1, phi2 = (float(x) for x in protocols.phi_arrays(proto, tp))
+        r = float(ap.r_scale_array(profile, proto, tp))
         span = 5 * max(r, profiles.moment(profile, 0))
         e = np.linspace(-span, span, 4000)
         eta = ap.default_eta(e)
@@ -219,7 +219,7 @@ def test_c4_bessel_matches_solver_when_margin_valid():
     sups, margins = [], []
     for f0 in (0.08, 0.1, 0.2):
         proto = protocols.DrivingProtocol(variant="constant", f0=f0)
-        r = float(ap.r_scale_array(p, proto, 1.0)[0])
+        r = float(ap.r_scale_array(p, proto, 1.0))
         margins.append(r / profiles.moment(p, 0))
         h = min(1.0 / profiles.moment(p, 0), 1.0 / r) / 80
         n = int(np.ceil(3.8317 / r / h)) + 10

@@ -68,6 +68,9 @@ def test_j1_first_zero():
 def test_strong_driving_gamma_limits():
     assert ap.strong_driving_gamma(2.0, 0.0) == 1.0
     assert ap.strong_driving_gamma(0.0, 5.0) == 1.0
+    for r in (0.0, 2.0):
+        with pytest.raises(ValueError, match="time"):
+            ap.strong_driving_gamma(r, -1.0)
     x = np.linspace(0, 2, 50)
     series = 1 - (3.0 * x) ** 2 / 8 + (3.0 * x) ** 4 / 192
     vals = ap.strong_driving_gamma(3.0, x)
@@ -93,14 +96,14 @@ def test_strong_driving_envelope_exponent():
 def test_r_scale_zero_without_driving():
     p = exp_profile()
     proto = protocols.DrivingProtocol(variant="constant", f0=0.0)
-    assert ap.r_scale_array(p, proto, 1.0)[0] == 0.0
+    assert ap.r_scale_array(p, proto, 1.0) == 0.0
 
 
 def test_r_scale_step_half_period():
     p = exp_profile()
     f0, T = 0.08, 0.6
     proto = protocols.DrivingProtocol(variant="step", f0=f0, period=T)
-    r = float(ap.r_scale_array(p, proto, T / 2)[0])
+    r = float(ap.r_scale_array(p, proto, T / 2))
     assert r == pytest.approx(f0 * np.sqrt(8 * p.v0 * p.d0 * p.delta_v), rel=1e-12)
     assert r / profiles.moment(p, 0) == pytest.approx(r / (2 * p.delta_v), rel=1e-12)
 
@@ -120,8 +123,8 @@ def test_r_scale_validity_flag():
     strong = protocols.DrivingProtocol(variant="constant", f0=0.2)
     weak = protocols.DrivingProtocol(variant="constant", f0=0.01)
     s0 = profiles.moment(p, 0)
-    assert ap.r_scale_array(p, strong, 1.0)[0] / s0 > ap.VALID_MARGIN
-    assert not ap.r_scale_array(p, weak, 1.0)[0] / s0 > ap.VALID_MARGIN
+    assert ap.r_scale_array(p, strong, 1.0) / s0 > ap.VALID_MARGIN
+    assert not ap.r_scale_array(p, weak, 1.0) / s0 > ap.VALID_MARGIN
 
 
 # --- fast driving ----------------------------------------------------------------
@@ -291,8 +294,8 @@ def test_semicircle_fourier_is_bessel():
 def test_dual_route_matches_time_domain():
     p = exp_profile()
     proto = protocols.DrivingProtocol(variant="step", f0=0.05, period=1.0)
-    phi1, phi2 = (float(x[0]) for x in protocols.phi_arrays(proto, 0.6))
-    r = float(ap.r_scale_array(p, proto, 0.6)[0])
+    phi1, phi2 = (float(x) for x in protocols.phi_arrays(proto, 0.6))
+    r = float(ap.r_scale_array(p, proto, 0.6))
     e = grid_for(r, profiles.moment(p, 0))
     eta = ap.default_eta(e)
     rg = ap.resolvent_solve(p, phi1, phi2, e, eta)
@@ -372,20 +375,62 @@ def test_vectorised_columns_match_pointwise_calls(case):
         np.testing.assert_allclose(cols[name], ref, rtol=1e-12, atol=0.0, err_msg=name)
 
 
-def test_scalar_arguments_return_floats():
-    p = exp_profile()
-    proto = protocols.DrivingProtocol(variant="step", f0=0.05, period=0.5)
-    for val in (
-        ap.strong_driving_gamma(2.0, 0.7),
-        ap.fast_driving_gamma(p, proto, 0.7, 0.3),
-        ap.weak_fast_gamma(p, proto, 0.7, 0.3),
-    ):
-        assert type(val) is float
-    rates = ap.fast_rates(p, proto, 0.3)
-    assert type(rates.r_hat) is float and type(rates.r_plus1) is complex
-    # array t' broadcasts against a scalar t and against an equal-length t
-    tp = np.array([0.1, 0.3, 0.9])
-    assert ap.fast_driving_gamma(p, proto, 0.7, tp).shape == (3,)
-    assert ap.weak_fast_gamma(p, proto, tp, tp).shape == (3,)
-    assert ap.strong_driving_gamma(np.array([1.0, 2.0]), 0.5).shape == (2,)
-    assert ap.fast_rates(p, proto, tp).r_plus1[1] == rates.r_plus1
+def time_functions(p, proto):
+    """Each function of time (or energy) under test, as a map of one argument."""
+    e = np.linspace(-12.0, 12.0, 2401)
+    rg = ap.ResolventGrid(e_grid=e, eta=0.04, g=ap.resolvent_closed_form(2.0, e - 0.04j))
+    return {
+        "eval_f": lambda t: protocols.eval_f(proto, t),
+        "F1": lambda t: protocols.f1_f2(proto, t)[0],
+        "F2": lambda t: protocols.f1_f2(proto, t)[1],
+        "phi1": lambda t: protocols.phi_arrays(proto, t)[0],
+        "phi2": lambda t: protocols.phi_arrays(proto, t)[1],
+        "vtilde": p.vtilde,
+        "v_of_t": lambda t: profiles.v_of_t(p, t),
+        "v_second_deriv": lambda t: profiles.v_second_deriv(p, t),
+        "r_scale_array": lambda t: ap.r_scale_array(p, proto, t),
+        "strong_driving_gamma": lambda t: ap.strong_driving_gamma(ap.r_scale_array(p, proto, t), t),
+        "strong_driving_gamma(r, 0.7)":
+            lambda t: ap.strong_driving_gamma(ap.r_scale_array(p, proto, t), 0.7),
+        "r_hat": lambda t: ap.fast_rates(p, proto, t).r_hat,
+        "r_minus1": lambda t: ap.fast_rates(p, proto, t).r_minus1,
+        "r_plus1": lambda t: ap.fast_rates(p, proto, t).r_plus1,
+        "fast_driving_gamma": lambda t: ap.fast_driving_gamma(p, proto, t, t),
+        "fast_driving_gamma(t, 0.7)": lambda t: ap.fast_driving_gamma(p, proto, t, 0.7),
+        "fast_driving_gamma(0.7, t')": lambda t: ap.fast_driving_gamma(p, proto, 0.7, t),
+        "weak_fast_gamma": lambda t: ap.weak_fast_gamma(p, proto, t, t),
+        "weak_fast_gamma(t, 0.7)": lambda t: ap.weak_fast_gamma(p, proto, t, 0.7),
+        "gamma_from_resolvent": lambda t: ap.gamma_from_resolvent(rg, t),
+        "resolvent_closed_form": lambda t: ap.resolvent_closed_form(2.0, t - 3.0 - 0.05j),
+    }
+
+
+def test_functions_of_time_broadcast_bitwise():
+    # one path for every shape: a scalar gives a 0-d result and a (k, n)
+    # argument its own shape, each element bit for bit the 1-d call's
+    e = np.linspace(0.0, 3.0, 301)
+    tab_profile = profiles.PerturbationProfile(
+        variant="tabulated", d0=512.0, energies=e, values=np.exp(-e / 0.5))
+    times = np.linspace(0.0, 3.0, 31)  # f(0) != 0 and t past the table: both limits
+    tab_proto = protocols.DrivingProtocol(variant="tabulated", times=times,
+                                          values=0.05 * np.cos(2.0 * times))
+    cases = {
+        "pseudorandom_a": (exp_profile(), protocols.DrivingProtocol(
+            variant="pseudorandom_a", f0=0.05, period=0.5)),
+        "pseudorandom_b": (exp_profile(), protocols.DrivingProtocol(
+            variant="pseudorandom_b", f0=0.05, period=0.5)),
+        "tabulated": (tab_profile, tab_proto),
+    }
+    t1 = np.append(np.linspace(0.0, 4.0, 401), 7.0)  # 1-ulp slips are rare: many points
+    t2 = np.stack([t1, t1[::-1]])
+    for case, (p, proto) in cases.items():
+        for name, fn in time_functions(p, proto).items():
+            ref = np.asarray(fn(t1))
+            assert ref.shape == t1.shape, (case, name)
+            for i, t in enumerate(t1):
+                one = np.asarray(fn(float(t)))
+                assert one.shape == () and one.dtype == ref.dtype, (case, name)
+                assert one.tobytes() == ref[i].tobytes(), (case, name, t)
+            two = np.asarray(fn(t2))
+            assert two.shape == t2.shape, (case, name)
+            assert two.tobytes() == np.stack([ref, ref[::-1]]).tobytes(), (case, name)

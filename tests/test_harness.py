@@ -66,6 +66,27 @@ def respond_cfg():
     }
 
 
+def strong_scale_cfg(protocol=None):
+    return {
+        "scenario": "strong_scale",
+        "profile": {"variant": "exponential", "v0": 1.0, "delta_v": 0.5, "d0": 128.0},
+        "protocol": protocol or {"variant": "step", "f0": 0.08, "period": 0.5},
+        "grid": {"t_max": 1.0, "n_out": 20},
+    }
+
+
+def quench_cfg():
+    ramp = {"variant": "linear_ramp", "f0": 0.2, "period": 0.5}
+    return {**strong_scale_cfg(ramp), "scenario": "quench_asymptotics"}
+
+
+def table_csv(first, second):
+    """A bad value: the path of a two-column CSV, written into the test's tmp_path."""
+    def write(tmp_path):
+        return str(harness.write_csv(tmp_path / "table.csv", {"x": first, "y": second}))
+    return write
+
+
 def set_field(cfg, dotted, value):
     """Copy of cfg with the dotted field set to value (missing parents are added)."""
     cfg = copy.deepcopy(cfg)
@@ -201,6 +222,12 @@ BAD_FIELDS = [
     # the window [-128, 32] holds every level, but the nearest, E = 0, is 12 delta_e
     # away: its filter weight exp(-36) is under rmt.FILTER_CUT
     ("eth_wide", "model.initial_state.e_center", -48.0),
+    ("strong_scale", "profile.d0", None),  # no model measures it
+    ("quench", "protocol.variant", "step"),  # the asymptotics are the linear ramp's
+    pytest.param("tab_profile", "profile.table",
+                 table_csv(np.linspace(0.5, 5.0, 10), np.ones(10)), id="profile_from_0.5"),
+    pytest.param("tab_protocol", "protocol.table",
+                 table_csv([0.0, 2.0, 1.0], [0.1, 0.2, 0.3]), id="protocol_times_decrease"),
 ]
 
 
@@ -209,8 +236,11 @@ def test_bad_field_fails_at_load(tmp_path, monkeypatch, which, field, bad):
     monkeypatch.setattr(rmt, "sample_v", _must_not_run)
     base = {"fidelity": small_fidelity_cfg, "eth": small_eth_cfg,
             "eth_wide": lambda: {**small_eth_cfg(), "window_halfwidth_factor": 20.0},
-            "trotter": small_trotter_cfg}[which]()
-    cfg = set_field(base, field, bad)
+            "trotter": small_trotter_cfg, "strong_scale": strong_scale_cfg, "quench": quench_cfg,
+            "tab_profile": lambda: set_field(small_fidelity_cfg(), "profile",
+                                             {"variant": "tabulated", "d0": None}),
+            "tab_protocol": lambda: strong_scale_cfg({"variant": "tabulated"})}[which]()
+    cfg = set_field(base, field, bad(tmp_path) if callable(bad) else bad)
     with pytest.raises(ConfigError, match=re.escape(field)):
         harness.validate_scenario_config(cfg)
     with pytest.raises(ConfigError, match=re.escape(field)):
@@ -397,6 +427,8 @@ def test_compare_window_validation():
         harness.compare(t, t, t, (0.5, 2.0))
     with pytest.raises(GridMismatchError):
         harness.compare(t, t, t[:5], (0.0, 1.0))
+    with pytest.raises(ValueError, match=re.escape("window [0.05, 0.08] holds no grid point")):
+        harness.compare(t, t, t, (0.05, 0.08))
 
 
 # --- scenario runs ----------------------------------------------------------------
@@ -556,6 +588,15 @@ def test_sweep_checks_every_variation_first(tmp_path, monkeypatch):
             harness.run_sweep(bad, tmp_path)
 
 
+def test_sweep_checks_cross_field_rules_first(tmp_path):
+    # the second variation breaks a rule of the scenario, not of the schema
+    cfg = {"sweep": {"base": quench_cfg(),
+                     "variations": [{"protocol.f0": 0.1}, {"protocol.variant": "step"}]}}
+    with pytest.raises(ConfigError, match=r"protocol\.variant"):
+        harness.run_sweep(cfg, tmp_path)
+    assert not (tmp_path / "var_000").exists()
+
+
 # --- package --------------------------------------------------------------------
 
 
@@ -622,6 +663,15 @@ def test_cli_sweep_seed_override(tmp_path, capsys):
     assert rc == 0
     meta = json.loads((tmp_path / "out" / "var_000" / "simulation.csv.meta.json").read_text())
     assert meta["config"]["seed"] == 5
+
+
+@pytest.mark.parametrize("command", ["respond", "approx", "compare"])
+def test_cli_seed_only_where_read(tmp_path, command):
+    path = write_cfg(tmp_path, respond_cfg())
+    with pytest.raises(SystemExit) as exc:  # argparse rejects it as any unknown flag
+        cli.main([command, "--config", str(path), "--out", str(tmp_path / "o"), "--seed", "7"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_respond_and_approx(tmp_path, capsys):

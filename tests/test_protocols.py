@@ -191,8 +191,8 @@ def test_phi_at_zero_limits():
 def test_phi_nonnegative(variant, f0, period, t):
     p = make(variant, f0=f0, period=period)
     phi1, phi2 = protocols.phi_arrays(p, t)
-    assert phi1[0] >= 0.0
-    assert phi2[0] >= 0.0
+    assert phi1 >= 0.0
+    assert phi2 >= 0.0
 
 
 def test_phi_arrays_match_scalar():
@@ -201,8 +201,8 @@ def test_phi_arrays_match_scalar():
     phi1, phi2 = protocols.phi_arrays(p, ts)
     for i, t in enumerate(ts):
         one1, one2 = protocols.phi_arrays(p, float(t))
-        assert phi1[i] == one1[0]
-        assert phi2[i] == one2[0]
+        assert phi1[i] == one1
+        assert phi2[i] == one2
 
 
 # --- structure ----------------------------------------------------------------
