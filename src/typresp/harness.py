@@ -472,9 +472,8 @@ def _build_model(cfg: dict, spec: rmt.SpectrumSpec,
             energies, spec.e_top, obs["a0_plus"], obs["a0_minus"], seed
         )
     psi = rmt.build_initial_state(energies, master_seed=seed, observable=observable, **state)
-    derived = rmt.reference_constants(
-        energies, np.real(np.diag(observable)), np.abs(psi) ** 2, _occupied_window(cfg)
-    )
+    derived = rmt.reference_constants(energies, observable, np.abs(psi) ** 2,
+                                      _occupied_window(cfg))
     return rmt.RandomMatrixModel(energies, v, observable, psi), derived
 
 

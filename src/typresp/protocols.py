@@ -209,7 +209,6 @@ class _TabulatedIntegrals:
 
     def __init__(self, times: np.ndarray, values: np.ndarray):
         self.t = times
-        self.v = values
         dt = np.diff(times)
         seg_f1 = 0.5 * (values[:-1] + values[1:]) * dt  # exact trapezoid per segment
         self.F1_nodes = np.concatenate(([0.0], np.cumsum(seg_f1)))

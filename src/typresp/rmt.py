@@ -3,16 +3,22 @@
 Builds H(t) = H0 + f(t) V with a diagonal H0 (flat or cosine-modulated level
 spacings), a banded random Hermitian V whose element variances follow a
 configured band profile, and an observable that is either the projector on
-the initial eigenstate (survival probability) or a two-sector smooth
-diagonal with GUE fluctuations.  Propagation is exact: piecewise-constant
-protocols are evolved in the eigenbasis of each distinct H0 + f V, smooth
-protocols by split-step e^{-iH0 h/2} e^{-if(t_mid)V h} e^{-iH0 h/2} with the
-eigendecomposition of V cached once.  Every eigendecomposition is one call
-of scipy's `evr` (MRRR) driver.  A piecewise run first chains the segments,
-keeping the start coefficients of those that hold outputs, then reads out
-all outputs of one f value together, one GEMM per 64 of them.  Every route,
-the undriven series included, hands its states to one readout of <A>, <H0>
-and the norm, and the norm is checked at every output.
+the initial eigenstate (survival probability), kept as its real diagonal (a
+1-d observable is diagonal in the H0 eigenbasis and read out as a weighted
+sum of populations), or a dense two-sector smooth diagonal with GUE
+fluctuations.  Propagation is exact: piecewise-constant protocols are
+evolved in the eigenbasis of each distinct H0 + f V, smooth protocols by
+split-step e^{-iH0 h/2} e^{-if(t_mid)V h} e^{-iH0 h/2}.  The split step runs
+in the eigenbasis V = u w u^H, where the two H0 half-steps of neighbouring
+steps fold into one step matrix M = u^H e^{-iH0 h} u, formed once by column
+blocks: each step is one matrix-vector product d <- e^{-if(t_mid) w h} M d,
+and the state y d with y = e^{-iH0 h/2} u is formed only at outputs.  Every
+eigendecomposition is one call of scipy's `evr` (MRRR) driver.  A piecewise
+run first chains the segments, keeping the start coefficients of those that
+hold outputs, then reads out all outputs of one f value together.  Every
+route, the undriven series included, hands its states to one readout of
+<A>, <H0> and the norm, one GEMM per 64 outputs, and the norm is checked at
+every output as its block is read out, naming the first t that drifted.
 
 All randomness flows from one 64-bit master seed through named PCG64
 substreams (one per matrix/vector), so adding an observable never perturbs
@@ -169,9 +175,9 @@ def build_eth_observable(
 
 
 def fidelity_observable(m: int, index: int) -> np.ndarray:
-    """Projector |index><index| as a dense Hermitian matrix (survival probability)."""
-    a = np.zeros((m, m), dtype=complex)
-    a[index, index] = 1.0
+    """Projector |index><index| (survival probability), as its real diagonal."""
+    a = np.zeros(m)
+    a[index] = 1.0
     return a
 
 
@@ -198,7 +204,7 @@ def build_initial_state(
     The filtered kind draws |phi> Haar-random (optionally restricted to the
     even-mu '+' sector), applies Q (identity or 1 + kappa*A), then the
     diagonal Gaussian filter exp(-(E_mu - e_center)^2 / 4 delta_e^2), and
-    normalizes.  Operator order: filter after Q.
+    normalizes.  Operator order: filter after Q.  A 1-d observable is diagonal.
     """
     m = len(energies)
     if kind not in STATE_KINDS or sector not in SECTORS or q not in Q_KINDS:
@@ -218,7 +224,7 @@ def build_initial_state(
     if q == "one_plus_kappa_a":
         if observable is None:
             raise ValueError("Q = 1 + kappa*A needs the observable matrix")
-        phi = phi + kappa * (observable @ phi)
+        phi = phi + kappa * (observable * phi if observable.ndim == 1 else observable @ phi)
     psi = filter_weights(energies, e_center, delta_e) * phi
     nrm = np.linalg.norm(psi)
     if nrm < FILTER_CUT * np.linalg.norm(phi):
@@ -228,7 +234,11 @@ def build_initial_state(
 
 @dataclass
 class RandomMatrixModel:
-    """A fully sampled model: the H0 levels, V, the observable and the initial state."""
+    """A fully sampled model: the H0 levels, V, the observable and the initial state.
+
+    The observable is a dense Hermitian matrix, or the real diagonal of a
+    diagonal one (1-d).
+    """
 
     energies: np.ndarray
     v_matrix: np.ndarray
@@ -236,20 +246,28 @@ class RandomMatrixModel:
     initial_state: np.ndarray
 
 
+def _diagonal(observable: np.ndarray) -> np.ndarray:
+    """Real diagonal of an observable; a 1-d observable is its own diagonal."""
+    return observable if observable.ndim == 1 else np.real(np.diag(observable))
+
+
 def reference_constants(
     energies: np.ndarray,
-    observable_diag: np.ndarray,
+    observable: np.ndarray,
     rho_diag: np.ndarray,
     window: Optional[tuple],
 ) -> dict:
     """Thermal and long-time reference values of the observable.
 
-    a_th averages the observable diagonal over the occupied window, a_bar0 is
-    the diagonal-ensemble (infinite-time) average, a_inf the trace average.
-    d0_window counts levels per unit energy in the window.  a_th and
-    d0_window sensitivity at 1.5x and 3x window width is reported alongside.
+    Only the observable's diagonal enters, so a 1-d observable (a diagonal)
+    serves as well as the dense matrix.  a_th averages the diagonal over the
+    occupied window, a_bar0 is the diagonal-ensemble (infinite-time)
+    average, a_inf the trace average.  d0_window counts levels per unit
+    energy in the window.  a_th and d0_window sensitivity at 1.5x and 3x
+    window width is reported alongside.
     """
     m = len(energies)
+    observable_diag = _diagonal(observable)
     a_inf = float(np.sum(observable_diag)) / m
     a_bar0 = float(np.dot(rho_diag, observable_diag))
     out = {"a_bar0": a_bar0, "a_inf": a_inf}
@@ -290,7 +308,7 @@ class TrajectoryResult:
     step: Optional[float] = None
 
 
-# output times per GEMM: bounds the m x _BLOCK complex temporaries of _series
+# output times (or columns) per GEMM: bounds the m x _BLOCK complex temporaries
 _BLOCK = 64
 
 
@@ -309,7 +327,10 @@ def _eigh(h: np.ndarray) -> tuple:
 def _readout(model: RandomMatrixModel, states: np.ndarray) -> np.ndarray:
     """Rows <A>, <H0> and norm of the state columns."""
     probs = np.abs(states) ** 2
-    a = np.einsum("ij,ij->j", states.conj(), model.observable @ states).real
+    if model.observable.ndim == 1:
+        a = model.observable @ probs
+    else:
+        a = np.einsum("ij,ij->j", states.conj(), model.observable @ states).real
     return np.stack((a, model.energies @ probs, np.sqrt(probs.sum(axis=0))))
 
 
@@ -420,21 +441,32 @@ def _propagate_trotter(model, protocol, t_grid, step):
     if not np.allclose(np.diff(t_grid), dt_out, rtol=1e-9):
         raise ConfigError("split-step propagation needs a uniform output grid")
     n_sub, h = split_step(protocol, dt_out, step, float(t_grid[-1]))
-    w, u = _eigh(model.v_matrix)
-    half = np.exp(-1j * model.energies * (h / 2.0))
     psi = model.initial_state
     out = np.empty((3, len(t_grid)))
     out[:, :1] = _check_norm(_readout(model, psi[:, None]), t_grid[:1])
-    n_steps = (len(t_grid) - 1) * n_sub
-    f_mid = protocols.eval_f(protocol, (np.arange(n_steps) + 0.5) * h)
-    for k in range(n_steps):
-        psi = half * psi
-        psi = u @ (np.exp(-1j * f_mid[k] * w * h) * _to_basis(u, psi))
-        psi = half * psi
-        if (k + 1) % n_sub == 0:
-            oi = (k + 1) // n_sub
-            out[:, oi : oi + 1] = _check_norm(_readout(model, psi[:, None]),
-                                              t_grid[oi : oi + 1])
+    # The step e^{-iH0h/2} u P_k u^H e^{-iH0h/2}, P_k = e^{-i f_mid[k] w h}, in
+    # V's eigenbasis: with y = e^{-iH0h/2} u and M = y^H e^{-iH0h} y
+    # (= u^H e^{-iH0h} u), the state after step k is y c_k, c_k = P_k d and
+    # d <- M c_k, starting from d = y^H e^{-iH0h} psi0.
+    w, y = _eigh(model.v_matrix)
+    y *= np.exp(-1j * model.energies * (h / 2.0))[:, None]
+    full = np.exp(-1j * model.energies * h)
+    step_matrix = np.empty_like(y)
+    for s in range(0, len(w), _BLOCK):  # by column blocks: no third m x m array
+        step_matrix[:, s : s + _BLOCK] = _to_basis(y, full[:, None] * y[:, s : s + _BLOCK])
+    n_out = len(t_grid) - 1
+    f_mid = protocols.eval_f(protocol, (np.arange(n_out * n_sub) + 0.5) * h)
+    d = _to_basis(y, full * psi)
+    block = np.empty((len(w), _BLOCK), dtype=complex, order="F")  # c at outputs, by column
+    for s in range(0, n_out, _BLOCK):
+        f_blk = f_mid[s * n_sub : (s + _BLOCK) * n_sub].reshape(-1, n_sub)  # one row per output
+        for j, f_out in enumerate(f_blk):
+            for fk in f_out:
+                c = np.exp(-1j * fk * w * h) * d
+                d = step_matrix @ c
+            block[:, j] = c
+        outs = slice(s + 1, s + 1 + len(f_blk))
+        out[:, outs] = _check_norm(_readout(model, y @ block[:, : len(f_blk)]), t_grid[outs])
     return out, h
 
 
@@ -449,7 +481,8 @@ def propagate(
 
     piecewise_exact: one eigendecomposition per distinct f value (constant
     and step protocols only); trotter: second-order split step with the
-    midpoint f value and V's eigenbasis cached once (any protocol).
+    midpoint f value, one matrix-vector product per step in V's eigenbasis
+    (any protocol).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:

@@ -2,10 +2,13 @@
 
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from typresp import profiles, protocols, rmt
@@ -24,6 +27,12 @@ def small_fidelity_model(m=256, eps=1.0 / 64, f_seed=1, dv=0.5):
     a = rmt.fidelity_observable(m, m // 2)
     psi = rmt.build_initial_state(e, "eigenstate", f_seed, index=m // 2)
     return rmt.RandomMatrixModel(energies=e, v_matrix=v, observable=a, initial_state=psi)
+
+
+def dense_observable(model):
+    """The model's observable as a dense matrix (a 1-d observable is diagonal)."""
+    a = model.observable
+    return np.diag(a).astype(complex) if a.ndim == 1 else a
 
 
 # --- spectra -------------------------------------------------------------------
@@ -170,10 +179,16 @@ def test_eigenstate_bounds():
 # --- references --------------------------------------------------------------------
 
 
+def test_fidelity_observable_is_the_projector_diagonal():
+    a = rmt.fidelity_observable(8, 3)
+    assert a.shape == (8,) and a.dtype == float
+    np.testing.assert_array_equal(np.diag(a), np.outer(np.eye(8)[3], np.eye(8)[3]))
+
+
 def test_reference_constants_fidelity():
     model = small_fidelity_model()
     m = len(model.energies)
-    refs = rmt.reference_constants(model.energies, np.real(np.diag(model.observable)),
+    refs = rmt.reference_constants(model.energies, model.observable,
                                    np.abs(model.initial_state) ** 2, None)
     # observable projects on the initial state: diagonal ensemble stays 1
     assert refs["a_bar0"] == 1.0
@@ -268,6 +283,96 @@ def expm_loop(model, protocol, t_grid):
     return np.array(rows).T
 
 
+def split_step_loop(model, protocol, t_grid, step):
+    """<A>, <H0>, norm by the split step with two GEMVs (u^H, then u) per step."""
+    n_sub, h = rmt.split_step(protocol, float(t_grid[1] - t_grid[0]), step, float(t_grid[-1]))
+    w, u = rmt._eigh(model.v_matrix)
+    half = np.exp(-1j * model.energies * (h / 2.0))
+    obs = dense_observable(model)
+
+    def row(psi):
+        return (np.vdot(psi, obs @ psi).real, np.vdot(psi, model.energies * psi).real,
+                np.linalg.norm(psi))
+
+    psi = model.initial_state
+    rows = [row(psi)]
+    f_mid = protocols.eval_f(protocol, (np.arange((len(t_grid) - 1) * n_sub) + 0.5) * h)
+    for k, fk in enumerate(f_mid):
+        psi = half * psi
+        psi = u @ (np.exp(-1j * fk * w * h) * (u.conj().T @ psi))
+        psi = half * psi
+        if (k + 1) % n_sub == 0:
+            rows.append(row(psi))
+    return np.array(rows).T
+
+
+def assert_rows_match(traj, ref, atol):
+    np.testing.assert_allclose(traj.a_series, ref[0], rtol=0.0, atol=atol)
+    np.testing.assert_allclose(traj.h0_series, ref[1], rtol=0.0, atol=atol)
+    np.testing.assert_allclose(traj.norm_series, ref[2], rtol=0.0, atol=atol)
+
+
+@pytest.mark.parametrize("make_model", [small_eth_model, small_fidelity_model])
+def test_trotter_matches_two_gemv_split_step(make_model):
+    # a non-diagonal A exercises the e^{-iH0h/2} phase of the output state;
+    # 200 outputs cross two readout blocks, and n_sub = 3 puts steps between them
+    model = make_model()
+    proto = protocols.DrivingProtocol(variant="sinusoid", f0=0.3, period=0.7)
+    t = np.linspace(0.0, 2.0, 201)
+    traj = rmt.propagate(model, proto, t, method="trotter", step=0.004)
+    assert traj.step == pytest.approx(0.01 / 3, rel=1e-12)
+    assert_rows_match(traj, split_step_loop(model, proto, t, 0.004), 1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(4, 96), n_sub=st.integers(1, 4), n_out=st.integers(1, 150),
+       kind=st.sampled_from(["eth", "fidelity"]))
+def test_trotter_matches_two_gemv_split_step_any_size(m, n_sub, n_out, kind):
+    model = small_eth_model(m=m - m % 2) if kind == "eth" else small_fidelity_model(m=m)
+    proto = protocols.DrivingProtocol(variant="sinusoid", f0=0.3, period=0.7)
+    t = np.linspace(0.0, 0.02 * n_out, n_out + 1)
+    traj = rmt.propagate(model, proto, t, method="trotter", step=0.02 / n_sub)
+    assert traj.step == pytest.approx(0.02 / n_sub, rel=1e-9)
+    assert_rows_match(traj, split_step_loop(model, proto, t, 0.02 / n_sub), 1e-12)
+
+
+def test_trotter_memory_stays_two_matrices_and_blocks():
+    # V's eigenvectors and the step matrix are the two m x m arrays; the
+    # rest is m x 64 blocks (bound: six of them), never a third m x m array
+    m = 512
+    model = small_eth_model(m=m)
+    proto = protocols.DrivingProtocol(variant="sinusoid", f0=0.3, period=0.7)
+    t = np.linspace(0.0, 1.0, 101)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        rmt.propagate(model, proto, t, method="trotter", step=0.01)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak < (2 * m + 6 * 64) * m * 16
+
+
+@pytest.mark.parametrize("method", ["piecewise_exact", "trotter"])
+def test_diagonal_fidelity_readout_matches_dense_projector(method):
+    model = small_fidelity_model(m=128)
+    dense = rmt.RandomMatrixModel(model.energies, model.v_matrix, dense_observable(model),
+                                  model.initial_state)
+    proto = protocols.DrivingProtocol(variant="step", f0=0.2, period=0.5)
+    t = np.linspace(0.0, 2.0, 81)
+    traj = rmt.propagate(model, proto, t, method=method, step=0.005)
+    ref = rmt.propagate(dense, proto, t, method=method, step=0.005)
+    np.testing.assert_allclose(traj.a_series, ref.a_series, rtol=0.0, atol=1e-15)
+    np.testing.assert_array_equal(traj.h0_series, ref.h0_series)
+    np.testing.assert_array_equal(traj.norm_series, ref.norm_series)
+    # the readout of a diagonal observable is the population of its index
+    states = np.random.default_rng(3).standard_normal((128, 70)) * (1 + 0.5j)
+    states /= np.linalg.norm(states, axis=0)
+    rows = rmt._readout(model, states)
+    np.testing.assert_allclose(rows[0], np.abs(states[64]) ** 2, rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(rmt._readout(dense, states)[0], rows[0], rtol=0.0, atol=1e-15)
+
+
 def test_readout_blocks_match_per_time_loops():
     # 100 outputs per segment: each segment crosses a 64-output block
     # boundary, and the grid crosses two segment switches
@@ -282,10 +387,7 @@ def test_readout_blocks_match_per_time_loops():
                                                abs=1e-12)
     proto = protocols.DrivingProtocol(variant="step", f0=0.3, period=2.0)
     traj = rmt.propagate(model, proto, t, method="piecewise_exact")
-    ref = expm_loop(model, proto, t)
-    np.testing.assert_allclose(traj.a_series, ref[0], rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(traj.h0_series, ref[1], rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(traj.norm_series, ref[2], rtol=0.0, atol=1e-12)
+    assert_rows_match(traj, expm_loop(model, proto, t), 1e-12)
     np.testing.assert_array_equal(traj.undriven_a_series, undriven[0])
     np.testing.assert_array_equal(traj.undriven_h0_series, undriven[1])
 
@@ -309,10 +411,7 @@ def test_batched_readout_matches_expm_loop(grid):
     kwargs, t = PIECEWISE_GRIDS[grid]
     proto = protocols.DrivingProtocol(**kwargs)
     traj = rmt.propagate(model, proto, t, method="piecewise_exact")
-    ref = expm_loop(model, proto, t)
-    np.testing.assert_allclose(traj.a_series, ref[0], rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(traj.h0_series, ref[1], rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(traj.norm_series, ref[2], rtol=0.0, atol=1e-12)
+    assert_rows_match(traj, expm_loop(model, proto, t), 1e-12)
 
 
 def test_eigh_residual_orthonormality_and_eigenvalues():
@@ -332,6 +431,18 @@ def test_cli_import_leaves_scipy_linalg_unloaded():
     code = "import sys, typresp.cli; sys.exit('scipy.linalg' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], cwd=src, timeout=60)
     assert proc.returncode == 0
+
+
+def test_trotter_norm_drift_names_first_bad_output(monkeypatch):
+    # eigenvectors scaled by s = 1 + 1e-8 grow the norm to s^(2k) after k
+    # steps: it passes NORM_TOL between outputs 4 (k = 48) and 5 (k = 60),
+    # inside the first readout block
+    eigh = rmt._eigh
+    monkeypatch.setattr(rmt, "_eigh", lambda h: (lambda w, u: (w, (1 + 1e-8) * u))(*eigh(h)))
+    model = small_fidelity_model(m=64)
+    proto = protocols.DrivingProtocol(variant="sinusoid", f0=0.1, period=0.5)
+    with pytest.raises(NormDriftError, match=r"norm drifted to 1\.000001200001 at t = 0\.3$"):
+        rmt.propagate(model, proto, np.linspace(0.0, 2.4, 41), method="trotter", step=0.005)
 
 
 @pytest.mark.parametrize("method", ["piecewise_exact", "trotter"])
@@ -390,7 +501,7 @@ def auxiliary_magnus_check(model, protocol, t_prime, t_grid):
     c = u.conj().T @ model.initial_state
     states = u @ (np.exp(-1j * np.outer(w, t_grid)) * c[:, None])
     assert np.all(np.abs(np.linalg.norm(states, axis=0) - 1.0) <= rmt.NORM_TOL)
-    return np.einsum("ij,ij->j", states.conj(), model.observable @ states).real
+    return np.einsum("ij,ij->j", states.conj(), dense_observable(model) @ states).real
 
 
 def test_auxiliary_hamiltonian_limits():
