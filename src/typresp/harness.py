@@ -2,13 +2,14 @@
 
 Configs are YAML with nested sections; `render_config` round-trips through
 `parse_config`.  One schema table per section gives each key's check, default
-and whether it is required; every entry point checks its config through
-`_checked`, so an unknown key, a missing key or a bad value is a `ConfigError`
-naming the dotted field before any model is sampled or solver runs.  Keys that
-pass straight to a library call stay absent when not given, so that call's
-default is the only one.  Every CSV is written with 17-significant-digit floats
-(bit-exact round trips) and carries a JSON metadata sidecar with the raw config
-echo, seeds, versions, and derived constants needed to re-run it.
+and whether it is required: an unknown, missing or never-read key or a bad
+value is a `ConfigError` naming the dotted field.  `_plan` checks a `simulate`
+config and builds each of its inputs once, before any model is sampled; the
+scenario runners take that plan and build nothing.  Keys that pass straight
+to a library call stay absent when not given, so that call's default is the
+only one.  Every CSV is written with 17-significant-digit floats (bit-exact
+round trips) and carries a JSON metadata sidecar with the raw config echo,
+seeds, versions, and derived constants needed to re-run it.
 
 Scenarios
 ---------
@@ -26,12 +27,13 @@ double_pretherm     two-sector model whose driven dynamics passes through
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import math
 import operator
 import sys
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy
@@ -98,7 +100,7 @@ _OMIT = object()  # an absent key stays absent, so the library call's own defaul
 
 
 def _req(check, when: Callable = lambda section: True) -> tuple:
-    """A key that must be present if when(the keys above it, checked) holds."""
+    """A key that is given exactly when when(the keys above it, checked) holds."""
     return check, _OMIT, when
 
 
@@ -174,7 +176,7 @@ _COMPARE = {
     "column_b": _req(_NAME),
     "window": _opt(_list_of(_FINITE, 2), None),  # null: the whole grid
 }
-# the base is checked by validate_scenario_config once the variations apply
+# run_sweep checks the base, then each variation once it is applied
 _SWEEP = {"sweep": _req({"base": _req(_MAPPING), "variations": _req(_list_of(_MAPPING))})}
 
 
@@ -194,8 +196,11 @@ def _checked(schema: dict, raw, where: str = "") -> dict:
     out = {}
     for key, (check, default, when) in schema.items():
         field = where + key
-        if key not in raw and when is not None and when(out):
-            raise ConfigError(f"missing key {field!r}")
+        if when is not None and (key in raw) != when(out):
+            if key not in raw:
+                raise ConfigError(f"missing key {field!r}")
+            given = ", ".join(f"{where}{k}={v!r}" for k, v in out.items() if isinstance(v, str))
+            raise ConfigError(f"key {field!r} is never read with {given}; remove it")
         value = raw.get(key, default)
         if value is _OMIT:
             continue
@@ -228,43 +233,66 @@ def load_config(path) -> dict:
     return parse_config(Path(path).read_text(encoding="utf-8"))
 
 
+class _Plan(NamedTuple):
+    """A checked `simulate` config and its inputs; the model's are None outside simulations."""
+    cfg: dict  # normalised
+    protocol: protocols.DrivingProtocol
+    profile: profiles.PerturbationProfile
+    t_grid: np.ndarray
+    spec: Optional[rmt.SpectrumSpec] = None
+    energies: Optional[np.ndarray] = None
+    window: Optional[tuple] = None  # the energies a filtered_random state occupies
+    horizon: Optional[float] = None  # of the prediction, n_pred output steps long
+    n_pred: Optional[int] = None
+
+
 def validate_scenario_config(cfg: dict) -> dict:
     """Check a `simulate` config; returns its normalised copy.
 
     Beyond the schema, the rules that cross fields are checked here, without
     matrix work: the protocol and profile build (their tables included; a
-    null d0 only where the model measures it), quench_asymptotics has a
-    linear ramp, fidelity needs an eigenstate, eth an even m, piecewise_exact
-    a piecewise-constant protocol, trotter a trotter_step whose split step
-    fits the protocol, the prediction horizon reaches half an output step, the
+    null d0 only in a simulation), quench_asymptotics has a linear ramp,
+    fidelity needs an eigenstate, eth an even m, piecewise_exact a
+    piecewise-constant protocol, trotter a trotter_step whose split step fits
+    the protocol, the prediction horizon reaches half an output step, the
     state index ("middle" is m // 2) lies in [0, m), and a filtered state's
     occupied window holds a level of the spectrum and its filter leaves
     weight on a level the state can occupy.
     """
+    return _plan(cfg).cfg
+
+
+def _plan(cfg: dict) -> _Plan:
+    """The plan of a `simulate` config, checked as validate_scenario_config says."""
     c = _checked(_SCENARIO, cfg)
     protocol = build_protocol(c["protocol"])
-    build_profile(c["profile"], d0_override=1.0 if "model" in c else None)  # 1.0: a placeholder
+    t_grid = _output_grid(c["grid"])
     if c["scenario"] == "quench_asymptotics" and protocol.variant != "linear_ramp":
         raise ConfigError(f"protocol.variant must be linear_ramp for quench_asymptotics, "
                           f"got {protocol.variant!r}")
-    if "model" not in c:
-        return c
-    t_grid = _output_grid(c["grid"])
+    if c["scenario"] not in _SIMULATIONS:  # no model measures d0
+        return _Plan(c, protocol, build_profile(c["profile"]), t_grid)
+    model = c["model"]
+    m, obs, state = model["m"], model["observable"], model["initial_state"]
+    spec = rmt.SpectrumSpec(m=m, **model["spectrum"])
+    # d0: 1/spacing if flat, else a placeholder until measured (sampling V reads only vtilde)
+    profile = build_profile(c["profile"],
+                            d0_override=1.0 / spec.spacing if spec.variant == "flat" else 1.0)
+    # the prediction ends at t_max, by default at 5 time scales, and never past the grid
+    dt, t_end, ts = float(t_grid[1]), float(t_grid[-1]), protocol.timescale()
     t_max = c["prediction"]["t_max"]
-    horizon, n_pred = _prediction_steps(t_max, protocol.timescale(), float(t_grid[1]),
-                                        float(t_grid[-1]))
+    horizon = min(t_max or (t_end if ts is None else min(t_end, 5.0 * ts)), t_end)
+    n_pred = int(round(horizon / dt))
     if n_pred == 0:
         raise ConfigError(f"prediction.t_max {t_max!r} (null: min(grid.t_max, 5 protocol time "
                           f"scales)) gives the horizon {horizon:g}, under half the output step "
-                          f"{t_grid[1]:g}, so the prediction would hold no step beyond t = 0")
-    model = c["model"]
-    m, obs, state = model["m"], model["observable"], model["initial_state"]
+                          f"{dt:g}, so the prediction would hold no step beyond t = 0")
     if obs["kind"] == "fidelity" and state["kind"] != "eigenstate":
         raise ConfigError("model.observable.kind fidelity projects on an eigenstate, "
                           f"but model.initial_state.kind is {state['kind']!r}")
     if obs["kind"] == "eth" and m % 2:
         raise ConfigError(f"model.m must be even for the two-sector eth observable, got {m}")
-    variant = c["protocol"]["variant"]
+    variant = protocol.variant
     if model["method"] == "piecewise_exact" and variant not in protocols.PIECEWISE_CONSTANT:
         raise ConfigError(f"model.method piecewise_exact needs protocol.variant in "
                           f"{list(protocols.PIECEWISE_CONSTANT)}, got {variant!r}")
@@ -272,45 +300,28 @@ def validate_scenario_config(cfg: dict) -> dict:
         if model["trotter_step"] is None:
             raise ConfigError("model.trotter_step must be set for model.method trotter")
         try:
-            rmt.split_step(protocol, float(t_grid[1]), model["trotter_step"], float(t_grid[-1]))
+            rmt.split_step(protocol, dt, model["trotter_step"], t_end)
         except ConfigError as exc:
             raise ConfigError(f"model.trotter_step {model['trotter_step']!r}: {exc}") from None
     index = state["index"] = m // 2 if state["index"] == "middle" else state["index"]
     if (index is None and state["kind"] == "eigenstate") or (index is not None and index >= m):
         raise ConfigError(f"model.initial_state.index must lie in [0, {m}), got {index!r}")
-    window = _occupied_window(c)
-    if window:
-        e = rmt.SpectrumSpec(m=m, **model["spectrum"]).energies()
+    e, window = spec.energies(), None
+    if state["kind"] == "filtered_random":
+        k, e0, de = c["window_halfwidth_factor"], state["e_center"], state["delta_e"]
+        window = (e0 - k * de, e0 + k * de)
         if not np.any((e >= window[0]) & (e <= window[1])):
             raise ConfigError(f"model.initial_state.e_center +- window_halfwidth_factor * "
                               f"delta_e = {window} holds no level of the spectrum "
                               f"[{e[0]}, {e[-1]}]")
         # Q = 1 + kappa A spreads an even-sector state over every level
         even = state.get("sector") == "even" and state.get("q") != "one_plus_kappa_a"
-        weight = rmt.filter_weights(e[::2] if even else e, state["e_center"], state["delta_e"])
+        weight = rmt.filter_weights(e[::2] if even else e, e0, de)
         if weight.max() < rmt.FILTER_CUT:
-            raise ConfigError(f"model.initial_state.e_center {state['e_center']!r} with delta_e "
-                              f"{state['delta_e']!r}: the filter leaves no weight above "
-                              f"{rmt.FILTER_CUT:g} on the levels the state can occupy")
-    return c
-
-
-def _prediction_steps(t_max: Optional[float], ts: Optional[float], dt: float,
-                      t_end: float) -> tuple:
-    """(horizon, output steps) of the prediction: t_max, by default the whole
-    grid or five time scales ts, whichever is shorter, and never past t_end."""
-    t_default = t_end if ts is None else min(t_end, 5.0 * ts)
-    horizon = min(t_max or t_default, t_end)
-    return horizon, int(round(horizon / dt))
-
-
-def _occupied_window(cfg: dict) -> Optional[tuple]:
-    """The energy window (lo, hi) a filtered_random state occupies, else None."""
-    state = cfg["model"]["initial_state"]
-    if state["kind"] != "filtered_random":
-        return None
-    k, e0, de = cfg["window_halfwidth_factor"], state["e_center"], state["delta_e"]
-    return (e0 - k * de, e0 + k * de)
+            raise ConfigError(f"model.initial_state.e_center {e0!r} with delta_e {de!r}: the "
+                              f"filter leaves no weight above {rmt.FILTER_CUT:g} on the levels "
+                              f"the state can occupy")
+    return _Plan(c, protocol, profile, t_grid, spec, e, window, horizon, n_pred)
 
 
 def build_profile(section: dict, d0_override: Optional[float] = None):
@@ -331,7 +342,6 @@ def build_protocol(section: dict) -> protocols.DrivingProtocol:
     if p["variant"] == "tabulated":
         return _from_table("protocol.table", p["table"], lambda t, f: protocols.DrivingProtocol(
             variant="tabulated", times=t, values=f))
-    p.pop("table", None)
     return protocols.DrivingProtocol(**p)
 
 
@@ -445,7 +455,10 @@ def compare_files(cfg: dict, out_dir) -> dict:
     if not np.array_equal(a["t"], b["t"]):
         raise GridMismatchError("time grids differ between the two files")
     window = c["window"] or [float(a["t"][0]), float(a["t"][-1])]
-    metrics = compare(a["t"], a[c["column_a"]], b[c["column_b"]], (window[0], window[1]))
+    try:
+        metrics = compare(a["t"], a[c["column_a"]], b[c["column_b"]], (window[0], window[1]))
+    except ValueError as exc:  # compare's window rules, which a config must keep
+        raise ConfigError(f"window {window}: {exc}") from None
     files = _write_outputs(out_dir, None, {}, {"compare_metrics.json": metrics})
     return {"files": files, "metrics": metrics}
 
@@ -459,21 +472,19 @@ def _output_grid(grid: dict) -> np.ndarray:
     return grid["t_max"] / grid["n_out"] * np.arange(grid["n_out"] + 1)
 
 
-def _build_model(cfg: dict, spec: rmt.SpectrumSpec,
-                 profile: profiles.PerturbationProfile) -> tuple:
+def _build_model(plan: _Plan) -> tuple:
     """(model, derived): the sampled model and its rmt.reference_constants."""
-    seed, obs, state = cfg["seed"], cfg["model"]["observable"], cfg["model"]["initial_state"]
-    energies = spec.energies()
-    v = rmt.sample_v(energies, profile, seed)
+    seed, energies = plan.cfg["seed"], plan.energies
+    obs, state = plan.cfg["model"]["observable"], plan.cfg["model"]["initial_state"]
+    v = rmt.sample_v(energies, plan.profile, seed)
     if obs["kind"] == "fidelity":
-        observable = rmt.fidelity_observable(spec.m, state["index"])
+        observable = rmt.fidelity_observable(plan.spec.m, state["index"])
     else:
         observable = rmt.build_eth_observable(
-            energies, spec.e_top, obs["a0_plus"], obs["a0_minus"], seed
+            energies, plan.spec.e_top, obs["a0_plus"], obs["a0_minus"], seed
         )
     psi = rmt.build_initial_state(energies, master_seed=seed, observable=observable, **state)
-    derived = rmt.reference_constants(energies, observable, np.abs(psi) ** 2,
-                                      _occupied_window(cfg))
+    derived = rmt.reference_constants(energies, observable, np.abs(psi) ** 2, plan.window)
     return rmt.RandomMatrixModel(energies, v, observable, psi), derived
 
 
@@ -504,29 +515,21 @@ def _approx_columns(profile, protocol, t_grid):
     }
 
 
-def _run_simulation_scenario(cfg: dict, meta: dict, out_dir: Path) -> dict:
-    """Shared fidelity / double_pretherm pipeline on a checked config."""
-    protocol = build_protocol(cfg["protocol"])
-    t_grid = _output_grid(cfg["grid"])
-
-    # flat spectra fix d0 = 1/spacing; modulated spectra use the density
-    # measured in the occupied window when profile.d0 is null.  Sampling V
-    # needs only vtilde, so a placeholder d0 is fine until it is measured.
-    spec = rmt.SpectrumSpec(m=cfg["model"]["m"], **cfg["model"]["spectrum"])
-    flat = spec.variant == "flat"
-    profile = build_profile(cfg["profile"], d0_override=1.0 / spec.spacing if flat else 1.0)
-    model, derived = _build_model(cfg, spec, profile)
-    if cfg["profile"]["d0"] is None and not flat:
-        profile = build_profile(cfg["profile"], d0_override=derived["d0_window"])
+def _run_simulation_scenario(plan: _Plan) -> tuple:
+    """Shared fidelity / double_pretherm pipeline: (CSVs, metrics, sidecar fields)."""
+    cfg, protocol, t_grid, n_pred = plan.cfg, plan.protocol, plan.t_grid, plan.n_pred
+    model, derived = _build_model(plan)
+    profile = plan.profile  # a modulated spectrum measures a null d0 in the occupied window
+    if cfg["profile"]["d0"] is None and plan.spec.variant != "flat":
+        profile = dataclasses.replace(profile, d0=derived["d0_window"])
 
     method = cfg["model"]["method"]
     traj = rmt.propagate(model, protocol, t_grid, method=method, step=cfg["model"]["trotter_step"])
 
     # prediction on the output grid up to its horizon
-    dt, t_end, ts = float(t_grid[1] - t_grid[0]), float(t_grid[-1]), protocol.timescale()
-    pred_t_max, n_pred = _prediction_steps(cfg["prediction"]["t_max"], ts, dt, t_end)
+    dt, ts = float(t_grid[1]), protocol.timescale()
     gamma_sq = _diagonal_on_grid(profile, protocol, cfg["prediction"]["solver_step"], dt,
-                                 n_pred, max(pred_t_max, dt))[0] ** 2
+                                 n_pred, max(plan.horizon, dt))[0] ** 2
     t_pred, a_sim = t_grid[: n_pred + 1], traj.a_series[: n_pred + 1]
     undriven, a_th = traj.undriven_a_series[: n_pred + 1], derived["a_th"]
     a_pred = response.predict_observable(t_pred, gamma_sq, undriven, a_th)
@@ -544,7 +547,7 @@ def _run_simulation_scenario(cfg: dict, meta: dict, out_dir: Path) -> dict:
     if cfg["scenario"] == "double_pretherm":
         metrics["undriven_h0_drift"] = float(np.ptp(traj.undriven_h0_series))
         if ts is not None and t_grid[-1] >= 2 * ts:
-            per = max(1, int(round(ts / (t_grid[1] - t_grid[0]))))
+            per = max(1, int(round(ts / dt)))
             metrics["heating"] = {
                 "h0_first_period": float(np.mean(traj.h0_series[: per + 1])),
                 "h0_last_period": float(np.mean(traj.h0_series[-per:])),
@@ -560,7 +563,6 @@ def _run_simulation_scenario(cfg: dict, meta: dict, out_dir: Path) -> dict:
                     "a_bar0": derived["a_bar0"],
                 }
 
-    meta = {**meta, "derived": derived, "method": {"name": method, "step": traj.step}}
     csvs = {
         "simulation.csv": {
             "t": t_grid,
@@ -579,14 +581,11 @@ def _run_simulation_scenario(cfg: dict, meta: dict, out_dir: Path) -> dict:
             "gamma_sq": gamma_sq,
         },
     }
-    files = _write_outputs(out_dir, meta, csvs, {"metrics.json": metrics})
-    return {"files": files, "metrics": metrics}
+    return csvs, metrics, {"derived": derived, "method": {"name": method, "step": traj.step}}
 
 
-def _run_strong_scale(cfg: dict, meta: dict, out_dir: Path) -> dict:
-    profile = build_profile(cfg["profile"])
-    protocol = build_protocol(cfg["protocol"])
-    t_grid = _output_grid(cfg["grid"])
+def _run_strong_scale(plan: _Plan) -> tuple:
+    profile, protocol, t_grid = plan.profile, plan.protocol, plan.t_grid
     sigma0 = profiles.moment(profile, 0)
     r = approximations.r_scale_array(profile, protocol, t_grid)
     phi1, phi2 = protocols.phi_arrays(protocol, t_grid)
@@ -602,14 +601,11 @@ def _run_strong_scale(cfg: dict, meta: dict, out_dir: Path) -> dict:
             profile, 1.0 / profile.d0
         )
     csv = {"t": t_grid, "r": r, "margin": r / sigma0, "phi1": phi1, "phi2": phi2}
-    files = _write_outputs(out_dir, {**meta, "derived": metrics}, {"strong_scale.csv": csv},
-                           {"metrics.json": metrics})
-    return {"files": files, "metrics": metrics}
+    return {"strong_scale.csv": csv}, metrics, {"derived": metrics}
 
 
-def _run_quench_asymptotics(cfg: dict, meta: dict, out_dir: Path) -> dict:
-    protocol = build_protocol(cfg["protocol"])
-    t_grid = _output_grid(cfg["grid"])
+def _run_quench_asymptotics(plan: _Plan) -> tuple:
+    protocol, t_grid = plan.protocol, plan.t_grid
     phi1, phi2 = protocols.phi_arrays(protocol, t_grid)
     f0, T = protocol.f0, protocol.period
     metrics = {
@@ -620,16 +616,20 @@ def _run_quench_asymptotics(cfg: dict, meta: dict, out_dir: Path) -> dict:
         "phi2_limit": f0**2 * T**2 / 16.0,
     }
     csv = {"t": t_grid, "phi1": phi1, "phi2": phi2}
-    files = _write_outputs(out_dir, {**meta, "derived": metrics},
-                           {"quench_asymptotics.csv": csv}, {"metrics.json": metrics})
-    return {"files": files, "metrics": metrics}
+    return {"quench_asymptotics.csv": csv}, metrics, {"derived": metrics}
 
 
 def run(cfg: dict, out_dir) -> dict:
     """Run the configured scenario; writes CSVs, sidecars and metrics into out_dir."""
-    c = validate_scenario_config(cfg)
+    return _run_plan(_plan(cfg), cfg, out_dir)
+
+
+def _run_plan(plan: _Plan, raw: dict, out_dir) -> dict:
+    """Run a plan and write its outputs; the sidecars echo raw, the config it was built from."""
     runners = {"strong_scale": _run_strong_scale, "quench_asymptotics": _run_quench_asymptotics}
-    return runners.get(c["scenario"], _run_simulation_scenario)(c, _base_meta(cfg), Path(out_dir))
+    csvs, metrics, sidecar = runners.get(plan.cfg["scenario"], _run_simulation_scenario)(plan)
+    files = _write_outputs(out_dir, {**_base_meta(raw), **sidecar}, csvs, {"metrics.json": metrics})
+    return {"files": files, "metrics": metrics}
 
 
 # ---------------------------------------------------------------------------
@@ -688,17 +688,16 @@ def run_sweep(cfg: dict, out_dir) -> dict:
 
     Each variation is a mapping of dotted config paths to values and runs in
     its own subdirectory; results are collected in variation order.  Every
-    variation is checked before the first one runs.
+    variation is checked once, before the first one runs.
     """
     sweep = validate_sweep_config(cfg)
     validate_scenario_config(sweep["base"])
-    configs = []
+    runs = []
     for var in sweep["variations"]:
         c = copy.deepcopy(sweep["base"])
         for key, value in sorted(var.items()):
             _apply_override(c, key, value)
-        validate_scenario_config(c)
-        configs.append(c)
+        runs.append((_plan(c), c))
     out_dir = Path(out_dir)
-    results = [run(c, out_dir / f"var_{i:03d}") for i, c in enumerate(configs)]
+    results = [_run_plan(plan, c, out_dir / f"var_{i:03d}") for i, (plan, c) in enumerate(runs)]
     return {"variations": len(results), "files": [f for r in results for f in r["files"]]}

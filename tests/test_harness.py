@@ -1,9 +1,11 @@
 """Config handling, CSV artifacts, metrics, scenario runs, CLI."""
 
 import copy
+import importlib.util
 import inspect
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -80,11 +82,18 @@ def quench_cfg():
     return {**strong_scale_cfg(ramp), "scenario": "quench_asymptotics"}
 
 
-def table_csv(first, second):
-    """A bad value: the path of a two-column CSV, written into the test's tmp_path."""
+def table_csv(first, second, name="table.csv"):
+    """A value to set: the path of a two-column CSV, written into the test's tmp_path."""
     def write(tmp_path):
-        return str(harness.write_csv(tmp_path / "table.csv", {"x": first, "y": second}))
+        return str(harness.write_csv(tmp_path / name, {"x": first, "y": second}))
     return write
+
+
+# tables a tabulated profile and protocol accept
+PROFILE_TABLE = table_csv(np.linspace(0.0, 5.0, 51), np.exp(-np.linspace(0.0, 5.0, 51) / 0.5),
+                          "profile.csv")
+PROTOCOL_TABLE = table_csv(np.linspace(0.0, 2.0, 201),
+                           0.08 * np.sin(2 * np.pi * np.linspace(0.0, 2.0, 201)), "protocol.csv")
 
 
 def set_field(cfg, dotted, value):
@@ -223,6 +232,22 @@ BAD_FIELDS = [
     # away: its filter weight exp(-36) is under rmt.FILTER_CUT
     ("eth_wide", "model.initial_state.e_center", -48.0),
     ("strong_scale", "profile.d0", None),  # no model measures it
+    # keys that are never read with the keys around them
+    ("strong_scale", "seed", 3),
+    ("quench", "seed", 3),
+    pytest.param("strong_scale", "model", small_fidelity_cfg()["model"], id="strong_scale-model"),
+    pytest.param("strong_scale_null_d0", "model", small_fidelity_cfg()["model"],
+                 id="strong_scale_null_d0-model"),  # no model measures d0 here
+    # a trotter model: the model's own checks pass it on a linear ramp
+    pytest.param("quench", "model", small_trotter_cfg()["model"], id="quench-model"),
+    ("tab_protocol", "protocol.f0", 5.0),
+    ("tab_protocol", "seed", 3),
+    pytest.param("strong_scale", "protocol.table", PROTOCOL_TABLE, id="step-protocol.table"),
+    ("tab_profile", "profile.v0", 1.0),
+    ("tab_profile", "profile.delta_v", 0.5),
+    pytest.param("fidelity", "profile.table", PROFILE_TABLE, id="exponential-profile.table"),
+    ("fidelity", "model.observable.a0_plus", 1.0),
+    ("fidelity", "model.observable.a0_minus", 0.25),
     ("quench", "protocol.variant", "step"),  # the asymptotics are the linear ramp's
     pytest.param("tab_profile", "profile.table",
                  table_csv(np.linspace(0.5, 5.0, 10), np.ones(10)), id="profile_from_0.5"),
@@ -237,9 +262,11 @@ def test_bad_field_fails_at_load(tmp_path, monkeypatch, which, field, bad):
     base = {"fidelity": small_fidelity_cfg, "eth": small_eth_cfg,
             "eth_wide": lambda: {**small_eth_cfg(), "window_halfwidth_factor": 20.0},
             "trotter": small_trotter_cfg, "strong_scale": strong_scale_cfg, "quench": quench_cfg,
-            "tab_profile": lambda: set_field(small_fidelity_cfg(), "profile",
-                                             {"variant": "tabulated", "d0": None}),
-            "tab_protocol": lambda: strong_scale_cfg({"variant": "tabulated"})}[which]()
+            "strong_scale_null_d0": lambda: set_field(strong_scale_cfg(), "profile.d0", None),
+            "tab_profile": lambda: set_field(small_fidelity_cfg(), "profile", {
+                "variant": "tabulated", "table": PROFILE_TABLE(tmp_path), "d0": None}),
+            "tab_protocol": lambda: strong_scale_cfg({"variant": "tabulated",
+                                                      "table": PROTOCOL_TABLE(tmp_path)})}[which]()
     cfg = set_field(base, field, bad(tmp_path) if callable(bad) else bad)
     with pytest.raises(ConfigError, match=re.escape(field)):
         harness.validate_scenario_config(cfg)
@@ -313,10 +340,21 @@ def test_respond_bad_field_fails_before_solving(tmp_path, monkeypatch, field, ba
     assert not (tmp_path / "respond_diagonal.csv").exists()
 
 
-@pytest.mark.parametrize("path", sorted(Path(__file__).parents[1].glob("configs/*.yaml")),
-                         ids=lambda p: p.name)
+ROOT = Path(__file__).parents[1]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(ROOT.glob("configs/*.yaml")) + sorted(ROOT.glob("perfbench/workloads/*.yaml")),
+    ids=lambda p: str(p.relative_to(ROOT)) if "perfbench" in p.parts else p.name)
 def test_shipped_configs_validate(path):
-    harness.validate_scenario_config(harness.load_config(path))
+    if "perfbench" not in path.parts:
+        harness.validate_scenario_config(harness.load_config(path))
+        return
+    # a benchmark workload loads through the benchmark's own set-up path
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    workloads.load(harness, path.stem, 0)
 
 
 def test_validate_returns_normalised_copy():
@@ -363,6 +401,47 @@ def test_null_prediction_grid_means_default(tmp_path, monkeypatch):
     substeps = n // n_pred
     assert n_pred == 20 and substeps >= 1 and n == n_pred * substeps
     assert h * substeps == pytest.approx(0.025)
+
+
+def test_tables_are_read_once_per_run(tmp_path, monkeypatch):
+    reads, plans = Counter(), []
+    loadtxt, plan = np.loadtxt, harness._plan
+
+    def counted_loadtxt(path, *args, **kwargs):
+        reads[Path(path).name] += 1
+        return loadtxt(path, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted_loadtxt)
+    monkeypatch.setattr(harness, "_plan", lambda cfg: plans.append(cfg) or plan(cfg))
+    # a flat-spectrum trotter run whose protocol and profile are both tables
+    cfg = small_fidelity_cfg(m=64, t_max=0.5, n_out=20)
+    cfg["protocol"] = {"variant": "tabulated", "table": PROTOCOL_TABLE(tmp_path)}
+    cfg["profile"] = {"variant": "tabulated", "table": PROFILE_TABLE(tmp_path), "d0": None}
+    cfg["model"].update(method="trotter", trotter_step=0.01)
+    harness.run(cfg, tmp_path / "flat")
+    assert reads == {"protocol.csv": 1, "profile.csv": 1}
+    reads.clear()
+    # a modulated spectrum measures the null d0 in the model
+    harness.run(set_field(small_eth_cfg(), "profile", cfg["profile"]), tmp_path / "modulated")
+    assert reads == {"profile.csv": 1}
+    reads.clear()
+    plans.clear()
+    harness.run_sweep({"sweep": {"base": cfg, "variations": [{"seed": 2}, {"seed": 3}]}},
+                      tmp_path / "sweep")
+    assert reads == {"protocol.csv": 3, "profile.csv": 3}  # the base, then each variation
+    assert [c.get("seed") for c in plans] == [1, 2, 3]
+
+
+def test_null_d0_run_equals_run_with_measured_d0(tmp_path):
+    cfg = set_field(small_eth_cfg(m=128), "profile",
+                    {"variant": "tabulated", "table": PROFILE_TABLE(tmp_path), "d0": None})
+    harness.run(cfg, tmp_path / "null")
+    d0 = json.loads((tmp_path / "null" / "metrics.json").read_text())["derived"]["d0_window"]
+    harness.run(set_field(cfg, "profile.d0", d0), tmp_path / "measured")
+    for name in ("simulation.csv", "prediction.csv", "approximations.csv", "joined.csv",
+                 "metrics.json"):
+        assert (tmp_path / "null" / name).read_bytes() == \
+            (tmp_path / "measured" / name).read_bytes(), name
 
 
 def test_tabulated_inputs_from_csv(tmp_path):
@@ -550,6 +629,9 @@ def test_compare_files_missing_column_names_it(tmp_path):
     ("window", [0.0, "end"]),
     ("file_a", "missing.csv"),
     ("column_b", 3),
+    ("window", [0.8, 0.2]),  # out of order
+    ("window", [0, 5]),  # reaches past the grid's end, 1
+    ("window", [0.51, 0.52]),  # between grid points 0.5 and 0.55
 ])
 def test_compare_files_bad_field(tmp_path, field, bad):
     t = np.linspace(0, 1, 21)
