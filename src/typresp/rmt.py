@@ -20,6 +20,13 @@ route, the undriven series included, hands its states to one readout of
 <A>, <H0> and the norm, one GEMM per 64 outputs, and the norm is checked at
 every output as its block is read out, naming the first t that drifted.
 
+Memory is set by the dense m x m complex arrays (16 m^2 bytes each) alive at
+the propagation peak.  Piecewise: V, a dense A (two-sector observable only),
+one eigenbasis per distinct f value and one in flight (the buffer H0 + f V
+that `evr` overwrites while it writes the next eigenbasis).  Trotter: V, V's
+eigenvectors and M.  Everything else is m x _BLOCK blocks: V and A are drawn
+row by row into their own storage and mirrored by row blocks.
+
 All randomness flows from one 64-bit master seed through named PCG64
 substreams (one per matrix/vector), so adding an observable never perturbs
 the V sample.
@@ -37,6 +44,8 @@ from .errors import ConfigError, EmptyWindowError, NormDriftError
 
 NORM_TOL = 1e-6  # propagation aborts beyond this norm drift
 FILTER_CUT = 1e-12  # a filtered state keeping less of its norm than this is empty
+# output times (or columns, or rows) per GEMM or block: bounds the m x _BLOCK temporaries
+_BLOCK = 64
 
 # fixed substream indices off the master seed (order is part of the format)
 _STREAMS = {"v_matrix": 0, "observable_diag": 1, "observable_offdiag": 2, "initial_state": 3}
@@ -110,6 +119,24 @@ class SpectrumSpec:
 # ---------------------------------------------------------------------------
 
 
+def _hermitian(rng: np.random.Generator, m: int, sig) -> np.ndarray:
+    """Hermitian m x m matrix, zero diagonal, with upper-triangle row i sig(i) * (x + iy).
+
+    All x of the upper triangle are drawn in row-major order, then all y.  The
+    rows are filled in place and mirrored by blocks of _BLOCK rows, so no
+    index array and no m x m temporary is made.
+    """
+    h = np.zeros((m, m), dtype=complex)
+    for i in range(m - 1):
+        h.real[i, i + 1 :] = rng.standard_normal(m - 1 - i)
+    for i in range(m - 1):
+        row = h[i, i + 1 :]
+        row[:] = sig(i) * (row.real + 1j * rng.standard_normal(m - 1 - i))
+    for s in range(0, m, _BLOCK):  # rows s: += conj of columns s:, as h += h^H
+        h[s : s + _BLOCK] += h[:, s : s + _BLOCK].conj().T
+    return h
+
+
 def sample_v(
     energies: np.ndarray,
     profile: profiles.PerturbationProfile,
@@ -123,11 +150,9 @@ def sample_v(
     """
     rng = _rng(master_seed, "v_matrix")
     m = len(energies)
-    iu = np.triu_indices(m, 1)
-    sig = np.sqrt(0.5 * profile.vtilde(energies[iu[0]] - energies[iu[1]]))
-    v = np.zeros((m, m), dtype=complex)
-    v[iu] = sig * (rng.standard_normal(iu[0].size) + 1j * rng.standard_normal(iu[0].size))
-    v += v.conj().T
+    v = _hermitian(
+        rng, m, lambda i: np.sqrt(0.5 * profile.vtilde(energies[i] - energies[i + 1 :]))
+    )
     v[np.diag_indices(m)] = np.sqrt(profile.vtilde(0.0)) * rng.standard_normal(m)
     return v
 
@@ -163,13 +188,8 @@ def build_eth_observable(
     m = len(energies)
     if m % 2:
         raise ValueError("two-sector observable needs an even number of levels")
-    rng = _rng(master_seed, "observable_offdiag")
-    iu = np.triu_indices(m, 1)
-    a = np.zeros((m, m), dtype=complex)
-    a[iu] = (rng.standard_normal(iu[0].size) + 1j * rng.standard_normal(iu[0].size)) * np.sqrt(
-        0.5 / m
-    )
-    a += a.conj().T
+    sig = np.sqrt(0.5 / m)
+    a = _hermitian(_rng(master_seed, "observable_offdiag"), m, lambda i: sig)
     a[np.diag_indices(m)] = eth_diagonal(energies, e_top, a0_plus, a0_minus, master_seed)
     return a
 
@@ -308,12 +328,12 @@ class TrajectoryResult:
     step: Optional[float] = None
 
 
-# output times (or columns) per GEMM: bounds the m x _BLOCK complex temporaries
-_BLOCK = 64
-
-
 def _eigh(h: np.ndarray) -> tuple:
     """(w, u) of the Hermitian h by LAPACK's MRRR driver (?heevr).
+
+    A Fortran-ordered float64 or complex128 h is consumed: LAPACK works in it
+    in place and leaves it overwritten.  Any other h (a C-ordered one, such as
+    V) is copied by scipy's wrapper first and survives the call.
 
     scipy.linalg is imported here so that importing the package does not load
     it, and called through the module attribute so a wrapper set on
@@ -321,7 +341,14 @@ def _eigh(h: np.ndarray) -> tuple:
     """
     import scipy.linalg
 
-    return scipy.linalg.eigh(h, driver="evr")
+    return scipy.linalg.eigh(h, driver="evr", overwrite_a=True)
+
+
+def _hamiltonian(model: RandomMatrixModel, fv: float) -> np.ndarray:
+    """H0 + fv V in a fresh Fortran-ordered buffer, for _eigh to consume."""
+    h = np.multiply(fv, model.v_matrix, order="F")
+    h[np.diag_indices(len(h))] += model.energies
+    return h
 
 
 def _readout(model: RandomMatrixModel, states: np.ndarray) -> np.ndarray:
@@ -388,9 +415,7 @@ def _propagate_piecewise(model, protocol, t_grid):
     for k in range(len(values)):
         t0, t1, fv = bounds[k], bounds[k + 1], float(values[k])
         if fv not in cache:
-            h = fv * model.v_matrix
-            h[np.diag_indices(len(h))] += model.energies
-            cache[fv] = _eigh(h)
+            cache[fv] = _eigh(_hamiltonian(model, fv))
         w, u = cache[fv]
         c = psi if u is None else _to_basis(u, psi)
         oj = int(np.searchsorted(t_grid, t1 + 1e-12, side="right"))  # t1 itself: this segment
@@ -448,7 +473,7 @@ def _propagate_trotter(model, protocol, t_grid, step):
     # V's eigenbasis: with y = e^{-iH0h/2} u and M = y^H e^{-iH0h} y
     # (= u^H e^{-iH0h} u), the state after step k is y c_k, c_k = P_k d and
     # d <- M c_k, starting from d = y^H e^{-iH0h} psi0.
-    w, y = _eigh(model.v_matrix)
+    w, y = _eigh(np.ascontiguousarray(model.v_matrix))  # a C-ordered V is copied, not consumed
     y *= np.exp(-1j * model.energies * (h / 2.0))[:, None]
     full = np.exp(-1j * model.energies * h)
     step_matrix = np.empty_like(y)

@@ -29,6 +29,11 @@ def small_fidelity_model(m=256, eps=1.0 / 64, f_seed=1, dv=0.5):
     return rmt.RandomMatrixModel(energies=e, v_matrix=v, observable=a, initial_state=psi)
 
 
+def bits(a):
+    """The raw 64-bit words of a float or complex array: equal means bit for bit."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 def dense_observable(model):
     """The model's observable as a dense matrix (a 1-d observable is diagonal)."""
     a = model.observable
@@ -100,6 +105,77 @@ def test_sample_v_variance_profile():
     # diagonal variance is vtilde(0)
     diag = np.real(np.diag(v))
     assert np.mean(diag**2) == pytest.approx(prof.vtilde(0.0), rel=0.15)
+
+
+def triu_sample_v(energies, profile, master_seed):
+    """sample_v by index arrays and v += v^H: the reference for the row-wise fill."""
+    rng = rmt._rng(master_seed, "v_matrix")
+    m = len(energies)
+    iu = np.triu_indices(m, 1)
+    sig = np.sqrt(0.5 * profile.vtilde(energies[iu[0]] - energies[iu[1]]))
+    v = np.zeros((m, m), dtype=complex)
+    v[iu] = sig * (rng.standard_normal(iu[0].size) + 1j * rng.standard_normal(iu[0].size))
+    v += v.conj().T
+    v[np.diag_indices(m)] = np.sqrt(profile.vtilde(0.0)) * rng.standard_normal(m)
+    return v
+
+
+def triu_eth_observable(energies, e_top, a0_plus, a0_minus, master_seed):
+    """build_eth_observable by index arrays and a += a^H: the reference for the row-wise fill."""
+    m = len(energies)
+    rng = rmt._rng(master_seed, "observable_offdiag")
+    iu = np.triu_indices(m, 1)
+    a = np.zeros((m, m), dtype=complex)
+    a[iu] = (rng.standard_normal(iu[0].size) + 1j * rng.standard_normal(iu[0].size)) * np.sqrt(
+        0.5 / m
+    )
+    a += a.conj().T
+    a[np.diag_indices(m)] = rmt.eth_diagonal(energies, e_top, a0_plus, a0_minus, master_seed)
+    return a
+
+
+# the tabulated profile ends at E = 0.7, inside every spectrum below, so far
+# entries of V are signed zeros
+SAMPLING_PROFILES = {
+    "exponential": exp_profile(d0=64.0),
+    "tabulated": profiles.PerturbationProfile(variant="tabulated", d0=64.0,
+                                              energies=np.array([0.0, 0.3, 0.7]),
+                                              values=np.array([1.0, 0.5, 0.0])),
+}
+
+
+@pytest.mark.parametrize("m", [2, 3, 64, 257])
+@pytest.mark.parametrize("variant", rmt.SPECTRUM_VARIANTS)
+@pytest.mark.parametrize("profile", SAMPLING_PROFILES)
+def test_hermitian_sampling_matches_index_array_reference(m, variant, profile):
+    # bit for bit (stronger than np.array_equal), so signed zeros match too
+    spec = rmt.SpectrumSpec(m=m, variant=variant, spacing=1 / 64, alpha=0.1,
+                            mean_spacing=1 / 64)
+    e = spec.energies()
+    m_even = m - m % 2
+    for seed in (0, 1, 7):
+        v = rmt.sample_v(e, SAMPLING_PROFILES[profile], seed)
+        ref = triu_sample_v(e, SAMPLING_PROFILES[profile], seed)
+        np.testing.assert_array_equal(bits(v), bits(ref))
+        a = rmt.build_eth_observable(e[:m_even], spec.e_top, 1.0, 0.25, seed)
+        ref = triu_eth_observable(e[:m_even], spec.e_top, 1.0, 0.25, seed)
+        np.testing.assert_array_equal(bits(a), bits(ref))
+
+
+def test_sample_v_memory_stays_near_its_output():
+    # rows are drawn into the output and mirrored by m x 64 blocks: no index
+    # arrays and no m x m conjugate transpose beside it
+    m = 512
+    e = rmt.SpectrumSpec(m=m, variant="flat", spacing=1 / 64).energies()
+    prof = exp_profile(d0=64.0)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        v = rmt.sample_v(e, prof, 3)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak - v.nbytes < 0.6 * 16 * m * m
 
 
 # --- observables -----------------------------------------------------------------
@@ -351,6 +427,48 @@ def test_trotter_memory_stays_two_matrices_and_blocks():
     finally:
         tracemalloc.stop()
     assert peak < (2 * m + 6 * 64) * m * 16
+
+
+def test_piecewise_memory_stays_one_eigenbasis_per_value_and_one_in_flight():
+    # K = 2 distinct f values: their eigenbases plus, during the second eigh,
+    # the Hamiltonian buffer LAPACK works in; never a copy of it beside it
+    m, k = 512, 2
+    model = small_eth_model(m=m)
+    proto = protocols.DrivingProtocol(variant="step", f0=0.3, period=0.5)
+    t = np.linspace(0.0, 2.0, 201)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        rmt.propagate(model, proto, t, method="piecewise_exact")
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak < ((k + 1) * m + 6 * 64) * m * 16
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("method", ["piecewise_exact", "trotter"])
+def test_propagate_leaves_the_model_unchanged(method, order):
+    # _eigh consumes a Fortran-ordered argument: propagate must hand it only
+    # buffers of its own, whatever the layout of V
+    model = small_eth_model()
+    model.v_matrix = np.asarray(model.v_matrix, order=order)
+    before = {k: getattr(model, k).copy() for k in ("v_matrix", "observable", "initial_state")}
+    proto = protocols.DrivingProtocol(variant="step", f0=0.3, period=0.5)
+    rmt.propagate(model, proto, np.linspace(0.0, 1.0, 21), method=method, step=0.05)
+    for key, value in before.items():
+        np.testing.assert_array_equal(bits(getattr(model, key)), bits(value))
+
+
+def test_eigh_consumes_fortran_buffer_with_identical_result():
+    model = small_eth_model()
+    h = np.diag(model.energies) + 0.3 * model.v_matrix
+    w, u = rmt._eigh(h.copy())
+    buf = np.asfortranarray(h)
+    wf, uf = rmt._eigh(buf)
+    np.testing.assert_array_equal(wf, w)
+    np.testing.assert_array_equal(bits(uf), bits(u))
+    assert not np.array_equal(buf, h)  # LAPACK worked in the buffer itself
 
 
 @pytest.mark.parametrize("method", ["piecewise_exact", "trotter"])
