@@ -52,9 +52,12 @@ def r_scale_array(
     t,
 ) -> np.ndarray:
     """r(t) = sqrt(4 vtilde(0) d0 [Sigma_0 phi1(t) + Sigma_2 phi2(t)]) in the shape of t."""
-    phi1, phi2 = protocols.phi_arrays(protocol, t)
-    s0 = profiles.moment(profile, 0)
-    s2 = profiles.moment(profile, 2)
+    return _r_of_phi(profile, *protocols.phi_arrays(protocol, t))
+
+
+def _r_of_phi(profile: profiles.PerturbationProfile, phi1, phi2):
+    """r = sqrt(4 vtilde(0) d0 [Sigma_0 phi1 + Sigma_2 phi2]) of given phi1, phi2."""
+    s0, s2 = profiles.moment(profile, 0), profiles.moment(profile, 2)
     return np.sqrt(4.0 * profile.v0 * profile.d0 * (s0 * phi1 + s2 * phi2))
 
 
@@ -206,9 +209,7 @@ def resolvent_solve(
         raise ValueError("phi1 and phi2 are squares and must be >= 0")
 
     s0 = profiles.moment(profile, 0)
-    s2 = profiles.moment(profile, 2)
-    r = np.sqrt(4.0 * profile.v0 * profile.d0 * (s0 * phi1 + s2 * phi2))
-    need = 5.0 * max(r, s0)
+    need = 5.0 * max(_r_of_phi(profile, phi1, phi2), s0)
     if e_grid[0] > -need or e_grid[-1] < need:
         raise ValueError(
             f"e_grid must span at least [-{need:.3g}, {need:.3g}] "

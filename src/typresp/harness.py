@@ -7,8 +7,8 @@ value is a `ConfigError` naming the dotted field.  `_plan` checks a `simulate`
 config and builds each of its inputs once, before any model is sampled; the
 scenario runners take that plan and build nothing.  Keys that pass straight
 to a library call stay absent when not given, so that call's default is the
-only one.  Every CSV is written with 17-significant-digit floats (bit-exact
-round trips) and carries a JSON metadata sidecar with the raw config echo,
+only one.  Every CSV is written by np.savetxt with 17-significant-digit floats
+(bit-exact round trips) and a JSON metadata sidecar: the raw config echo,
 seeds, versions, and derived constants needed to re-run it.
 
 Scenarios
@@ -365,15 +365,11 @@ def _from_table(field: str, path, build: Callable):
 def write_csv(path, columns: dict) -> Path:
     """UTF-8 CSV, header row, '.' decimal separator, 17 significant digits."""
     path = Path(path)
-    names = list(columns)
-    arrays = [np.asarray(columns[k], dtype=float) for k in names]
-    n = len(arrays[0])
-    if any(len(a) != n for a in arrays):
+    arrays = [np.asarray(c, dtype=float) for c in columns.values()]
+    if any(len(a) != len(arrays[0]) for a in arrays):
         raise GridMismatchError("CSV columns differ in length")
-    lines = [",".join(names)]
-    for i in range(n):
-        lines.append(",".join(format(a[i], ".17g") for a in arrays))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    np.savetxt(path, np.column_stack(arrays), fmt="%.17g", delimiter=",",
+               header=",".join(columns), comments="", encoding="utf-8")
     return path
 
 
@@ -403,15 +399,18 @@ def write_sidecar(csv_path, meta: dict) -> Path:
     return _write_json(Path(str(csv_path) + ".meta.json"), meta)
 
 
-def _write_outputs(out_dir, meta: Optional[dict], csvs: dict, jsons: dict) -> list:
-    """Write each CSV of {name: columns} with a sidecar of meta, then each JSON; the paths."""
+def _write_outputs(out_dir, meta: Optional[dict], csvs: dict, metrics: dict,
+                   metrics_file: Optional[str] = None) -> dict:
+    """Write each CSV of {name: columns} with a sidecar of meta, then metrics to
+    metrics_file if one is named; the run summary {"files", "metrics"}."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = [write_csv(out_dir / name, columns) for name, columns in csvs.items()]
     for f in files:
         write_sidecar(f, meta)
-    files += [_write_json(out_dir / name, obj) for name, obj in jsons.items()]
-    return [str(f) for f in files]
+    if metrics_file is not None:
+        files.append(_write_json(out_dir / metrics_file, metrics))
+    return {"files": [str(f) for f in files], "metrics": metrics}
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +458,7 @@ def compare_files(cfg: dict, out_dir) -> dict:
         metrics = compare(a["t"], a[c["column_a"]], b[c["column_b"]], (window[0], window[1]))
     except ValueError as exc:  # compare's window rules, which a config must keep
         raise ConfigError(f"window {window}: {exc}") from None
-    files = _write_outputs(out_dir, None, {}, {"compare_metrics.json": metrics})
-    return {"files": files, "metrics": metrics}
+    return _write_outputs(out_dir, None, {}, metrics, "compare_metrics.json")
 
 
 # ---------------------------------------------------------------------------
@@ -591,11 +589,11 @@ def _run_strong_scale(plan: _Plan) -> tuple:
     phi1, phi2 = protocols.phi_arrays(protocol, t_grid)
     metrics = {"sigma0": sigma0}
     ts = protocol.timescale()
-    if ts is not None and t_grid[-1] > ts:
-        first = (t_grid > 0) & (t_grid <= ts)
-        later = t_grid > ts
-        metrics["r_max_first_period"] = float(np.max(r[first]))
-        metrics["r_max_later"] = float(np.max(r[later]))
+    if ts is not None:  # only when an output falls on each side of the first period's end
+        first, later = r[(t_grid > 0) & (t_grid <= ts)], r[t_grid > ts]
+        if first.size and later.size:
+            metrics["r_max_first_period"] = float(first.max())
+            metrics["r_max_later"] = float(later.max())
     if profile.variant == "exponential":
         metrics["crossover_amplitude"] = approximations.crossover_amplitude(
             profile, 1.0 / profile.d0
@@ -628,8 +626,7 @@ def _run_plan(plan: _Plan, raw: dict, out_dir) -> dict:
     """Run a plan and write its outputs; the sidecars echo raw, the config it was built from."""
     runners = {"strong_scale": _run_strong_scale, "quench_asymptotics": _run_quench_asymptotics}
     csvs, metrics, sidecar = runners.get(plan.cfg["scenario"], _run_simulation_scenario)(plan)
-    files = _write_outputs(out_dir, {**_base_meta(raw), **sidecar}, csvs, {"metrics.json": metrics})
-    return {"files": files, "metrics": metrics}
+    return _write_outputs(out_dir, {**_base_meta(raw), **sidecar}, csvs, metrics, "metrics.json")
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +646,7 @@ def run_respond(cfg: dict, out_dir) -> dict:
     for i, tp in enumerate(c["t_primes"] or []):
         g = response.solve_gamma(profile, protocol, tp, h, n_out * substeps).gamma[::substeps]
         csvs[f"respond_tprime_{i:03d}.csv"] = {"t": t_grid, "gamma": g, "gamma_sq": g**2}
-    files = _write_outputs(out_dir, _base_meta(cfg), csvs, {})
-    return {"files": files, "metrics": {"solver_step": h}}
+    return _write_outputs(out_dir, _base_meta(cfg), csvs, {"solver_step": h})
 
 
 def run_approx(cfg: dict, out_dir) -> dict:
@@ -659,8 +655,7 @@ def run_approx(cfg: dict, out_dir) -> dict:
     profile = build_profile(c["profile"])
     protocol = build_protocol(c["protocol"])
     csvs = {"approximations.csv": _approx_columns(profile, protocol, _output_grid(c["grid"]))}
-    files = _write_outputs(out_dir, _base_meta(cfg), csvs, {})
-    return {"files": files, "metrics": {"sigma0": profiles.moment(profile, 0)}}
+    return _write_outputs(out_dir, _base_meta(cfg), csvs, {"sigma0": profiles.moment(profile, 0)})
 
 
 # ---------------------------------------------------------------------------

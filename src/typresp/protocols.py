@@ -8,10 +8,11 @@ and the derived effective-strength functions
 
     phi1(t) = (F1(t)/t)^2,          phi2(t) = (F2(t)/t - F1(t)/2)^2,
 
-with the t -> 0 limits phi1(0) = f(0)^2 and phi2(0) = 0.  Tabulated
-protocols are interpolated linearly and integrated exactly for the
-interpolant (piecewise polynomial), which meets the 1e-10 fallback
-tolerance on smooth inputs.
+with the t -> 0 limits phi1(0) = f(0)^2 and phi2(0) = 0.  The sinusoid and
+the two incommensurate ("pseudorandom") drives are one trig family with one
+closed form.  Tabulated protocols are interpolated linearly and integrated
+exactly for the interpolant (piecewise polynomial), which meets the 1e-10
+fallback tolerance on smooth inputs.
 
 eval_f, f1_f2 and phi_arrays take t as numpy does and return its shape (a
 scalar gives 0-d results); frequency sums run on a trailing axis.  Powers are
@@ -44,10 +45,12 @@ PIECEWISE_CONSTANT = ("constant", "step")
 # variants for which `period` is meaningful (period or ramp/characteristic time)
 _TIMESCALED = ("step", "sinusoid", "linear_ramp", "pseudorandom_a", "pseudorandom_b")
 
-_PRA_SIGNS = np.array([(-1.0) ** (k + 1) for k in range(1, 7)])
-_PRA_ROOTS = np.sqrt(np.arange(1.0, 7.0))
-_PRB_ODD = np.sqrt(np.array([1.0, 3.0, 5.0]))
-_PRB_EVEN = np.sqrt(np.array([2.0, 4.0, 6.0]))
+# the trig drives f = f0 (sum_k sin(a_k t/T) + sum_k c_k cos(b_k t/T)): variant -> (a, b, c)
+_TRIG = {
+    "sinusoid": (np.array([2 * np.pi]), np.empty(0), np.empty(0)),
+    "pseudorandom_a": (np.empty(0), np.sqrt(np.arange(1.0, 7.0)), np.array([1.0, -1.0] * 3)),
+    "pseudorandom_b": (np.sqrt([1.0, 3.0, 5.0]), np.sqrt([2.0, 4.0, 6.0]), np.ones(3)),
+}
 
 
 @dataclass(frozen=True)
@@ -131,15 +134,12 @@ def eval_f(p: DrivingProtocol, t):
         return np.full_like(t, f0)
     if p.variant == "step":
         return f0 * np.sign(np.sin(2 * np.pi * t / T))
-    if p.variant == "sinusoid":
-        return f0 * np.sin(2 * np.pi * t / T)
     if p.variant == "linear_ramp":
         return f0 * np.where(t <= T, t / T, 1.0)
-    if p.variant == "pseudorandom_a":
-        return f0 * np.sum(_PRA_SIGNS * np.cos(t[..., None] * (_PRA_ROOTS / T)), axis=-1)
-    if p.variant == "pseudorandom_b":
-        at, bt = t[..., None] * (_PRB_ODD / T), t[..., None] * (_PRB_EVEN / T)
-        return f0 * (np.sum(np.sin(at), axis=-1) + np.sum(np.cos(bt), axis=-1))
+    if p.variant in _TRIG:
+        a, b, c = _TRIG[p.variant]
+        at, bt = t[..., None] * (a / T), t[..., None] * (b / T)
+        return f0 * (np.sum(np.sin(at), axis=-1) + np.sum(c * np.cos(bt), axis=-1))
     # tabulated: linear interpolation, zero outside the sample range
     return np.interp(t, p.times, p.values, left=0.0, right=0.0)
 
@@ -160,29 +160,19 @@ def f1_f2(p: DrivingProtocol, t):
             first, 0.5 * np.square(tau), T * tau - 0.5 * np.square(tau) - T * T / 4
         )
         return F1, F2
-    if p.variant == "sinusoid":
-        om = 2 * np.pi / T
-        return f0 / om * (1.0 - np.cos(om * t)), f0 / om * (t - np.sin(om * t) / om)
     if p.variant == "linear_ramp":
         pre = t <= T
         F1 = f0 * np.where(pre, 0.5 * np.square(t) / T, t - T / 2)
         F2 = f0 * np.where(pre, np.power(t, 3) / (6 * T), T * T / 6 + 0.5 * t * (t - T))
         return F1, F2
-    if p.variant == "pseudorandom_a":
-        w = _PRA_ROOTS / T
-        wt = t[..., None] * w
-        F1 = f0 * np.sum(_PRA_SIGNS / w * np.sin(wt), axis=-1)
-        F2 = f0 * np.sum(_PRA_SIGNS / w**2 * (1.0 - np.cos(wt)), axis=-1)
-        return F1, F2
-    if p.variant == "pseudorandom_b":
-        a, b = _PRB_ODD / T, _PRB_EVEN / T
-        at, bt = t[..., None] * a, t[..., None] * b
-        F1 = f0 * (np.sum((1.0 - np.cos(at)) / a, axis=-1) + np.sum(np.sin(bt) / b, axis=-1))
-        F2 = f0 * (
-            np.sum(t[..., None] / a - np.sin(at) / a**2, axis=-1)
-            + np.sum((1.0 - np.cos(bt)) / b**2, axis=-1)
-        )
-        return F1, F2
+    if p.variant in _TRIG:
+        a, b, c = _TRIG[p.variant]
+        a, b, t_ = a / T, b / T, t[..., None]
+        at, bt = t_ * a, t_ * b
+        F1 = np.sum((1.0 - np.cos(at)) / a, axis=-1) + np.sum(c * np.sin(bt) / b, axis=-1)
+        F2 = (np.sum(t_ / a - np.sin(at) / np.square(a), axis=-1)
+              + np.sum(c * (1.0 - np.cos(bt)) / np.square(b), axis=-1))
+        return f0 * F1, f0 * F2
     return p._table.f1_f2(t)
 
 

@@ -13,7 +13,8 @@ convolution gives second-order accuracy without kernel derivatives.
 gamma depends on t' only through (phi1, phi2), so one Heun kernel advances
 a batch of rows, one (phi1, phi2) pair each, in lock step: `solve_gamma` is
 its one-row call, `gamma_diagonal_values` its call with a row per diagonal
-point.  The batch keeps gamma and gamma K, 16 bytes per row and step.
+point, both through one set-up that checks the grid and samples v and v''.
+The batch keeps gamma and gamma K, 16 bytes per row and step.
 
 The observable prediction combines the diagonal gamma(t, t)^2 with the
 undriven series:  a_pred(t) = a_th + gamma(t, t)^2 * (a_undriven(t) - a_th).
@@ -43,14 +44,6 @@ class ResponseSolution:
     gamma: np.ndarray
     phi1: float
     phi2: float
-
-
-def _check_grid(h: float, n: int) -> None:
-    """ValueError unless the step h is positive and finite and n >= 1."""
-    if not (h > 0 and np.isfinite(h)):
-        raise ValueError(f"step size h must be positive and finite, got {h!r}")
-    if n < 1:
-        raise ValueError(f"need at least one step beyond t = 0, got n = {n!r}")
 
 
 def _volterra_heun(phi1, phi2, v_grid, vdd_grid, h: float, ends) -> np.ndarray:
@@ -86,6 +79,21 @@ def _volterra_heun(phi1, phi2, v_grid, vdd_grid, h: float, ends) -> np.ndarray:
     return g
 
 
+def _heun_rows(profile, protocol, h: float, n: int, t_prime=None) -> tuple:
+    """(t_grid, phi1, phi2, g) on t_i = i*h, i = 0..n, after checking h and n: one
+    row with phi at t_prime run to step n or, for t_prime None, the diagonal's
+    rows, row i with phi at t_i run to step i."""
+    if not (h > 0 and np.isfinite(h)):
+        raise ValueError(f"step size h must be positive and finite, got {h!r}")
+    if n < 1:
+        raise ValueError(f"need at least one step beyond t = 0, got n = {n!r}")
+    t_grid = np.arange(n + 1) * h
+    ends = np.arange(n + 1) if t_prime is None else np.array([n])
+    phi1, phi2 = protocols.phi_arrays(protocol, t_grid if t_prime is None else [t_prime])
+    v, vdd = profiles.v_of_t(profile, t_grid), profiles.v_second_deriv(profile, t_grid)
+    return t_grid, phi1, phi2, _volterra_heun(phi1, phi2, v, vdd, h, ends)
+
+
 def solve_gamma(
     profile: profiles.PerturbationProfile,
     protocol: protocols.DrivingProtocol,
@@ -99,11 +107,7 @@ def solve_gamma(
     parameters of the equation, not functions of the integration variable.
     This is the one-row call of the batched Heun kernel (16 (n + 1) bytes).
     """
-    _check_grid(h, n)
-    phi1, phi2 = protocols.phi_arrays(protocol, [t_prime])  # a one-row batch
-    t_grid = np.arange(n + 1) * h
-    v, vdd = profiles.v_of_t(profile, t_grid), profiles.v_second_deriv(profile, t_grid)
-    g = _volterra_heun(phi1, phi2, v, vdd, h, np.array([n]))[0]
+    t_grid, phi1, phi2, (g,) = _heun_rows(profile, protocol, h, n, t_prime)  # one row
     overshoot = float(np.max(np.abs(g))) - 1.0
     if overshoot > OVERSHOOT_TOL:
         warnings.warn(f"|gamma| overshoots 1 by {overshoot:.3g}; the grid may be too coarse",
@@ -124,13 +128,7 @@ def gamma_diagonal_values(
     and the batch holds 16 (n + 1)^2 bytes (5.8 MB at n = 600).  A blow-up
     raises SolverBlowUpError at the first step where a row passed the threshold.
     """
-    _check_grid(h, n)
-    t_grid = np.arange(n + 1) * h
-    phi1, phi2 = protocols.phi_arrays(protocol, t_grid)
-    ends = np.arange(n + 1)
-    g = _volterra_heun(phi1, phi2, profiles.v_of_t(profile, t_grid),
-                       profiles.v_second_deriv(profile, t_grid), h, ends)
-    return g[ends, ends]
+    return _heun_rows(profile, protocol, h, n)[3].diagonal().copy()
 
 
 def gamma_diagonal(

@@ -15,10 +15,10 @@ blocks: each step is one matrix-vector product d <- e^{-if(t_mid) w h} M d,
 and the state y d with y = e^{-iH0 h/2} u is formed only at outputs.  Every
 eigendecomposition is one call of scipy's `evr` (MRRR) driver.  A piecewise
 run first chains the segments, keeping the start coefficients of those that
-hold outputs, then reads out all outputs of one f value together.  Every
-route, the undriven series included, hands its states to one readout of
-<A>, <H0> and the norm, one GEMM per 64 outputs, and the norm is checked at
-every output as its block is read out, naming the first t that drifted.
+hold outputs, then reads out all outputs of one f value together; the
+undriven series is that run with f = 0.  Both routes hand their states to one
+readout of <A>, <H0> and the norm, one GEMM per 64 outputs, and the norm is
+checked at every output as its block is read out, naming the first t that drifted.
 
 Memory is set by the dense m x m complex arrays (16 m^2 bytes each) alive at
 the propagation peak.  Piecewise: V, a dense A (two-sector observable only),
@@ -50,6 +50,7 @@ _BLOCK = 64
 # fixed substream indices off the master seed (order is part of the format)
 _STREAMS = {"v_matrix": 0, "observable_diag": 1, "observable_offdiag": 2, "initial_state": 3}
 RNG_ALGORITHM = "PCG64"
+_UNDRIVEN = protocols.DrivingProtocol("constant", f0=0.0)  # H0 alone: pure phase evolution
 
 # the names the constructors below accept (the harness config schema checks them too)
 SPECTRUM_VARIANTS = ("flat", "cosine_modulated")
@@ -392,11 +393,11 @@ def _to_basis(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 def undriven_series(model: RandomMatrixModel, t_grid: np.ndarray) -> np.ndarray:
-    """Readout rows <A>, <H0>, norm under H0 alone (pure phase evolution)."""
+    """Readout rows <A>, <H0>, norm under H0 alone: the piecewise run with f = 0."""
     t_grid = np.asarray(t_grid, dtype=float)
-    cols = np.zeros(len(t_grid), dtype=int)
-    rows = _series(model, model.energies, None, model.initial_state[:, None], cols, t_grid)
-    return _check_norm(rows, t_grid)
+    if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
+        raise ValueError("t_grid must be increasing and nonnegative")
+    return _propagate_piecewise(model, _UNDRIVEN, t_grid)
 
 
 def _propagate_piecewise(model, protocol, t_grid):
@@ -509,11 +510,10 @@ def propagate(
     midpoint f value, one matrix-vector product per step in V's eigenbasis
     (any protocol).
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
-        raise ValueError("t_grid must be increasing and nonnegative")
     if method not in METHODS:
         raise ConfigError(f"unknown propagation method {method!r}")
+    undriven = undriven_series(model, t_grid)  # checks t_grid before the driven run
+    t_grid = np.asarray(t_grid, dtype=float)
     used_step = None
     if method == "piecewise_exact":
         rows = _propagate_piecewise(model, protocol, t_grid)
@@ -521,7 +521,6 @@ def propagate(
         if step is None or step <= 0:
             raise ConfigError("trotter propagation needs a positive step")
         rows, used_step = _propagate_trotter(model, protocol, t_grid, step)
-    undriven = undriven_series(model, t_grid)
     return TrajectoryResult(
         a_series=rows[0],
         h0_series=rows[1],

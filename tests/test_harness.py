@@ -477,6 +477,26 @@ def test_csv_rejects_ragged_columns(tmp_path):
         harness.write_csv(tmp_path / "bad.csv", {"a": np.ones(3), "b": np.ones(4)})
 
 
+def write_csv_by_rows(path, columns):
+    """A CSV written row by row with format(x, '.17g') (the writer np.savetxt replaced)."""
+    arrays = [np.asarray(c, dtype=float) for c in columns.values()]
+    lines = [",".join(columns)]
+    lines += [",".join(format(a[i], ".17g") for a in arrays) for i in range(len(arrays[0]))]
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("rows", [None, 0, 1])
+def test_csv_bytes_match_row_writer(tmp_path, rows):
+    special = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308,
+                        1.7976931348623157e308, -1e300, 1 / 3, 0.1, 123456789.0, -2.5e-17])
+    cols = {"t": np.arange(special.size, dtype=float), "x": special, "y": special[::-1]}
+    if rows is not None:
+        cols = {k: v[:rows] for k, v in cols.items()}
+    harness.write_csv(tmp_path / "new.csv", cols)
+    write_csv_by_rows(tmp_path / "ref.csv", cols)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
 # --- metrics ---------------------------------------------------------------------
 
 
@@ -577,6 +597,19 @@ def test_strong_scale_run(tmp_path):
     assert out["metrics"]["r_max_first_period"] > 2 * out["metrics"]["r_max_later"]
     assert np.all(data["r"] >= 0)
     assert 0.01 <= out["metrics"]["crossover_amplitude"] <= 0.02
+
+
+def test_strong_scale_without_output_in_first_period(tmp_path):
+    # outputs every 1.25 with T = 0.5: none falls in (0, T], so the per-period
+    # maxima are left out, as when the grid ends before T
+    cfg = strong_scale_cfg({"variant": "step", "f0": 0.04, "period": 0.5})
+    cfg["grid"] = {"t_max": 5.0, "n_out": 4}
+    out = harness.run(cfg, tmp_path)
+    assert len(harness.read_csv(tmp_path / "strong_scale.csv")["r"]) == 5
+    assert "r_max_first_period" not in out["metrics"]
+    assert "r_max_later" not in out["metrics"]
+    cfg["grid"] = {"t_max": 0.4, "n_out": 4}
+    assert "r_max_later" not in harness.run(cfg, tmp_path / "short")["metrics"]
 
 
 def test_quench_asymptotics_run(tmp_path):

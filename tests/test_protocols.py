@@ -230,3 +230,44 @@ def test_piecewise_segments():
     assert make("sinusoid").piecewise_segments(1.0) is None
     cb, cv = make("constant", f0=0.5).piecewise_segments(4.0)
     assert list(cb) == [0.0, 4.0] and list(cv) == [0.5]
+
+
+# --- the trig drives' one closed form against their hand-integrated forms ------
+
+
+def trig_hand_integrated(p, t):
+    """(f, F1, F2) of the sinusoid and the two incommensurate drives, each
+    integrated by hand on its own (the reference the one table replaced)."""
+    f0, T, t = p.f0, p.period, np.asarray(t, dtype=float)
+    if p.variant == "sinusoid":
+        om = 2 * np.pi / T
+        return (f0 * np.sin(2 * np.pi * t / T), f0 / om * (1.0 - np.cos(om * t)),
+                f0 / om * (t - np.sin(om * t) / om))
+    if p.variant == "pseudorandom_a":
+        signs = np.array([(-1.0) ** (k + 1) for k in range(1, 7)])
+        w = np.sqrt(np.arange(1.0, 7.0)) / T
+        wt = t[..., None] * w
+        return (f0 * np.sum(signs * np.cos(wt), axis=-1),
+                f0 * np.sum(signs / w * np.sin(wt), axis=-1),
+                f0 * np.sum(signs / w**2 * (1.0 - np.cos(wt)), axis=-1))
+    a, b = np.sqrt(np.array([1.0, 3.0, 5.0])) / T, np.sqrt(np.array([2.0, 4.0, 6.0])) / T
+    at, bt = t[..., None] * a, t[..., None] * b
+    return (f0 * (np.sum(np.sin(at), axis=-1) + np.sum(np.cos(bt), axis=-1)),
+            f0 * (np.sum((1.0 - np.cos(at)) / a, axis=-1) + np.sum(np.sin(bt) / b, axis=-1)),
+            f0 * (np.sum(t[..., None] / a - np.sin(at) / a**2, axis=-1)
+                  + np.sum((1.0 - np.cos(bt)) / b**2, axis=-1)))
+
+
+@pytest.mark.parametrize("variant", ["sinusoid", "pseudorandom_a", "pseudorandom_b"])
+@pytest.mark.parametrize("f0, period", [(0.04, 0.5), (1.3, 0.37), (0.7, 2.5)])
+def test_trig_table_matches_hand_integrated_forms(variant, f0, period):
+    p = make(variant, f0=f0, period=period)
+    t = np.linspace(0.0, 50 * period, 5001)
+    f_ref, f1_ref, f2_ref = trig_hand_integrated(p, t)
+    f1, f2 = protocols.f1_f2(p, t)
+    for got, ref in ((f1, f1_ref), (f2, f2_ref)):
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+    # f itself: the phase w t may round to a neighbouring float, which moves
+    # sin and cos by up to eps |w t| per term (6 terms of |f0| at most)
+    bound = 6 * abs(f0) * np.finfo(float).eps * (2 * np.pi * 50)
+    assert np.max(np.abs(protocols.eval_f(p, t) - f_ref)) <= bound

@@ -510,6 +510,33 @@ def test_readout_blocks_match_per_time_loops():
     np.testing.assert_array_equal(traj.undriven_h0_series, undriven[1])
 
 
+def undriven_loop(model, t_grid):
+    """Undriven rows as the phase evolution e^{-iH0 t} psi0, read out per 64 outputs
+    (the loop the f = 0 piecewise run replaced)."""
+    out = np.empty((3, len(t_grid)))
+    for s in range(0, len(t_grid), rmt._BLOCK):
+        blk = slice(s, s + rmt._BLOCK)
+        phases = np.exp(-1j * np.outer(model.energies, t_grid[blk]))
+        out[:, blk] = rmt._readout(model, phases * model.initial_state[:, None])
+    return out
+
+
+@pytest.mark.parametrize("make_model", [small_eth_model, small_fidelity_model])
+@pytest.mark.parametrize("t", [np.linspace(0.0, 3.0, 301), np.linspace(0.7, 5.2, 130),
+                               np.array([2.5])], ids=["from_zero", "from_0.7", "one_point"])
+def test_undriven_series_is_bitwise_the_phase_loop(make_model, t):
+    model = make_model()
+    assert np.array_equal(bits(rmt.undriven_series(model, t)), bits(undriven_loop(model, t)))
+
+
+@pytest.mark.parametrize("t", [[0.5, 0.1, 2.0, 1.0], [], [[0.0, 1.0]], [-1.0, 0.0]])
+def test_undriven_series_rejects_a_bad_grid(t):
+    # the piecewise run reads outputs off an increasing grid, so a bad one
+    # is refused up front, not read out of order
+    with pytest.raises(ValueError, match="increasing and nonnegative"):
+        rmt.undriven_series(small_fidelity_model(m=64), t)
+
+
 # outputs on switch times (0.3 k from linspace lands an ulp off the bound),
 # a period shorter than the output step (segments without outputs), one
 # constant segment over two readout blocks, f0 = 0 (pure phase evolution),
