@@ -1,9 +1,10 @@
 """Config-driven experiment harness: scenarios, CSV artifacts, metrics.
 
 Configs are YAML with nested sections; `render_config` round-trips through
-`parse_config`.  One schema table per section gives each key's check, default
-and whether it is required: an unknown, missing or never-read key or a bad
-value is a `ConfigError` naming the dotted field.  `_plan` checks a `simulate`
+`parse_config`.  One schema table per section gives each key's check, default,
+whether it is required and where it is read: an unknown, missing or
+never-read key or a bad value is a `ConfigError` naming the dotted field, and
+a null value is the same as an absent key.  `_plan` checks a `simulate`
 config and builds each of its inputs once, before any model is sampled; the
 scenario runners take that plan and build nothing.  Keys that pass straight
 to a library call stay absent when not given, so that call's default is the
@@ -52,11 +53,12 @@ _SIMULATIONS = ("fidelity", "double_pretherm")
 
 
 # A check is a pair (what, convert): convert takes a raw value to the checked
-# one and raises TypeError or ValueError; `what` names the expected value.
+# one and raises TypeError or ValueError; `what` names the expected value.  No
+# key takes a boolean, so YAML's true/yes/false never pass as 1 or 0.
 def _check(what: str, ok: Callable, convert: Callable = lambda v: v) -> tuple:
     def run(value):
         x = convert(value)
-        if not ok(x):
+        if isinstance(value, bool) or not ok(x):
             raise ValueError(what)
         return x
 
@@ -92,21 +94,30 @@ _NONNEG = _check("a finite number >= 0", lambda x: math.isfinite(x) and x >= 0, 
 _NAME = _check("a string", lambda x: isinstance(x, str))
 _MAPPING = _check("a mapping", lambda x: isinstance(x, dict))
 _PATH = _check("the path of an existing file", Path.is_file, Path)
-_INDEX = ("'middle', null or a whole number >= 0",
-          lambda v: v if v in ("middle", None) else _whole(0)[1](v))
+_INDEX = ("'middle' or a whole number >= 0", lambda v: v if v == "middle" else _whole(0)[1](v))
 
-# A key is a triple (check, default, when); check may be a nested section.
+# A key is (check, default, when, required); check may be a nested section.  A key
+# is read where when(the keys above it, checked) holds, and always for a when of
+# None.  Where it is not read, a non-null value is an error and the default applies.
 _OMIT = object()  # an absent key stays absent, so the library call's own default applies
 
 
-def _req(check, when: Callable = lambda section: True) -> tuple:
-    """A key that is given exactly when when(the keys above it, checked) holds."""
-    return check, _OMIT, when
+def _req(check, when: Optional[Callable] = None, default=_OMIT) -> tuple:
+    """A key that must be given, and not null, wherever it is read."""
+    return check, default, when, True
 
 
-def _opt(check, default=_OMIT) -> tuple:
+def _opt(check, default=_OMIT, when: Optional[Callable] = None) -> tuple:
     """A key that may be absent; a default of None also admits null."""
-    return check, default, None
+    return check, default, when, False
+
+
+def _simulation(cfg: dict) -> bool:
+    return cfg["scenario"] in _SIMULATIONS
+
+
+def _filtered(state: dict) -> bool:
+    return state["kind"] == "filtered_random"
 
 
 _PROFILE = {
@@ -119,7 +130,7 @@ _PROFILE = {
 _PROTOCOL = {
     "variant": _req(_one_of(protocols.VARIANTS)),
     "f0": _req(_FINITE, when=lambda p: p["variant"] != "tabulated"),
-    "period": _opt(_POSITIVE),
+    "period": _opt(_POSITIVE, when=lambda p: p["variant"] in protocols._TIMESCALED),
     "table": _req(_PATH, when=lambda p: p["variant"] == "tabulated"),
 }
 _INPUTS = {
@@ -131,9 +142,9 @@ _MODEL = {
     "m": _req(_whole(2)),
     "spectrum": _req({
         "variant": _req(_one_of(rmt.SPECTRUM_VARIANTS)),
-        "spacing": _opt(_POSITIVE),
-        "alpha": _opt(_NONNEG),
-        "mean_spacing": _opt(_POSITIVE),
+        "spacing": _opt(_POSITIVE, when=lambda s: s["variant"] == "flat"),
+        "alpha": _opt(_NONNEG, when=lambda s: s["variant"] == "cosine_modulated"),
+        "mean_spacing": _opt(_POSITIVE, when=lambda s: s["variant"] == "cosine_modulated"),
     }),
     "observable": _req({
         "kind": _req(_one_of(("fidelity", "eth"))),
@@ -142,27 +153,28 @@ _MODEL = {
     }),
     "initial_state": _req({
         "kind": _req(_one_of(rmt.STATE_KINDS)),
-        "index": _opt(_INDEX, "middle"),
+        "index": _opt(_INDEX, "middle", when=lambda s: s["kind"] == "eigenstate"),
         # the harness reads these two for the occupied window, so it holds their defaults
-        "e_center": _opt(_FINITE, 0.0),
-        "delta_e": _opt(_POSITIVE, 1.0),
-        "q": _opt(_one_of(rmt.Q_KINDS)),
-        "kappa": _opt(_FINITE),
-        "sector": _opt(_one_of(rmt.SECTORS)),
+        "e_center": _opt(_FINITE, 0.0, when=_filtered),
+        "delta_e": _opt(_POSITIVE, 1.0, when=_filtered),
+        "q": _opt(_one_of(rmt.Q_KINDS), when=_filtered),
+        "kappa": _opt(_FINITE, when=_filtered),
+        "sector": _opt(_one_of(rmt.SECTORS), when=_filtered),
     }),
     "method": _opt(_one_of(rmt.METHODS), "piecewise_exact"),
-    "trotter_step": _opt(_POSITIVE, None),
+    "trotter_step": _req(_POSITIVE, when=lambda m: m["method"] == "trotter", default=None),
 }
 _SCENARIO = {
     "scenario": _req(_one_of(SCENARIOS)),
-    "seed": _req(_whole(0), when=lambda c: c["scenario"] in _SIMULATIONS),
+    "seed": _req(_whole(0), when=_simulation),
     **_INPUTS,
-    "model": _req(_MODEL, when=lambda c: c["scenario"] in _SIMULATIONS),
+    "model": _req(_MODEL, when=_simulation),
     "prediction": _opt({
         "t_max": _opt(_POSITIVE, None),  # null: min(grid.t_max, 5 timescales)
         "solver_step": _opt(_POSITIVE, None),  # null: response.default_step
-    }, {}),
-    "window_halfwidth_factor": _opt(_POSITIVE, 2.0),
+    }, {}, when=_simulation),
+    "window_halfwidth_factor": _opt(
+        _POSITIVE, 2.0, when=lambda c: _simulation(c) and _filtered(c["model"]["initial_state"])),
 }
 _RESPOND = {
     **_INPUTS,
@@ -194,14 +206,14 @@ def _checked(schema: dict, raw, where: str = "") -> dict:
     if unknown:
         raise ConfigError(f"unknown keys in {section}: {sorted(unknown)}; allowed: {list(schema)}")
     out = {}
-    for key, (check, default, when) in schema.items():
-        field = where + key
-        if when is not None and (key in raw) != when(out):
-            if key not in raw:
-                raise ConfigError(f"missing key {field!r}")
-            given = ", ".join(f"{where}{k}={v!r}" for k, v in out.items() if isinstance(v, str))
-            raise ConfigError(f"key {field!r} is never read with {given}; remove it")
-        value = raw.get(key, default)
+    for key, (check, default, when, required) in schema.items():
+        field, given = where + key, raw.get(key) is not None  # null is the same as absent
+        read = when is None or when(out)
+        if (read and required and not given) or (given and not read):
+            about = f" with {', '.join(_strings(out, where))}" if when else ""
+            raise ConfigError(f"missing key {field!r}{about}" if read else
+                              f"key {field!r} is never read{about}; remove it")
+        value = raw.get(key, default) if read else default
         if value is _OMIT:
             continue
         if isinstance(check, dict):
@@ -211,9 +223,20 @@ def _checked(schema: dict, raw, where: str = "") -> dict:
         try:
             out[key] = None if value is None and default is None else convert(value)
         except (TypeError, ValueError, OverflowError):
-            what = "null or " + what if default is None else what
+            what = "null or " + what if default is None and not required else what
             raise ConfigError(f"{field} must be {what}, got {value!r}") from None
     return out
+
+
+def _strings(section: dict, where: str) -> list:
+    """'field=value' for each string in a checked section, nested ones too: what a when reads."""
+    found = []
+    for k, v in section.items():
+        if isinstance(v, dict):
+            found += _strings(v, f"{where}{k}.")
+        elif isinstance(v, str):
+            found.append(f"{where}{k}={v!r}")
+    return found
 
 
 def parse_config(text: str) -> dict:
@@ -297,14 +320,12 @@ def _plan(cfg: dict) -> _Plan:
         raise ConfigError(f"model.method piecewise_exact needs protocol.variant in "
                           f"{list(protocols.PIECEWISE_CONSTANT)}, got {variant!r}")
     if model["method"] == "trotter":
-        if model["trotter_step"] is None:
-            raise ConfigError("model.trotter_step must be set for model.method trotter")
         try:
             rmt.split_step(protocol, dt, model["trotter_step"], t_end)
         except ConfigError as exc:
             raise ConfigError(f"model.trotter_step {model['trotter_step']!r}: {exc}") from None
     index = state["index"] = m // 2 if state["index"] == "middle" else state["index"]
-    if (index is None and state["kind"] == "eigenstate") or (index is not None and index >= m):
+    if index >= m:
         raise ConfigError(f"model.initial_state.index must lie in [0, {m}), got {index!r}")
     e, window = spec.energies(), None
     if state["kind"] == "filtered_random":
@@ -489,15 +510,15 @@ def _build_model(plan: _Plan) -> tuple:
 def _diagonal_on_grid(profile, protocol, h_req, dt: float, n_out: int, t_end: float):
     """(gamma(t_k, t_k) at t_k = k dt for k = 0..n_out, h, substeps).
 
-    The solver runs on t_i = i h with h = dt / substeps the largest such step
-    <= h_req (default_step(t_end) for a null h_req), and every substeps-th
-    diagonal point is kept.
+    The solver runs on t_i = i h with h = dt / substeps the largest such step <= h_req
+    (null: default_step(t_end)); only the output rows are solved, row k to step k substeps.
     """
     h_req = response.default_step(profile, protocol, t_end) if h_req is None else h_req
     substeps = max(1, int(np.ceil(dt / h_req - 1e-12)))
     h = dt / substeps
-    diag = response.gamma_diagonal_values(profile, protocol, h, n_out * substeps)
-    return diag[::substeps], h, substeps
+    steps = substeps * np.arange(n_out + 1)
+    g = response.gamma_rows(profile, protocol, h, steps * h, steps)[2]
+    return g[np.arange(n_out + 1), steps], h, substeps
 
 
 def _approx_columns(profile, protocol, t_grid):

@@ -10,11 +10,10 @@ t' and v is the profile's time-domain transform.  The kernel is smooth, so
 an explicit trapezoidal predictor-corrector (Heun) step with trapezoidal
 convolution gives second-order accuracy without kernel derivatives.
 
-gamma depends on t' only through (phi1, phi2), so one Heun kernel advances
-a batch of rows, one (phi1, phi2) pair each, in lock step: `solve_gamma` is
-its one-row call, `gamma_diagonal_values` its call with a row per diagonal
-point, both through one set-up that checks the grid and samples v and v''.
-The batch keeps gamma and gamma K, 16 bytes per row and step.
+gamma depends on t' only through (phi1, phi2), so one Heun kernel advances a
+batch of rows in lock step.  `gamma_rows` solves exactly the rows a caller
+names, each by its t' and its last step; `solve_gamma` is its one-row call and
+`gamma_diagonal_values` its call along the diagonal.  A row takes 16 bytes a step.
 
 The observable prediction combines the diagonal gamma(t, t)^2 with the
 undriven series:  a_pred(t) = a_th + gamma(t, t)^2 * (a_undriven(t) - a_th).
@@ -79,19 +78,21 @@ def _volterra_heun(phi1, phi2, v_grid, vdd_grid, h: float, ends) -> np.ndarray:
     return g
 
 
-def _heun_rows(profile, protocol, h: float, n: int, t_prime=None) -> tuple:
-    """(t_grid, phi1, phi2, g) on t_i = i*h, i = 0..n, after checking h and n: one
-    row with phi at t_prime run to step n or, for t_prime None, the diagonal's
-    rows, row i with phi at t_i run to step i."""
+def _grid(h: float, n: int) -> np.ndarray:
     if not (h > 0 and np.isfinite(h)):
         raise ValueError(f"step size h must be positive and finite, got {h!r}")
     if n < 1:
         raise ValueError(f"need at least one step beyond t = 0, got n = {n!r}")
-    t_grid = np.arange(n + 1) * h
-    ends = np.arange(n + 1) if t_prime is None else np.array([n])
-    phi1, phi2 = protocols.phi_arrays(protocol, t_grid if t_prime is None else [t_prime])
+    return np.arange(n + 1) * h
+
+
+def gamma_rows(profile, protocol, h: float, t_primes, ends) -> tuple:
+    """(phi1, phi2, g) with g[r, i] = gamma(t_i, t_primes[r]), t_i = i*h, i <= ends[r] (ascending):
+    one kernel call solves exactly these rows, raising SolverBlowUpError at the first bad step."""
+    t_grid = _grid(h, int(ends[-1]))
+    phi1, phi2 = protocols.phi_arrays(protocol, t_primes)
     v, vdd = profiles.v_of_t(profile, t_grid), profiles.v_second_deriv(profile, t_grid)
-    return t_grid, phi1, phi2, _volterra_heun(phi1, phi2, v, vdd, h, ends)
+    return phi1, phi2, _volterra_heun(phi1, phi2, v, vdd, h, np.asarray(ends))
 
 
 def solve_gamma(
@@ -105,14 +106,14 @@ def solve_gamma(
 
     phi1 and phi2 are evaluated once at t_prime and held fixed; they are
     parameters of the equation, not functions of the integration variable.
-    This is the one-row call of the batched Heun kernel (16 (n + 1) bytes).
+    This is the one-row call of gamma_rows (16 (n + 1) bytes).
     """
-    t_grid, phi1, phi2, (g,) = _heun_rows(profile, protocol, h, n, t_prime)  # one row
+    phi1, phi2, (g,) = gamma_rows(profile, protocol, h, [t_prime], [n])
     overshoot = float(np.max(np.abs(g))) - 1.0
     if overshoot > OVERSHOOT_TOL:
         warnings.warn(f"|gamma| overshoots 1 by {overshoot:.3g}; the grid may be too coarse",
                       RuntimeWarning, stacklevel=2)
-    return ResponseSolution(t_grid, g, float(phi1[0]), float(phi2[0]))
+    return ResponseSolution(np.arange(n + 1) * h, g, float(phi1[0]), float(phi2[0]))
 
 
 def gamma_diagonal_values(
@@ -123,12 +124,11 @@ def gamma_diagonal_values(
 ) -> np.ndarray:
     """Signed diagonal gamma(t_i, t_i) for t_i = i*h, i = 0..n.
 
-    Point i is the solve with t' = t_i on [0, t_i], row i of one batched
-    kernel call with ends 0..n: Python loops n times over vectorised rows,
-    and the batch holds 16 (n + 1)^2 bytes (5.8 MB at n = 600).  A blow-up
-    raises SolverBlowUpError at the first step where a row passed the threshold.
+    Row i of gamma_rows has t' = t_i and ends at step i: 16 (n + 1)^2 bytes (5.8 MB
+    at n = 600).  A blow-up raises SolverBlowUpError at the first step where a row
+    passed the threshold.
     """
-    return _heun_rows(profile, protocol, h, n)[3].diagonal().copy()
+    return gamma_rows(profile, protocol, h, _grid(h, n), np.arange(n + 1))[2].diagonal().copy()
 
 
 def gamma_diagonal(

@@ -10,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from typresp import cli, harness, response, rmt
+from typresp import cli, harness, profiles, protocols, response, rmt
 from typresp.errors import ConfigError, EmptyWindowError, GridMismatchError
 
 
@@ -165,7 +167,7 @@ def test_simulate_rejects_bad_prediction_grid_before_sampling(tmp_path, monkeypa
 def test_respond_rejects_bad_solver_step_before_solving(tmp_path, monkeypatch, bad):
     monkeypatch.setattr(rmt, "sample_v", _must_not_run)
     monkeypatch.setattr(response, "default_step", _must_not_run)
-    monkeypatch.setattr(response, "gamma_diagonal_values", _must_not_run)
+    monkeypatch.setattr(response, "gamma_rows", _must_not_run)
     cfg = {
         "profile": {"variant": "exponential", "v0": 1.0, "delta_v": 0.5, "d0": 128.0},
         "protocol": {"variant": "step", "f0": 0.08, "period": 0.5},
@@ -253,6 +255,31 @@ BAD_FIELDS = [
                  table_csv(np.linspace(0.5, 5.0, 10), np.ones(10)), id="profile_from_0.5"),
     pytest.param("tab_protocol", "protocol.table",
                  table_csv([0.0, 2.0, 1.0], [0.1, 0.2, 0.3]), id="protocol_times_decrease"),
+    # optional keys that the run would never read
+    ("fidelity", "model.trotter_step", 0.01),  # piecewise_exact takes no split step
+    ("fidelity", "model.initial_state.q", "identity"),  # an eigenstate is not filtered
+    ("fidelity", "model.initial_state.kappa", 1.0),
+    ("fidelity", "model.initial_state.e_center", 0.0),
+    ("fidelity", "model.initial_state.delta_e", 1.0),
+    ("fidelity", "model.initial_state.sector", "all"),
+    ("fidelity", "window_halfwidth_factor", 2.0),  # no occupied window without a filter
+    ("eth", "model.initial_state.index", 3),  # a filtered state has no index
+    ("eth", "model.initial_state.index", 9999),
+    ("strong_scale", "window_halfwidth_factor", 2.0),
+    pytest.param("strong_scale", "prediction", {"t_max": 0.5}, id="strong_scale-prediction"),
+    pytest.param("quench", "prediction", {}, id="quench-empty-prediction"),
+    ("trotter", "model.trotter_step", None),  # null is absent, and trotter needs the step
+    ("fidelity", "model.spectrum.alpha", 0.1),  # a flat spectrum has no modulation
+    ("fidelity", "model.spectrum.mean_spacing", 0.5),
+    ("eth", "model.spectrum.spacing", 0.5),
+    ("tab_protocol", "protocol.period", 1.0),  # a table sets its own time scale
+    # YAML's true/yes/false pass neither as a number nor as a whole number
+    ("fidelity", "grid.n_out", True),
+    ("fidelity", "grid.t_max", True),
+    ("fidelity", "protocol.f0", True),
+    ("fidelity", "seed", False),
+    ("fidelity", "model.initial_state.index", True),
+    ("eth", "model.initial_state.kappa", False),
 ]
 
 
@@ -328,12 +355,13 @@ def test_unread_keys_rejected(tmp_path, monkeypatch, run, cfg, key):
     ("t_primes", [float("nan")]),
     ("t_primes", ["x"]),
     ("t_primes", 0.3),
+    ("t_primes", [True]),
     ("grid.n_out", 2.7),
     ("protocol.f0", "abc"),
     ("profile.delta_v", -1),
 ])
 def test_respond_bad_field_fails_before_solving(tmp_path, monkeypatch, field, bad):
-    monkeypatch.setattr(response, "gamma_diagonal_values", _must_not_run)
+    monkeypatch.setattr(response, "gamma_rows", _must_not_run)
     monkeypatch.setattr(response, "solve_gamma", _must_not_run)
     with pytest.raises(ConfigError, match=re.escape(field)):
         harness.run_respond(set_field(respond_cfg(), field, bad), tmp_path)
@@ -392,15 +420,35 @@ def test_null_prediction_grid_means_default(tmp_path, monkeypatch):
     cfg = small_fidelity_cfg(m=64, t_max=0.5, n_out=20)
     cfg["prediction"] = {"t_max": None, "solver_step": None}
     solves = []
-    diagonal = response.gamma_diagonal_values
-    monkeypatch.setattr(response, "gamma_diagonal_values",
-                        lambda *a: solves.append(a[2:]) or diagonal(*a))
+    rows = response.gamma_rows
+    monkeypatch.setattr(response, "gamma_rows",
+                        lambda *a: solves.append((a[2], int(a[4][-1]), len(a[4]))) or rows(*a))
     harness.run(cfg, tmp_path)
-    (h, n), = solves
+    (h, n, n_rows), = solves
     n_pred = len(harness.read_csv(tmp_path / "prediction.csv")["t"]) - 1
     substeps = n // n_pred
     assert n_pred == 20 and substeps >= 1 and n == n_pred * substeps
     assert h * substeps == pytest.approx(0.025)
+    assert n_rows == n_pred + 1  # only the output rows are solved
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    variant=st.sampled_from(["constant", "step", "sinusoid", "linear_ramp", "pseudorandom_b"]),
+    f0=st.floats(0.0, 0.08),
+    period=st.floats(0.2, 2.0),
+    dt=st.floats(0.01, 0.05),
+    n_out=st.integers(1, 30),
+    substeps=st.integers(1, 6),
+)
+def test_output_rows_are_bitwise_the_strided_diagonal(variant, f0, period, dt, n_out, substeps):
+    # only the output rows are solved, and each equals its row of the whole diagonal
+    profile = profiles.PerturbationProfile(variant="exponential", v0=1.0, delta_v=0.5, d0=512.0)
+    proto = protocols.DrivingProtocol(variant=variant, f0=f0, period=period)
+    diag, h, s = harness._diagonal_on_grid(profile, proto, dt / substeps, dt, n_out, n_out * dt)
+    assert s == substeps and h == dt / substeps
+    full = response.gamma_diagonal_values(profile, proto, h, n_out * substeps)
+    assert np.array_equal(diag, full[::substeps])
 
 
 def test_tables_are_read_once_per_run(tmp_path, monkeypatch):

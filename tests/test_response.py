@@ -126,27 +126,52 @@ def test_blowup_raises():
         response.solve_gamma(p, proto, t_prime=1.0, h=0.5, n=400)
 
 
-def test_diagonal_blowup_at_first_step_past_threshold():
-    # too coarse a step for this drive: the diagonal rows t' = t_11 .. t_15
-    # are the first to pass |gamma| = 10, at step 11, and the error says so
-    p = exp_profile(v0=5.0)
-    proto = protocols.DrivingProtocol(variant="step", f0=0.3, period=3.0)
-    h, n = 0.1, 60
-    t = np.arange(n + 1) * h
-    v, vdd = profiles.v_of_t(p, t), profiles.v_second_deriv(p, t)
+def first_past_threshold(profile, proto, h, rows):
+    """Per diagonal row i (t' = i h, run to step i) of the scalar reference, the
+    first step at which |gamma| passes BLOWUP_THRESHOLD; rows that never do are left out."""
+    t = np.arange(max(rows) + 1) * h
+    v, vdd = profiles.v_of_t(profile, t), profiles.v_second_deriv(profile, t)
     phi1, phi2 = protocols.phi_arrays(proto, t)
     first_past = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n + 1):
+        for i in rows:
             g = scalar_heun(phi1[i] * v[: i + 1] - phi2[i] * vdd[: i + 1], h)
             past = np.nonzero(np.abs(g) > response.BLOWUP_THRESHOLD)[0]
             if past.size:
                 first_past.append(int(past[0]))
-    first = min(first_past)
+    return first_past
+
+
+# too coarse a step for this drive: of the diagonal rows t' = t_1 .. t_60 on h = 0.1,
+# t_11 .. t_15 and no others pass |gamma| = 10, all first at step 11
+BLOWUP_PROFILE = exp_profile(v0=5.0)
+BLOWUP_DRIVE = protocols.DrivingProtocol(variant="step", f0=0.3, period=3.0)
+
+
+def test_diagonal_blowup_at_first_step_past_threshold():
+    h, n = 0.1, 60
+    first = min(first_past_threshold(BLOWUP_PROFILE, BLOWUP_DRIVE, h, range(1, n + 1)))
     assert first == 11
     with pytest.raises(SolverBlowUpError) as info:
-        response.gamma_diagonal_values(p, proto, h, n)
+        response.gamma_diagonal_values(BLOWUP_PROFILE, BLOWUP_DRIVE, h, n)
     assert info.value.t == first * h
+    assert abs(info.value.value) > response.BLOWUP_THRESHOLD
+
+
+@pytest.mark.parametrize("stride", [4, 13, 10])
+def test_named_rows_blow_up_at_their_first_bad_step(stride):
+    # strides 4 and 13 name a row among t_11 .. t_15 and raise at its first bad
+    # step; stride 10 names none, so its rows are solved although the whole
+    # diagonal raises
+    h, steps = 0.1, stride * np.arange(60 // stride + 1)
+    first_past = first_past_threshold(BLOWUP_PROFILE, BLOWUP_DRIVE, h, steps)
+    assert bool(first_past) == (stride != 10)
+    if stride == 10:
+        response.gamma_rows(BLOWUP_PROFILE, BLOWUP_DRIVE, h, steps * h, steps)
+        return
+    with pytest.raises(SolverBlowUpError) as info:
+        response.gamma_rows(BLOWUP_PROFILE, BLOWUP_DRIVE, h, steps * h, steps)
+    assert info.value.t == min(first_past) * h
     assert abs(info.value.value) > response.BLOWUP_THRESHOLD
 
 
