@@ -1,14 +1,20 @@
 """Closed-form limits of the response function and the resolvent route.
 
-Two analytic regimes bracket the full solver:
+gamma(t, t') depends on t' only through phi1(t') and phi2(t'), so every form
+here takes those values (or the scale r built from them), never a protocol;
+a caller evaluates phi once per grid.  Two analytic regimes bracket the full
+solver:
 
 * strong, short-ranged-in-energy driving: gamma(t, t') = 2 J1(r t)/(r t)
-  with the scale r(t')^2 = 4 vtilde(0) D0 [Sigma_0 phi1 + Sigma_2 phi2];
+  with the scale r^2 = 4 vtilde(0) D0 [Sigma_0 phi1 + Sigma_2 phi2];
   trusted when the margin r/Sigma_0 exceeds VALID_MARGIN.
-* fast driving (first-order average): a three-exponential expression in the
-  rates r_hat = pi vtilde(0) phi1 D0 and r_n = (Sigma_0/pi)(1 + n s),
-  s = sqrt(1 - 2 pi r_hat / Sigma_0); for weak amplitudes it collapses to
-  exp(-r_hat t).
+* fast driving (first-order average), a function of phi1 alone: the
+  three-exponential expression in the rates r_hat = pi vtilde(0) phi1 D0
+  and r_n = (Sigma_0/pi)(1 + n s) is the square
+  [e^{-y} (cosh(s y) + sinh(s y)/s)]^2, y = Sigma_0 t / (2 pi),
+  s^2 = 1 - 2 pi r_hat / Sigma_0.  The bracket is entire in s^2, so one
+  expression covers s^2 > 0, s^2 < 0 and s = 0.  For weak amplitudes it
+  collapses to exp(-r_hat t).
 
 The resolvent route solves the self-consistent equation
 
@@ -20,10 +26,10 @@ Im G(E - i eta) with an e^{eta t} factor compensating the regularization.
 Im G and Im z keep opposite signs throughout.
 
 Every function of time or energy takes its arguments as numpy does and
-returns their broadcast shape (scalars give 0-d results); `r`, `t` and
-`t_prime` broadcast against each other.  Powers and complex products of such
-values are ufunc calls (np.square, np.power, np.multiply), for the reason
-given in `protocols`.
+returns their broadcast shape (scalars give 0-d results); `r`, `phi1`,
+`phi2` and `t` broadcast against each other.  Powers and complex arithmetic
+on such values are ufunc calls (np.square, np.power, np.multiply, np.add),
+for the reason given in `protocols`.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import j1 as bessel_j1  # public name of J1 in this package
 
-from . import profiles, protocols
+from . import profiles
 from .errors import ResolventConvergenceError
 
 VALID_MARGIN = 3.0  # operational reading of "r much larger than Sigma_0"
@@ -46,19 +52,17 @@ RESOLVENT_TOL = 1e-10  # sup-change of G at which the iteration stops
 # ---------------------------------------------------------------------------
 
 
-def r_scale_array(
-    profile: profiles.PerturbationProfile,
-    protocol: protocols.DrivingProtocol,
-    t,
-) -> np.ndarray:
-    """r(t) = sqrt(4 vtilde(0) d0 [Sigma_0 phi1(t) + Sigma_2 phi2(t)]) in the shape of t."""
-    return _r_of_phi(profile, *protocols.phi_arrays(protocol, t))
-
-
-def _r_of_phi(profile: profiles.PerturbationProfile, phi1, phi2):
-    """r = sqrt(4 vtilde(0) d0 [Sigma_0 phi1 + Sigma_2 phi2]) of given phi1, phi2."""
+def r_scale(profile: profiles.PerturbationProfile, phi1, phi2):
+    """r = sqrt(4 vtilde(0) d0 [Sigma_0 phi1 + Sigma_2 phi2]); phi1 and phi2 broadcast."""
     s0, s2 = profiles.moment(profile, 0), profiles.moment(profile, 2)
     return np.sqrt(4.0 * profile.v0 * profile.d0 * (s0 * phi1 + s2 * phi2))
+
+
+def _times(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):  # checked on t itself: a zero rate or scale hides the sign of t
+        raise ValueError("time must be >= 0")
+    return t
 
 
 def strong_driving_gamma(r, t):
@@ -68,10 +72,7 @@ def strong_driving_gamma(r, t):
     """
     if np.any(np.asarray(r) < 0):
         raise ValueError("scale r must be >= 0")
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):  # checked on t itself: r = 0 makes x = r t look >= 0
-        raise ValueError("time must be >= 0")
-    x = t * r
+    x = _times(t) * r
     tiny = x < 1e-3
     xs = np.where(tiny, 1.0, x)  # keeps the J1 branch off 0/0
     series = 1.0 - np.square(x) / 8.0 + np.power(x, 4) / 192.0
@@ -83,77 +84,33 @@ def strong_driving_gamma(r, t):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FastDrivingRates:
-    """Rates of the first-order (high-frequency) form; complex when 2 pi r_hat > Sigma_0."""
+def fast_driving_gamma(profile: profiles.PerturbationProfile, phi1, t):
+    """First-order (high-frequency) gamma(t, t') of phi1 = phi1(t'); exactly 1 at t = 0.
 
-    r_hat: np.ndarray
-    r_minus1: np.ndarray
-    r_0: float
-    r_plus1: np.ndarray
-
-
-# below this |1 - 2 pi r_hat/Sigma_0| the three-exponential form is evaluated
-# as a series in the degeneracy parameter (keeps roundoff well under the
-# 1e-10 reality check; the closed form loses ~|disc|^-1 digits there)
-_DEGENERATE_CUT = 1e-5
-
-
-def fast_rates(
-    profile: profiles.PerturbationProfile,
-    protocol: protocols.DrivingProtocol,
-    t_prime,
-) -> FastDrivingRates:
-    """r_hat(t') and r_n(t') in the shape of t'; r_0 is independent of t'."""
-    phi1 = protocols.phi_arrays(protocol, t_prime)[0]
-    s0 = profiles.moment(profile, 0)
-    r_hat = np.pi * profile.v0 * phi1 * profile.d0
-    r0 = s0 / np.pi
-    s = np.sqrt((1.0 - 2.0 * np.pi * r_hat / s0).astype(complex))
-    return FastDrivingRates(r_hat, r0 * (1.0 - s), float(r0), r0 * (1.0 + s))
-
-
-def fast_driving_gamma(
-    profile: profiles.PerturbationProfile,
-    protocol: protocols.DrivingProtocol,
-    t,
-    t_prime,
-):
-    """First-order (high-frequency) gamma(t, t'); equals 1 at t = 0 identically.
-
-    t and t_prime broadcast against each other (the diagonal is t = t_prime);
-    each element near the degenerate point 2 pi r_hat = Sigma_0 takes the
-    series branch on its own.
+    The bracket b = e^{-(1-s) y} [(1 + e^{-u})/2 + y q(u)], u = 2 s y and
+    q(u) = (1 - e^{-u})/u, is e^{-y} (cosh(s y) + sinh(s y)/s) without
+    overflow; 1 - s is formed as (1 - s^2)/(1 + s), which keeps its digits
+    near s = 1.  s is imaginary when 2 pi r_hat > Sigma_0, where b must come
+    out real.  phi1 broadcasts against t.
     """
-    rates = fast_rates(profile, protocol, t_prime)
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("time must be >= 0")
-    r0, rh, rm, rp = rates.r_0, rates.r_hat, rates.r_minus1, rates.r_plus1
-    disc = 1.0 - 2.0 * rh / r0  # = 1 - 2 pi r_hat / Sigma_0 = s^2
-    series = np.abs(disc) < _DEGENERATE_CUT
-    x = r0 * t
-    with np.errstate(divide="ignore", invalid="ignore"):  # r0 = 2 rh: a series element
-        num = np.multiply(rp - rh, np.exp(-rm * t)) - 2.0 * rh * np.exp(-r0 * t)
-        val = (num + np.multiply(rm - rh, np.exp(-rp * t))) / (2.0 * (r0 - 2.0 * rh))
-    max_imag = float(np.max(np.abs(np.where(series, 0.0, val.imag))))
+    t = _times(t)
+    s0 = profiles.moment(profile, 0)
+    a = 2.0 * np.pi**2 * profile.v0 * phi1 * profile.d0 / s0  # 2 pi r_hat / Sigma_0 = 1 - s^2
+    s = np.sqrt(np.subtract(1.0, a, dtype=complex))
+    y = s0 / (2.0 * np.pi) * t
+    u = np.multiply(np.multiply(2.0, s), y)
+    q = np.divide(-np.expm1(-u), u, out=np.ones_like(u), where=u != 0)  # q(0) = 1
+    b = np.multiply(np.exp(np.multiply(-np.divide(a, np.add(1.0, s)), y)),
+                    np.add(np.multiply(0.5, np.add(1.0, np.exp(-u))), np.multiply(y, q)))
+    max_imag = float(np.max(np.abs(b.imag), initial=0.0))
     if max_imag >= 1e-10:
         raise AssertionError(f"high-frequency gamma grew an imaginary part ({max_imag:.3e})")
-    return np.where(series, np.exp(-x) * (
-        (1.0 + x + 0.25 * x * x) + disc * (0.25 * x * x + np.power(x, 3) / 6.0
-                                           + np.power(x, 4) / 48.0)
-    ), val.real)
+    return np.square(b.real)
 
 
-def weak_fast_gamma(
-    profile: profiles.PerturbationProfile,
-    protocol: protocols.DrivingProtocol,
-    t,
-    t_prime,
-):
-    """Weak-amplitude fast-driving form exp(-r_hat(t') |t|); t and t_prime broadcast."""
-    r_hat = fast_rates(profile, protocol, t_prime).r_hat
-    return np.exp(-r_hat * np.abs(np.asarray(t, dtype=float)))
+def weak_fast_gamma(profile: profiles.PerturbationProfile, phi1, t):
+    """Weak-amplitude fast-driving form exp(-r_hat t); phi1 = phi1(t') broadcasts against t."""
+    return np.exp(-np.pi * profile.v0 * phi1 * profile.d0 * _times(t))
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +166,7 @@ def resolvent_solve(
         raise ValueError("phi1 and phi2 are squares and must be >= 0")
 
     s0 = profiles.moment(profile, 0)
-    need = 5.0 * max(_r_of_phi(profile, phi1, phi2), s0)
+    need = 5.0 * max(r_scale(profile, phi1, phi2), s0)
     if e_grid[0] > -need or e_grid[-1] < need:
         raise ValueError(
             f"e_grid must span at least [-{need:.3g}, {need:.3g}] "

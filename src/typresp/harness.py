@@ -522,13 +522,14 @@ def _diagonal_on_grid(profile, protocol, h_req, dt: float, n_out: int, t_end: fl
 
 
 def _approx_columns(profile, protocol, t_grid):
-    """Closed-form columns on the diagonal t' = t, one vectorised call each."""
-    r_of_t = approximations.r_scale_array(profile, protocol, t_grid)
+    """Closed-form columns on the diagonal t' = t, of one phi evaluation."""
+    phi1, phi2 = protocols.phi_arrays(protocol, t_grid)
+    r_of_t = approximations.r_scale(profile, phi1, phi2)
     return {
         "t": t_grid,
         "gamma_bessel": approximations.strong_driving_gamma(r_of_t, t_grid),
-        "gamma_hf": approximations.fast_driving_gamma(profile, protocol, t_grid, t_grid),
-        "gamma_weak": approximations.weak_fast_gamma(profile, protocol, t_grid, t_grid),
+        "gamma_hf": approximations.fast_driving_gamma(profile, phi1, t_grid),
+        "gamma_weak": approximations.weak_fast_gamma(profile, phi1, t_grid),
         "r_of_t": r_of_t,
         "margin": r_of_t / profiles.moment(profile, 0),
     }
@@ -606,8 +607,8 @@ def _run_simulation_scenario(plan: _Plan) -> tuple:
 def _run_strong_scale(plan: _Plan) -> tuple:
     profile, protocol, t_grid = plan.profile, plan.protocol, plan.t_grid
     sigma0 = profiles.moment(profile, 0)
-    r = approximations.r_scale_array(profile, protocol, t_grid)
     phi1, phi2 = protocols.phi_arrays(protocol, t_grid)
+    r = approximations.r_scale(profile, phi1, phi2)
     metrics = {"sigma0": sigma0}
     ts = protocol.timescale()
     if ts is not None:  # only when an output falls on each side of the first period's end

@@ -8,11 +8,13 @@ and the derived effective-strength functions
 
     phi1(t) = (F1(t)/t)^2,          phi2(t) = (F2(t)/t - F1(t)/2)^2,
 
-with the t -> 0 limits phi1(0) = f(0)^2 and phi2(0) = 0.  The sinusoid and
-the two incommensurate ("pseudorandom") drives are one trig family with one
-closed form.  Tabulated protocols are interpolated linearly and integrated
-exactly for the interpolant (piecewise polynomial), which meets the 1e-10
-fallback tolerance on smooth inputs.
+set at t = 0 to phi1(0) = f(0)^2 and phi2(0) = 0: the t -> 0+ limit where f
+is continuous at 0, but the step drive has f(0) = f0 sgn(0) = 0, so its phi1
+jumps from 0 to f0^2 just after t = 0.  The sinusoid and the two
+incommensurate ("pseudorandom") drives are one trig family with one closed
+form.  Tabulated protocols are interpolated linearly and integrated exactly
+for the interpolant (piecewise polynomial), which meets the 1e-10 fallback
+tolerance on smooth inputs.
 
 eval_f, f1_f2 and phi_arrays take t as numpy does and return its shape (a
 scalar gives 0-d results); frequency sums run on a trailing axis.  Powers are
@@ -177,7 +179,7 @@ def f1_f2(p: DrivingProtocol, t):
 
 
 def phi_arrays(p: DrivingProtocol, t):
-    """(phi1(t), phi2(t)) in the shape of t, with exact t = 0 limits.
+    """(phi1(t), phi2(t)) in the shape of t, with phi1(0) = f(0)^2 and phi2(0) = 0.
 
     The constant protocol returns phi1 = f0^2 and phi2 = 0 exactly (its
     closed forms, free of the F2/t - F1/2 cancellation noise).

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import profiles, protocols
-from .approximations import r_scale_array
+from .approximations import r_scale
 from .errors import GridMismatchError, SolverBlowUpError
 
 BLOWUP_THRESHOLD = 10.0  # diagnostic, not physics; tunable
@@ -174,7 +174,7 @@ def default_step(
     if ts is not None:
         scales.append(ts)
     probe = np.linspace(t_max / 200, t_max, 200)
-    r_max = float(np.max(r_scale_array(profile, protocol, probe)))
+    r_max = float(np.max(r_scale(profile, *protocols.phi_arrays(protocol, probe))))
     if r_max > 0:
         scales.append(1.0 / r_max)
     return min(scales) / POINTS_PER_SCALE

@@ -159,7 +159,7 @@ def test_c3_dual_route_agreement():
     sups = []
     for profile, proto, tp in triples:
         phi1, phi2 = (float(x) for x in protocols.phi_arrays(proto, tp))
-        r = float(ap.r_scale_array(profile, proto, tp))
+        r = float(ap.r_scale(profile, phi1, phi2))
         span = 5 * max(r, profiles.moment(profile, 0))
         e = np.linspace(-span, span, 4000)
         eta = ap.default_eta(e)
@@ -202,12 +202,14 @@ def test_c4_hf_identities():
         f0 = float(rng.uniform(0, 0.3))
         tp = float(rng.uniform(0, 5))
         proto = protocols.DrivingProtocol(variant="step", f0=f0, period=0.7)
-        worst0 = max(worst0, abs(ap.fast_driving_gamma(p, proto, 0.0, tp) - 1.0))
+        phi1 = protocols.phi_arrays(proto, tp)[0]
+        worst0 = max(worst0, abs(ap.fast_driving_gamma(p, phi1, 0.0) - 1.0))
     worst_n = 0.0
     for variant in ("step", "sinusoid"):
         proto = protocols.DrivingProtocol(variant=variant, f0=0.08, period=0.5)
         for n in (1, 3, 7):
-            vals = ap.fast_driving_gamma(p, proto, np.linspace(0, 3, 61), n * 0.5)
+            phi1 = protocols.phi_arrays(proto, n * 0.5)[0]
+            vals = ap.fast_driving_gamma(p, phi1, np.linspace(0, 3, 61))
             worst_n = max(worst_n, float(np.max(np.abs(vals - 1.0))))
     ok = worst0 <= 1e-10 and worst_n <= 1e-10
     assert report("4a hf identities", ok,
@@ -219,7 +221,7 @@ def test_c4_bessel_matches_solver_when_margin_valid():
     sups, margins = [], []
     for f0 in (0.08, 0.1, 0.2):
         proto = protocols.DrivingProtocol(variant="constant", f0=f0)
-        r = float(ap.r_scale_array(p, proto, 1.0))
+        r = float(ap.r_scale(p, *protocols.phi_arrays(proto, 1.0)))
         margins.append(r / profiles.moment(p, 0))
         h = min(1.0 / profiles.moment(p, 0), 1.0 / r) / 80
         n = int(np.ceil(3.8317 / r / h)) + 10
@@ -254,8 +256,9 @@ def test_c4_complementarity_logged():
     n = int(1.0 / h)
     gsq = response.gamma_diagonal(p, proto, h, n)
     t = np.arange(n + 1) * h
-    hf = np.array([ap.fast_driving_gamma(p, proto, x, x) for x in t]) ** 2
-    r_t = ap.r_scale_array(p, proto, t)
+    phi1, phi2 = protocols.phi_arrays(proto, t)
+    hf = np.array([ap.fast_driving_gamma(p, phi1[i], t[i]) for i in range(len(t))]) ** 2
+    r_t = ap.r_scale(p, phi1, phi2)
     bes = np.array([ap.strong_driving_gamma(r_t[i], t[i]) for i in range(len(t))]) ** 2
     over = hf > gsq + 0.01
     under_frac = float(np.mean(bes[over] < gsq[over])) if np.any(over) else float("nan")

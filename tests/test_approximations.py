@@ -15,6 +15,15 @@ def exp_profile(v0=1.0, dv=0.5, d0=512.0):
     return profiles.PerturbationProfile(variant="exponential", v0=v0, delta_v=dv, d0=d0)
 
 
+def r_of(p, proto, t):
+    """r(t') of a protocol: its phi evaluated once, then r_scale."""
+    return ap.r_scale(p, *protocols.phi_arrays(proto, t))
+
+
+def phi1_of(proto, t):
+    return protocols.phi_arrays(proto, t)[0]
+
+
 # --- Bessel J1 ----------------------------------------------------------------
 
 
@@ -96,14 +105,14 @@ def test_strong_driving_envelope_exponent():
 def test_r_scale_zero_without_driving():
     p = exp_profile()
     proto = protocols.DrivingProtocol(variant="constant", f0=0.0)
-    assert ap.r_scale_array(p, proto, 1.0) == 0.0
+    assert r_of(p, proto, 1.0) == 0.0
 
 
 def test_r_scale_step_half_period():
     p = exp_profile()
     f0, T = 0.08, 0.6
     proto = protocols.DrivingProtocol(variant="step", f0=f0, period=T)
-    r = float(ap.r_scale_array(p, proto, T / 2))
+    r = float(r_of(p, proto, T / 2))
     assert r == pytest.approx(f0 * np.sqrt(8 * p.v0 * p.d0 * p.delta_v), rel=1e-12)
     assert r / profiles.moment(p, 0) == pytest.approx(r / (2 * p.delta_v), rel=1e-12)
 
@@ -112,7 +121,7 @@ def test_r_scale_larger_in_first_period():
     p = exp_profile()
     proto = protocols.DrivingProtocol(variant="step", f0=0.05, period=0.5)
     t = np.linspace(1e-3, 5.0, 2000)
-    r = ap.r_scale_array(p, proto, t)
+    r = r_of(p, proto, t)
     first = np.max(r[t <= 0.5])
     later = np.max(r[t > 2.5])
     assert first > 2 * later
@@ -123,8 +132,8 @@ def test_r_scale_validity_flag():
     strong = protocols.DrivingProtocol(variant="constant", f0=0.2)
     weak = protocols.DrivingProtocol(variant="constant", f0=0.01)
     s0 = profiles.moment(p, 0)
-    assert ap.r_scale_array(p, strong, 1.0) / s0 > ap.VALID_MARGIN
-    assert not ap.r_scale_array(p, weak, 1.0) / s0 > ap.VALID_MARGIN
+    assert r_of(p, strong, 1.0) / s0 > ap.VALID_MARGIN
+    assert not r_of(p, weak, 1.0) / s0 > ap.VALID_MARGIN
 
 
 # --- fast driving ----------------------------------------------------------------
@@ -138,14 +147,47 @@ def test_r_scale_validity_flag():
     f0=st.floats(0.0, 0.3),
     tp=st.floats(0.0, 5.0),
 )
-def test_fast_rates_sum_rule(v0, dv, d0, f0, tp):
+def test_fast_gamma_one_at_zero(v0, dv, d0, f0, tp):
     p = exp_profile(v0, dv, d0)
     proto = protocols.DrivingProtocol(variant="step", f0=f0, period=0.7)
-    rates = ap.fast_rates(p, proto, tp)
-    assert rates.r_plus1 + rates.r_minus1 == pytest.approx(2 * rates.r_0, rel=1e-13)
-    assert rates.r_0 == pytest.approx(profiles.moment(p, 0) / np.pi, rel=1e-13)
     # hf gamma equals 1 at t = 0 for any parameters
-    assert ap.fast_driving_gamma(p, proto, 0.0, tp) == pytest.approx(1.0, abs=1e-10)
+    assert ap.fast_driving_gamma(p, phi1_of(proto, tp), 0.0) == pytest.approx(1.0, abs=1e-10)
+
+
+def fast_gamma_mpmath(p, phi1: float, t: float) -> float:
+    """[e^{-y} (cosh(s y) + sinh(s y)/s)]^2 in 50 digits, s^2 from the float phi1."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        s0 = mp.mpf(profiles.moment(p, 0))
+        s2 = 1 - 2 * mp.pi**2 * mp.mpf(p.v0) * mp.mpf(phi1) * mp.mpf(p.d0) / s0
+        y = s0 * mp.mpf(t) / (2 * mp.pi)
+        if s2 == 0:
+            return float((mp.exp(-y) * (1 + y)) ** 2)
+        s = mp.sqrt(mp.mpc(s2))
+        return float(mp.re(mp.exp(-y) * (mp.cosh(s * y) + mp.sinh(s * y) / s)) ** 2)
+
+
+S_SQUARED = (1.0, 1.0 - 1e-6, 0.999, 0.5, 1e-2, 3e-5, -3e-5, 1e-5, -1e-5, 3e-6, -3e-6, 1e-8,
+             -1e-8, 0.0, -1.0, -50.0)
+
+
+@pytest.mark.parametrize("s2", S_SQUARED)
+def test_fast_gamma_against_mpmath(s2):
+    # one expression on both sides of the degenerate point s = 0, and for
+    # large r0 t where the separate exponentials over- or underflow; at
+    # s^2 = 1 - 1e-6 gamma decays on r0 t ~ 1e7, where 1 - s formed as the
+    # difference of 1 and s would keep only ~10 of its digits
+    p = exp_profile()
+    s0 = profiles.moment(p, 0)
+    phi1 = (1.0 - s2) * s0 / (2 * np.pi**2 * p.v0 * p.d0)
+    r0t = np.concatenate([np.linspace(0.0, 60.0, 121), np.geomspace(61.0, 4e7, 60)])
+    t = r0t / (s0 / np.pi)
+    vals = ap.fast_driving_gamma(p, phi1, t)
+    assert np.all(np.isfinite(vals))
+    err = np.abs(vals - [fast_gamma_mpmath(p, phi1, float(x)) for x in t])
+    assert np.max(err[r0t <= 60.0]) <= 1e-14
+    assert np.max(err) <= 1e-13
 
 
 def test_fast_gamma_one_at_whole_periods():
@@ -154,7 +196,7 @@ def test_fast_gamma_one_at_whole_periods():
         proto = protocols.DrivingProtocol(variant=variant, f0=0.08, period=0.5)
         for n in (1, 2, 5):
             t = np.linspace(0, 3, 31)
-            vals = ap.fast_driving_gamma(p, proto, t, n * 0.5)
+            vals = ap.fast_driving_gamma(p, phi1_of(proto, n * 0.5), t)
             assert np.max(np.abs(vals - 1.0)) < 1e-10
 
 
@@ -165,29 +207,39 @@ def test_fast_gamma_weak_amplitude_limit():
     r_hat = np.pi * p.v0 * f0**2 * p.d0
     assert 2 * np.pi * r_hat / profiles.moment(p, 0) < 0.03
     t = np.linspace(0, 3 / r_hat, 400)
-    hf = ap.fast_driving_gamma(p, proto, t, 1.0)
-    weak = ap.weak_fast_gamma(p, proto, t, 1.0)
+    hf = ap.fast_driving_gamma(p, phi1_of(proto, 1.0), t)
+    weak = ap.weak_fast_gamma(p, phi1_of(proto, 1.0), t)
     assert np.max(np.abs(hf / weak - 1.0)) < 0.02
 
 
 def test_weak_fast_gamma_properties():
     p = exp_profile()
     proto = protocols.DrivingProtocol(variant="step", f0=0.05, period=0.5)
-    assert ap.weak_fast_gamma(p, proto, 0.0, 0.3) == 1.0
-    assert ap.weak_fast_gamma(p, proto, 5.0, 0.5) == pytest.approx(1.0, abs=1e-10)
+    assert ap.weak_fast_gamma(p, phi1_of(proto, 0.3), 0.0) == 1.0
+    assert ap.weak_fast_gamma(p, phi1_of(proto, 0.5), 5.0) == pytest.approx(1.0, abs=1e-10)
     # doubling f0 quadruples the decay rate
     p1 = protocols.DrivingProtocol(variant="constant", f0=0.01)
     p2 = protocols.DrivingProtocol(variant="constant", f0=0.02)
-    g1 = ap.weak_fast_gamma(p, p1, 1.0, 1.0)
-    g2 = ap.weak_fast_gamma(p, p2, 1.0, 1.0)
+    g1 = ap.weak_fast_gamma(p, phi1_of(p1, 1.0), 1.0)
+    g2 = ap.weak_fast_gamma(p, phi1_of(p2, 1.0), 1.0)
     assert np.log(g2) == pytest.approx(4 * np.log(g1), rel=1e-10)
+
+
+@pytest.mark.parametrize("form", [ap.fast_driving_gamma, ap.weak_fast_gamma])
+@pytest.mark.parametrize("phi1", [0.0, 0.0016])
+def test_fast_forms_reject_negative_time(form, phi1):
+    # checked on t itself: with phi1 = 0 the rate is 0 and hides the sign
+    with pytest.raises(ValueError, match="time"):
+        form(exp_profile(), phi1, -1.0)
+    with pytest.raises(ValueError, match="time"):
+        form(exp_profile(), phi1, [0.5, -1e-12])
 
 
 def test_fast_gamma_degenerate_branch_continuous():
     p = exp_profile()
     s0 = profiles.moment(p, 0)
-    # choose f0 so the discriminant sits just outside the series window, then
-    # just inside; the two evaluations must agree to ~1e-8
+    # choose f0 so s^2 = 1 - 2 pi r_hat / Sigma_0 sits at +-3e-5, then at
+    # +-3e-6, near the degenerate point s = 0: the values are smooth in it
     for sign in (+1.0, -1.0):
         disc_out = sign * 3e-5
         disc_in = sign * 3e-6
@@ -196,16 +248,16 @@ def test_fast_gamma_degenerate_branch_continuous():
         for disc in (disc_out, disc_in):
             f0 = np.sqrt((1.0 - disc) * s0 / (2 * np.pi) / (np.pi * p.v0 * p.d0))
             proto = protocols.DrivingProtocol(variant="constant", f0=f0)
-            vals.append(ap.fast_driving_gamma(p, proto, t, 1.0))
+            vals.append(ap.fast_driving_gamma(p, phi1_of(proto, 1.0), t))
         assert np.max(np.abs(vals[0] - vals[1])) < 1e-5  # smooth in the parameter
 
 
 def test_fast_gamma_complex_regime_real():
     p = exp_profile()
-    proto = protocols.DrivingProtocol(variant="constant", f0=0.05)  # 2 pi r_hat > Sigma_0
-    rates = ap.fast_rates(p, proto, 1.0)
-    assert abs(rates.r_plus1.imag) > 0
-    vals = ap.fast_driving_gamma(p, proto, np.linspace(0, 2, 20), 1.0)
+    proto = protocols.DrivingProtocol(variant="constant", f0=0.05)
+    phi1 = float(phi1_of(proto, 1.0))
+    assert 2 * np.pi * (np.pi * p.v0 * phi1 * p.d0) > profiles.moment(p, 0)  # s^2 < 0
+    vals = ap.fast_driving_gamma(p, phi1, np.linspace(0, 2, 20))
     assert np.all(np.isfinite(vals))
     assert vals[0] == pytest.approx(1.0, abs=1e-10)
 
@@ -295,7 +347,7 @@ def test_dual_route_matches_time_domain():
     p = exp_profile()
     proto = protocols.DrivingProtocol(variant="step", f0=0.05, period=1.0)
     phi1, phi2 = (float(x) for x in protocols.phi_arrays(proto, 0.6))
-    r = float(ap.r_scale_array(p, proto, 0.6))
+    r = float(ap.r_scale(p, phi1, phi2))
     e = grid_for(r, profiles.moment(p, 0))
     eta = ap.default_eta(e)
     rg = ap.resolvent_solve(p, phi1, phi2, e, eta)
@@ -341,11 +393,11 @@ def test_crossover_amplitude_formula():
 
 def pointwise_columns(p, proto, t):
     """The closed-form columns on t' = t by one scalar call per point."""
-    r = ap.r_scale_array(p, proto, t)
+    r = r_of(p, proto, t)
     return {
         "gamma_bessel": [ap.strong_driving_gamma(float(r[i]), float(t[i])) for i in range(len(t))],
-        "gamma_hf": [ap.fast_driving_gamma(p, proto, float(x), float(x)) for x in t],
-        "gamma_weak": [ap.weak_fast_gamma(p, proto, float(x), float(x)) for x in t],
+        "gamma_hf": [ap.fast_driving_gamma(p, phi1_of(proto, float(x)), float(x)) for x in t],
+        "gamma_weak": [ap.weak_fast_gamma(p, phi1_of(proto, float(x)), float(x)) for x in t],
     }
 
 
@@ -362,14 +414,11 @@ def test_vectorised_columns_match_pointwise_calls(case):
         proto = protocols.DrivingProtocol(variant="step", f0=0.12, period=2.0)
         t = np.linspace(0.0, 160.0, 1601)
     else:
-        # phi1 = f0^2 for t' <= T/2 puts those points inside the series window
-        # of the degenerate point; later points take the closed form
+        # phi1 = f0^2 for t' <= T/2 puts those points at |s^2| <= 3e-6, next
+        # to the degenerate point s = 0; later points lie far from it
         p = exp_profile()
         proto = protocols.DrivingProtocol(variant="step", f0=degenerate_f0(p, 3e-6), period=1.0)
         t = np.linspace(0.0, 2.0, 201)
-        rates = ap.fast_rates(p, proto, t)
-        disc = np.abs(1.0 - 2.0 * rates.r_hat / rates.r_0)
-        assert np.any(disc < ap._DEGENERATE_CUT) and np.any(disc >= ap._DEGENERATE_CUT)
     cols = harness._approx_columns(p, proto, t)
     for name, ref in pointwise_columns(p, proto, t).items():
         np.testing.assert_allclose(cols[name], ref, rtol=1e-12, atol=0.0, err_msg=name)
@@ -388,26 +437,26 @@ def time_functions(p, proto):
         "vtilde": p.vtilde,
         "v_of_t": lambda t: profiles.v_of_t(p, t),
         "v_second_deriv": lambda t: profiles.v_second_deriv(p, t),
-        "r_scale_array": lambda t: ap.r_scale_array(p, proto, t),
-        "strong_driving_gamma": lambda t: ap.strong_driving_gamma(ap.r_scale_array(p, proto, t), t),
-        "strong_driving_gamma(r, 0.7)":
-            lambda t: ap.strong_driving_gamma(ap.r_scale_array(p, proto, t), 0.7),
-        "r_hat": lambda t: ap.fast_rates(p, proto, t).r_hat,
-        "r_minus1": lambda t: ap.fast_rates(p, proto, t).r_minus1,
-        "r_plus1": lambda t: ap.fast_rates(p, proto, t).r_plus1,
-        "fast_driving_gamma": lambda t: ap.fast_driving_gamma(p, proto, t, t),
-        "fast_driving_gamma(t, 0.7)": lambda t: ap.fast_driving_gamma(p, proto, t, 0.7),
-        "fast_driving_gamma(0.7, t')": lambda t: ap.fast_driving_gamma(p, proto, 0.7, t),
-        "weak_fast_gamma": lambda t: ap.weak_fast_gamma(p, proto, t, t),
-        "weak_fast_gamma(t, 0.7)": lambda t: ap.weak_fast_gamma(p, proto, t, 0.7),
+        "r_scale": lambda t: r_of(p, proto, t),
+        "strong_driving_gamma": lambda t: ap.strong_driving_gamma(r_of(p, proto, t), t),
+        "strong_driving_gamma(r, 0.7)": lambda t: ap.strong_driving_gamma(r_of(p, proto, t), 0.7),
+        "fast_driving_gamma": lambda t: ap.fast_driving_gamma(p, phi1_of(proto, t), t),
+        "fast_driving_gamma(t, 0.7)": lambda t: ap.fast_driving_gamma(p, phi1_of(proto, 0.7), t),
+        "fast_driving_gamma(0.7, t')": lambda t: ap.fast_driving_gamma(p, phi1_of(proto, t), 0.7),
+        # phi1 = 2e-4 x: s^2 runs from 1 through 0 (x ~ 0.5) to ~ -13 (x = 7)
+        "fast_driving_gamma(phi1 = 2e-4 x, 0.7)":
+            lambda x: ap.fast_driving_gamma(p, 2e-4 * np.asarray(x), 0.7),
+        "weak_fast_gamma": lambda t: ap.weak_fast_gamma(p, phi1_of(proto, t), t),
+        "weak_fast_gamma(t, 0.7)": lambda t: ap.weak_fast_gamma(p, phi1_of(proto, 0.7), t),
         "gamma_from_resolvent": lambda t: ap.gamma_from_resolvent(rg, t),
         "resolvent_closed_form": lambda t: ap.resolvent_closed_form(2.0, t - 3.0 - 0.05j),
     }
 
 
 def test_functions_of_time_broadcast_bitwise():
-    # one path for every shape: a scalar gives a 0-d result and a (k, n)
-    # argument its own shape, each element bit for bit the 1-d call's
+    # one path for every shape: a scalar gives a 0-d result, an empty argument
+    # an empty one and a (k, n) argument its own shape, each element bit for
+    # bit the 1-d call's
     e = np.linspace(0.0, 3.0, 301)
     tab_profile = profiles.PerturbationProfile(
         variant="tabulated", d0=512.0, energies=e, values=np.exp(-e / 0.5))
@@ -427,6 +476,7 @@ def test_functions_of_time_broadcast_bitwise():
         for name, fn in time_functions(p, proto).items():
             ref = np.asarray(fn(t1))
             assert ref.shape == t1.shape, (case, name)
+            assert np.asarray(fn(t1[:0])).shape == (0,), (case, name)
             for i, t in enumerate(t1):
                 one = np.asarray(fn(float(t)))
                 assert one.shape == () and one.dtype == ref.dtype, (case, name)

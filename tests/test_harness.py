@@ -660,6 +660,19 @@ def test_strong_scale_without_output_in_first_period(tmp_path):
     assert "r_max_later" not in harness.run(cfg, tmp_path / "short")["metrics"]
 
 
+@pytest.mark.parametrize("run, cfg", [
+    (harness.run_approx, {k: strong_scale_cfg()[k] for k in ("profile", "protocol", "grid")}),
+    (harness.run, strong_scale_cfg()),
+], ids=["approx", "strong_scale"])
+def test_phi_evaluated_once_per_grid(tmp_path, monkeypatch, run, cfg):
+    # every closed form takes phi, so the columns of one grid share one evaluation
+    calls = []
+    phi_arrays = protocols.phi_arrays
+    monkeypatch.setattr(protocols, "phi_arrays", lambda *a: calls.append(a) or phi_arrays(*a))
+    run(cfg, tmp_path)
+    assert len(calls) == 1
+
+
 def test_quench_asymptotics_run(tmp_path):
     cfg = {
         "scenario": "quench_asymptotics",

@@ -253,6 +253,7 @@ def test_default_step_resolves_scales():
     p = exp_profile()
     proto = protocols.DrivingProtocol(variant="step", f0=0.1, period=0.3)
     h = response.default_step(p, proto, t_max=2.0)
-    r_max = float(np.max(approximations.r_scale_array(p, proto, np.linspace(0.01, 2, 200))))
+    phi1, phi2 = protocols.phi_arrays(proto, np.linspace(0.01, 2, 200))
+    r_max = float(np.max(approximations.r_scale(p, phi1, phi2)))
     assert h <= 0.3 / 40 + 1e-15
     assert h <= 1.0 / r_max / 40 + 1e-15
