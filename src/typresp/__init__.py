@@ -2,9 +2,8 @@
 
 The package solves the nonlinear Volterra equation for the response function
 gamma(t, t'), provides its strong-driving (Bessel) and fast-driving
-(exponential-sum) limits plus a self-consistent resolvent route, and
-validates everything against numerically exact random-matrix dynamics under
-H(t) = H0 + f(t) V.
+(exponential-sum) limits, and validates everything against numerically
+exact random-matrix dynamics under H(t) = H0 + f(t) V.
 """
 
 # the one place the version is kept: pyproject.toml and the harness read it

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types the package raises."""
 
 
 class ConfigError(ValueError):
@@ -19,10 +19,6 @@ class SolverBlowUpError(RuntimeError):
             f"|gamma| = {abs(value):.3g} exceeded the blow-up threshold at t = {t:.6g}; "
             "reduce the step size"
         )
-
-
-class ResolventConvergenceError(RuntimeError):
-    """The damped fixed-point iteration for the resolvent did not converge."""
 
 
 class NormDriftError(RuntimeError):

@@ -37,12 +37,9 @@ POINTS_PER_SCALE = 40  # default_step: grid points per fastest time scale
 
 @dataclass(frozen=True)
 class ResponseSolution:
-    """gamma(t_i, t') on the uniform grid t_i = i*h, with phi1(t') and phi2(t')."""
+    """gamma(t_i, t') on the uniform grid t_i = i*h."""
 
-    t_grid: np.ndarray
     gamma: np.ndarray
-    phi1: float
-    phi2: float
 
 
 def _volterra_heun(phi1, phi2, v_grid, vdd_grid, h: float, ends) -> np.ndarray:
@@ -108,12 +105,12 @@ def solve_gamma(
     parameters of the equation, not functions of the integration variable.
     This is the one-row call of gamma_rows (16 (n + 1) bytes).
     """
-    phi1, phi2, (g,) = gamma_rows(profile, protocol, h, [t_prime], [n])
+    (g,) = gamma_rows(profile, protocol, h, [t_prime], [n])[2]
     overshoot = float(np.max(np.abs(g))) - 1.0
     if overshoot > OVERSHOOT_TOL:
         warnings.warn(f"|gamma| overshoots 1 by {overshoot:.3g}; the grid may be too coarse",
                       RuntimeWarning, stacklevel=2)
-    return ResponseSolution(np.arange(n + 1) * h, g, float(phi1[0]), float(phi2[0]))
+    return ResponseSolution(g)
 
 
 def gamma_diagonal_values(

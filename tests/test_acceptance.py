@@ -27,6 +27,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+import resolvent_oracle as ro
 from typresp import approximations as ap
 from typresp import harness, profiles, protocols, response, rmt
 
@@ -162,12 +163,13 @@ def test_c3_dual_route_agreement():
         r = float(ap.r_scale(profile, phi1, phi2))
         span = 5 * max(r, profiles.moment(profile, 0))
         e = np.linspace(-span, span, 4000)
-        eta = ap.default_eta(e)
-        rg = ap.resolvent_solve(profile, phi1, phi2, e, eta)
+        eta = ro.default_eta(e)
+        rg = ro.resolvent_solve(profile, phi1, phi2, e, eta)
         t_max = min(2.5, 0.5 / eta)
         h = min(response.default_step(profile, proto, t_max), 0.01)
-        sol = response.solve_gamma(profile, proto, tp, h, int(t_max / h))
-        recon = ap.gamma_from_resolvent(rg, sol.t_grid)
+        n = int(t_max / h)
+        sol = response.solve_gamma(profile, proto, tp, h, n)
+        recon = ro.gamma_from_resolvent(rg, np.arange(n + 1) * h)
         sups.append(float(np.max(np.abs(recon - sol.gamma))))
     ok = all(s < 2e-2 for s in sups)
     assert report("3b dual-route sup errors", ok,
@@ -180,9 +182,11 @@ def test_c3_weak_regime_rate():
     proto = protocols.DrivingProtocol(variant="constant", f0=f0)
     r_hat = np.pi * p.v0 * f0**2 * p.d0
     h = 0.02
-    sol = response.solve_gamma(p, proto, 1.0, h, int(3.0 / r_hat / h))
-    sel = (sol.t_grid > 0.5 / r_hat) & (sol.gamma > 1e-12)
-    rate = -float(np.polyfit(sol.t_grid[sel], np.log(sol.gamma[sel]), 1)[0])
+    n = int(3.0 / r_hat / h)
+    sol = response.solve_gamma(p, proto, 1.0, h, n)
+    t = np.arange(n + 1) * h
+    sel = (t > 0.5 / r_hat) & (sol.gamma > 1e-12)
+    rate = -float(np.polyfit(t[sel], np.log(sol.gamma[sel]), 1)[0])
     dev = abs(rate / r_hat - 1.0)
     ok = dev <= 0.05
     assert report("3c weak decay rate", ok,
@@ -226,10 +230,11 @@ def test_c4_bessel_matches_solver_when_margin_valid():
         h = min(1.0 / profiles.moment(p, 0), 1.0 / r) / 80
         n = int(np.ceil(3.8317 / r / h)) + 10
         sol = response.solve_gamma(p, proto, 1.0, h, n)
-        bes = ap.strong_driving_gamma(r, sol.t_grid)
-        lobe = sol.t_grid <= 3.8317 / r
+        t = np.arange(n + 1) * h
+        bes = ap.strong_driving_gamma(r, t)
+        lobe = t <= 3.8317 / r
         sups.append(float(np.max(np.abs(sol.gamma[lobe] - bes[lobe]))))
-    ok = all(m > 3 for m in margins) and all(s < 0.05 for s in sups)
+    ok = all(m > ap.VALID_MARGIN for m in margins) and all(s < 0.05 for s in sups)
     assert report(
         "4b Bessel vs solver", ok,
         f"margins {[f'{m:.1f}' for m in margins]}, sup errors {[f'{s:.4f}' for s in sups]}",
@@ -239,10 +244,10 @@ def test_c4_bessel_matches_solver_when_margin_valid():
 def test_c4_semicircle_fourier_reproduces_bessel():
     r = 3.0
     e = np.linspace(-15, 15, 6001)
-    eta = ap.default_eta(e)
-    rg = ap.ResolventGrid(e_grid=e, eta=eta, g=ap.resolvent_closed_form(r, e - 1j * eta))
+    eta = ro.default_eta(e)
+    rg = ro.ResolventGrid(e_grid=e, eta=eta, g=ro.resolvent_closed_form(r, e - 1j * eta))
     t = np.linspace(0, 2.0, 81)
-    sup = float(np.max(np.abs(ap.gamma_from_resolvent(rg, t) - ap.strong_driving_gamma(r, t))))
+    sup = float(np.max(np.abs(ro.gamma_from_resolvent(rg, t) - ap.strong_driving_gamma(r, t))))
     ok = sup < 1e-2
     assert report("4c semicircle Fourier", ok, f"sup error {sup:.4f} (< 0.01)")
 

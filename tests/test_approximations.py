@@ -1,4 +1,4 @@
-"""Closed-form limits, the Bessel kernel, and the resolvent route."""
+"""Closed-form limits, the Bessel kernel, and the resolvent oracle."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import resolvent_oracle as ro
 from typresp import approximations as ap
-from typresp import harness, profiles, protocols, response
-from typresp.errors import ResolventConvergenceError
+from typresp import harness, profiles, protocols
 
 
 def exp_profile(v0=1.0, dv=0.5, d0=512.0):
@@ -262,7 +262,7 @@ def test_fast_gamma_complex_regime_real():
     assert vals[0] == pytest.approx(1.0, abs=1e-10)
 
 
-# --- resolvent route ------------------------------------------------------------
+# --- resolvent oracle -----------------------------------------------------------
 
 
 def grid_for(r, s0, points=2400):
@@ -273,8 +273,8 @@ def grid_for(r, s0, points=2400):
 def test_resolvent_free_case():
     p = exp_profile()
     e = grid_for(0.0, 1.0)
-    eta = ap.default_eta(e)
-    rg = ap.resolvent_solve(p, 0.0, 0.0, e, eta)
+    eta = ro.default_eta(e)
+    rg = ro.resolvent_solve(p, 0.0, 0.0, e, eta)
     assert np.allclose(rg.g, 1.0 / (e - 1j * eta), atol=1e-12)
 
 
@@ -284,10 +284,10 @@ def test_resolvent_matches_closed_form_strong_regime():
     phi1 = f0**2
     r = np.sqrt(4 * p.v0 * p.d0 * profiles.moment(p, 0) * phi1)
     e = grid_for(r, 1.0, 3600)
-    eta = ap.default_eta(e)
-    rg = ap.resolvent_solve(p, phi1, 0.0, e, eta)
+    eta = ro.default_eta(e)
+    rg = ro.resolvent_solve(p, phi1, 0.0, e, eta)
     sel = np.abs(e) <= r
-    closed = ap.resolvent_closed_form(r, e[sel] - 1j * eta)
+    closed = ro.resolvent_closed_form(r, e[sel] - 1j * eta)
     assert np.max(np.abs(rg.g[sel] - closed)) < 1e-2
     # spectral function is a semicircle of radius r (away from the eta-smeared edge)
     inner = np.abs(e) <= 0.9 * r
@@ -303,7 +303,7 @@ def test_resolvent_spectral_weight_normalized():
             4 * p.v0 * p.d0 * (profiles.moment(p, 0) * phi1 + profiles.moment(p, 2) * phi2)
         )
         e = grid_for(r, 1.0)
-        rg = ap.resolvent_solve(p, phi1, phi2, e, ap.default_eta(e))
+        rg = ro.resolvent_solve(p, phi1, phi2, e, ro.default_eta(e))
         weight = np.trapezoid(rg.spectral_function(), e)
         assert weight == pytest.approx(1.0, abs=2e-2)
         assert np.all(rg.g.imag > 0)
@@ -312,10 +312,10 @@ def test_resolvent_spectral_weight_normalized():
 def test_resolvent_grid_validation():
     p = exp_profile()
     with pytest.raises(ValueError):
-        ap.resolvent_solve(p, 0.1, 0.0, np.linspace(-1, 1, 100), 0.01)  # span too small
+        ro.resolvent_solve(p, 0.1, 0.0, np.linspace(-1, 1, 100), 0.01)  # span too small
     with pytest.raises(ValueError):
         e = np.concatenate([np.linspace(-30, 0, 100), np.linspace(0.1, 30, 50)])
-        ap.resolvent_solve(p, 0.001, 0.0, e, 0.01)  # non-uniform
+        ro.resolvent_solve(p, 0.001, 0.0, e, 0.01)  # non-uniform
 
 
 def test_gamma_from_resolvent_normalization_and_warning():
@@ -324,46 +324,19 @@ def test_gamma_from_resolvent_normalization_and_warning():
     p = exp_profile()
     r = np.sqrt(4 * p.v0 * p.d0 * profiles.moment(p, 0) * 0.0016)
     e = grid_for(r, 1.0, 6000)
-    eta = ap.default_eta(e)
-    rg = ap.resolvent_solve(p, 0.0016, 0.0, e, eta)
-    assert ap.gamma_from_resolvent(rg, 0.0) == pytest.approx(1.0, abs=1e-3)
+    eta = ro.default_eta(e)
+    rg = ro.resolvent_solve(p, 0.0016, 0.0, e, eta)
+    assert ro.gamma_from_resolvent(rg, 0.0) == pytest.approx(1.0, abs=1e-3)
     with pytest.warns(RuntimeWarning):
-        ap.gamma_from_resolvent(rg, 1.0 / eta)
-
-
-def test_semicircle_fourier_is_bessel():
-    # closed-form resolvent -> spectral function -> Fourier equals 2 J1(rt)/(rt)
-    r = 3.0
-    e = np.linspace(-15, 15, 6001)
-    eta = ap.default_eta(e)
-    rg = ap.ResolventGrid(e_grid=e, eta=eta, g=ap.resolvent_closed_form(r, e - 1j * eta))
-    t = np.linspace(0, 2.0, 81)
-    recon = ap.gamma_from_resolvent(rg, t)
-    bessel = ap.strong_driving_gamma(r, t)
-    assert np.max(np.abs(recon - bessel)) < 1e-2
-
-
-def test_dual_route_matches_time_domain():
-    p = exp_profile()
-    proto = protocols.DrivingProtocol(variant="step", f0=0.05, period=1.0)
-    phi1, phi2 = (float(x) for x in protocols.phi_arrays(proto, 0.6))
-    r = float(ap.r_scale(p, phi1, phi2))
-    e = grid_for(r, profiles.moment(p, 0))
-    eta = ap.default_eta(e)
-    rg = ap.resolvent_solve(p, phi1, phi2, e, eta)
-    t_max = min(2.5, 0.5 / eta)
-    h = 0.01
-    sol = response.solve_gamma(p, proto, 0.6, h, int(t_max / h))
-    recon = ap.gamma_from_resolvent(rg, sol.t_grid)
-    assert np.max(np.abs(recon - sol.gamma)) < 2e-2
+        ro.gamma_from_resolvent(rg, 1.0 / eta)
 
 
 def test_resolvent_nonconvergence_reported():
     p = exp_profile()
     r = np.sqrt(4 * p.v0 * p.d0 * profiles.moment(p, 0) * 0.0016)
     e = grid_for(r, 1.0, 600)
-    with pytest.raises(ResolventConvergenceError):
-        ap.resolvent_solve(p, 0.0016, 0.0, e, ap.default_eta(e), max_iter=2)
+    with pytest.raises(ro.ResolventConvergenceError):
+        ro.resolvent_solve(p, 0.0016, 0.0, e, ro.default_eta(e), max_iter=2)
 
 
 # --- crossover --------------------------------------------------------------------
@@ -427,7 +400,7 @@ def test_vectorised_columns_match_pointwise_calls(case):
 def time_functions(p, proto):
     """Each function of time (or energy) under test, as a map of one argument."""
     e = np.linspace(-12.0, 12.0, 2401)
-    rg = ap.ResolventGrid(e_grid=e, eta=0.04, g=ap.resolvent_closed_form(2.0, e - 0.04j))
+    rg = ro.ResolventGrid(e_grid=e, eta=0.04, g=ro.resolvent_closed_form(2.0, e - 0.04j))
     return {
         "eval_f": lambda t: protocols.eval_f(proto, t),
         "F1": lambda t: protocols.f1_f2(proto, t)[0],
@@ -448,8 +421,8 @@ def time_functions(p, proto):
             lambda x: ap.fast_driving_gamma(p, 2e-4 * np.asarray(x), 0.7),
         "weak_fast_gamma": lambda t: ap.weak_fast_gamma(p, phi1_of(proto, t), t),
         "weak_fast_gamma(t, 0.7)": lambda t: ap.weak_fast_gamma(p, phi1_of(proto, 0.7), t),
-        "gamma_from_resolvent": lambda t: ap.gamma_from_resolvent(rg, t),
-        "resolvent_closed_form": lambda t: ap.resolvent_closed_form(2.0, t - 3.0 - 0.05j),
+        "gamma_from_resolvent": lambda t: ro.gamma_from_resolvent(rg, t),
+        "resolvent_closed_form": lambda t: ro.resolvent_closed_form(2.0, t - 3.0 - 0.05j),
     }
 
 
