@@ -28,7 +28,6 @@ double_pretherm     two-sector model whose driven dynamics passes through
 from __future__ import annotations
 
 import copy
-import dataclasses
 import json
 import math
 import operator
@@ -41,7 +40,7 @@ import scipy
 import yaml
 
 from . import __version__, approximations, profiles, protocols, response, rmt
-from .errors import ConfigError, GridMismatchError
+from .errors import ConfigError, EmptyWindowError, GridMismatchError
 
 SCENARIOS = ("fidelity", "strong_scale", "quench_asymptotics", "double_pretherm")
 _SIMULATIONS = ("fidelity", "double_pretherm")
@@ -124,7 +123,7 @@ _PROFILE = {
     "variant": _req(_one_of(profiles.VARIANTS)),
     "v0": _req(_POSITIVE, when=lambda p: p["variant"] == "exponential"),
     "delta_v": _req(_POSITIVE, when=lambda p: p["variant"] == "exponential"),
-    "d0": _opt(_POSITIVE, None),  # null: the density measured in the model
+    "d0": _opt(_POSITIVE, None),  # null: 1/spacing if flat, else the window's density
     "table": _req(_PATH, when=lambda p: p["variant"] == "tabulated"),
 }
 _PROTOCOL = {
@@ -278,15 +277,15 @@ def validate_scenario_config(cfg: dict) -> dict:
     fidelity needs an eigenstate, eth an even m, piecewise_exact a
     piecewise-constant protocol, trotter a trotter_step whose split step fits
     the protocol, the prediction horizon reaches half an output step, the
-    state index ("middle" is m // 2) lies in [0, m), and a filtered state's
-    occupied window holds a level of the spectrum and its filter leaves
-    weight on a level the state can occupy.
+    state index ("middle" is m // 2) lies in [0, m), and a filtered state
+    passes the run's own `rmt.window_levels` and `rmt.check_filter`, so a
+    config that loads does not fail on its window after sampling.
     """
     return _plan(cfg).cfg
 
 
 def _plan(cfg: dict) -> _Plan:
-    """The plan of a `simulate` config, checked as validate_scenario_config says."""
+    """The checked plan of a `simulate` config (see validate_scenario_config); its d0 is final."""
     c = _checked(_SCENARIO, cfg)
     protocol = build_protocol(c["protocol"])
     t_grid = _output_grid(c["grid"])
@@ -298,9 +297,6 @@ def _plan(cfg: dict) -> _Plan:
     model = c["model"]
     m, obs, state = model["m"], model["observable"], model["initial_state"]
     spec = rmt.SpectrumSpec(m=m, **model["spectrum"])
-    # d0: 1/spacing if flat, else a placeholder until measured (sampling V reads only vtilde)
-    profile = build_profile(c["profile"],
-                            d0_override=1.0 / spec.spacing if spec.variant == "flat" else 1.0)
     # the prediction ends at t_max, by default at 5 time scales, and never past the grid
     dt, t_end, ts = float(t_grid[1]), float(t_grid[-1]), protocol.timescale()
     t_max = c["prediction"]["t_max"]
@@ -331,17 +327,15 @@ def _plan(cfg: dict) -> _Plan:
     if state["kind"] == "filtered_random":
         k, e0, de = c["window_halfwidth_factor"], state["e_center"], state["delta_e"]
         window = (e0 - k * de, e0 + k * de)
-        if not np.any((e >= window[0]) & (e <= window[1])):
-            raise ConfigError(f"model.initial_state.e_center +- window_halfwidth_factor * "
-                              f"delta_e = {window} holds no level of the spectrum "
-                              f"[{e[0]}, {e[-1]}]")
-        # Q = 1 + kappa A spreads an even-sector state over every level
-        even = state.get("sector") == "even" and state.get("q") != "one_plus_kappa_a"
-        weight = rmt.filter_weights(e[::2] if even else e, e0, de)
-        if weight.max() < rmt.FILTER_CUT:
-            raise ConfigError(f"model.initial_state.e_center {e0!r} with delta_e {de!r}: the "
-                              f"filter leaves no weight above {rmt.FILTER_CUT:g} on the levels "
-                              f"the state can occupy")
+        try:  # the run's rules after sampling; a filtered state's eth observable is dense
+            rmt.window_levels(e, window)
+            rmt.check_filter(e, **{n: v for n, v in state.items() if n not in ("kind", "index")})
+        except EmptyWindowError as exc:
+            raise ConfigError(f"model.initial_state.e_center {e0!r} with delta_e {de!r} and "
+                              f"window_halfwidth_factor {k!r}: {exc}") from None
+    # a null d0 is 1/spacing on a flat spectrum, else the density the run measures in the window
+    d0 = 1.0 / spec.spacing if spec.variant == "flat" else rmt.window_density(e, window)
+    profile = build_profile(c["profile"], d0_override=d0)
     return _Plan(c, protocol, profile, t_grid, spec, e, window, horizon, n_pred)
 
 
@@ -514,10 +508,9 @@ def _diagonal_on_grid(profile, protocol, h_req, dt: float, n_out: int, t_end: fl
     (null: default_step(t_end)); only the output rows are solved, row k to step k substeps.
     """
     h_req = response.default_step(profile, protocol, t_end) if h_req is None else h_req
-    substeps = max(1, int(np.ceil(dt / h_req - 1e-12)))
-    h = dt / substeps
+    substeps, h = protocols.subdivide(dt, h_req)
     steps = substeps * np.arange(n_out + 1)
-    g = response.gamma_rows(profile, protocol, h, steps * h, steps)[2]
+    g = response.gamma_rows(profile, protocol, h, steps * h, steps)
     return g[np.arange(n_out + 1), steps], h, substeps
 
 
@@ -539,16 +532,13 @@ def _run_simulation_scenario(plan: _Plan) -> tuple:
     """Shared fidelity / double_pretherm pipeline: (CSVs, metrics, sidecar fields)."""
     cfg, protocol, t_grid, n_pred = plan.cfg, plan.protocol, plan.t_grid, plan.n_pred
     model, derived = _build_model(plan)
-    profile = plan.profile  # a modulated spectrum measures a null d0 in the occupied window
-    if cfg["profile"]["d0"] is None and plan.spec.variant != "flat":
-        profile = dataclasses.replace(profile, d0=derived["d0_window"])
 
     method = cfg["model"]["method"]
     traj = rmt.propagate(model, protocol, t_grid, method=method, step=cfg["model"]["trotter_step"])
 
     # prediction on the output grid up to its horizon
     dt, ts = float(t_grid[1]), protocol.timescale()
-    gamma_sq = _diagonal_on_grid(profile, protocol, cfg["prediction"]["solver_step"], dt,
+    gamma_sq = _diagonal_on_grid(plan.profile, protocol, cfg["prediction"]["solver_step"], dt,
                                  n_pred, max(plan.horizon, dt))[0] ** 2
     t_pred, a_sim = t_grid[: n_pred + 1], traj.a_series[: n_pred + 1]
     undriven, a_th = traj.undriven_a_series[: n_pred + 1], derived["a_th"]
@@ -592,7 +582,7 @@ def _run_simulation_scenario(plan: _Plan) -> tuple:
             "norm": traj.norm_series,
         },
         "prediction.csv": {"t": t_pred, "gamma_sq": gamma_sq, "a_pred": a_pred},
-        "approximations.csv": _approx_columns(profile, protocol, t_grid),
+        "approximations.csv": _approx_columns(plan.profile, protocol, t_grid),
         "joined.csv": {
             "t": t_pred,
             "a_sim": a_sim,

@@ -113,11 +113,17 @@ class DrivingProtocol:
         if self.variant == "constant":
             return np.array([0.0, t_max]), np.array([self.f0])
         half = self.period / 2.0
-        nseg = max(1, int(np.ceil(t_max / half - 1e-12)))  # t_max = 0: one empty segment
+        nseg = subdivide(t_max, half)[0]  # t_max = 0: one empty segment
         bounds = np.arange(nseg + 1) * half
         bounds[-1] = t_max
         vals = np.where(np.arange(nseg) % 2 == 0, self.f0, -self.f0)
         return bounds, vals
+
+
+def subdivide(span: float, step: float) -> tuple:
+    """(n, span / n): the fewest n >= 1 pieces of span no longer than step (1e-12 slack)."""
+    n = max(1, int(np.ceil(span / step - 1e-12)))
+    return n, span / n
 
 
 def _check_times(t: np.ndarray) -> None:

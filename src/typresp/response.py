@@ -83,13 +83,12 @@ def _grid(h: float, n: int) -> np.ndarray:
     return np.arange(n + 1) * h
 
 
-def gamma_rows(profile, protocol, h: float, t_primes, ends) -> tuple:
-    """(phi1, phi2, g) with g[r, i] = gamma(t_i, t_primes[r]), t_i = i*h, i <= ends[r] (ascending):
-    one kernel call solves exactly these rows, raising SolverBlowUpError at the first bad step."""
+def gamma_rows(profile, protocol, h: float, t_primes, ends) -> np.ndarray:
+    """g with g[r, i] = gamma(t_i, t_primes[r]), t_i = i*h, i <= ends[r] (ascending): one
+    kernel call solves exactly these rows, raising SolverBlowUpError at the first bad step."""
     t_grid = _grid(h, int(ends[-1]))
-    phi1, phi2 = protocols.phi_arrays(protocol, t_primes)
     v, vdd = profiles.v_of_t(profile, t_grid), profiles.v_second_deriv(profile, t_grid)
-    return phi1, phi2, _volterra_heun(phi1, phi2, v, vdd, h, np.asarray(ends))
+    return _volterra_heun(*protocols.phi_arrays(protocol, t_primes), v, vdd, h, np.asarray(ends))
 
 
 def solve_gamma(
@@ -105,7 +104,7 @@ def solve_gamma(
     parameters of the equation, not functions of the integration variable.
     This is the one-row call of gamma_rows (16 (n + 1) bytes).
     """
-    (g,) = gamma_rows(profile, protocol, h, [t_prime], [n])[2]
+    (g,) = gamma_rows(profile, protocol, h, [t_prime], [n])
     overshoot = float(np.max(np.abs(g))) - 1.0
     if overshoot > OVERSHOOT_TOL:
         warnings.warn(f"|gamma| overshoots 1 by {overshoot:.3g}; the grid may be too coarse",
@@ -125,7 +124,7 @@ def gamma_diagonal_values(
     at n = 600).  A blow-up raises SolverBlowUpError at the first step where a row
     passed the threshold.
     """
-    return gamma_rows(profile, protocol, h, _grid(h, n), np.arange(n + 1))[2].diagonal().copy()
+    return gamma_rows(profile, protocol, h, _grid(h, n), np.arange(n + 1)).diagonal().copy()
 
 
 def gamma_diagonal(

@@ -43,7 +43,7 @@ from . import profiles, protocols
 from .errors import ConfigError, EmptyWindowError, NormDriftError
 
 NORM_TOL = 1e-6  # propagation aborts beyond this norm drift
-FILTER_CUT = 1e-12  # a filtered state keeping less of its norm than this is empty
+FILTER_CUT = 1e-12  # a filter weight under this on every occupied level leaves no state
 # output times (or columns, or rows) per GEMM or block: bounds the m x _BLOCK temporaries
 _BLOCK = 64
 
@@ -204,8 +204,17 @@ def fidelity_observable(m: int, index: int) -> np.ndarray:
 
 def filter_weights(energies: np.ndarray, e_center: float = 0.0,
                    delta_e: float = 1.0) -> np.ndarray:
-    """Gaussian energy filter exp(-(E_mu - e_center)^2 / 4 delta_e^2) of a filtered state."""
+    """Gaussian filter exp(-(E_mu - e_center)^2 / 4 delta_e^2); `check_filter` judges it."""
     return np.exp(-((energies - e_center) ** 2) / (4.0 * delta_e**2))
+
+
+def check_filter(energies: np.ndarray, e_center: float, delta_e: float, sector: str = "all",
+                 q: str = "identity", kappa: float = 1.0, dense_a: bool = True) -> None:
+    """EmptyWindowError unless a level the state occupies keeps a filter weight >= FILTER_CUT:
+    an even sector keeps only the even levels unless Q = 1 + kappa A, kappa != 0, A dense."""
+    even = sector == "even" and not (q == "one_plus_kappa_a" and kappa != 0 and dense_a)
+    if filter_weights(energies[::2] if even else energies, e_center, delta_e).max() < FILTER_CUT:
+        raise EmptyWindowError(f"every occupied level has a filter weight under {FILTER_CUT:g}")
 
 
 def build_initial_state(
@@ -223,9 +232,9 @@ def build_initial_state(
     """Initial state vector: an H0 eigenstate, or a filtered Haar-random state.
 
     The filtered kind draws |phi> Haar-random (optionally restricted to the
-    even-mu '+' sector), applies Q (identity or 1 + kappa*A), then the
-    diagonal Gaussian filter exp(-(E_mu - e_center)^2 / 4 delta_e^2), and
-    normalizes.  Operator order: filter after Q.  A 1-d observable is diagonal.
+    even-mu '+' sector), applies Q (identity or 1 + kappa*A; a 1-d A is
+    diagonal), then the Gaussian `filter_weights`, and normalizes.  Operator
+    order: filter after Q.  `check_filter` first rejects a filter that leaves no weight.
     """
     m = len(energies)
     if kind not in STATE_KINDS or sector not in SECTORS or q not in Q_KINDS:
@@ -238,19 +247,17 @@ def build_initial_state(
         return psi
     if delta_e <= 0:
         raise ValueError("delta_e must be positive")
+    if q == "one_plus_kappa_a" and observable is None:
+        raise ValueError("Q = 1 + kappa*A needs the observable matrix")
+    check_filter(energies, e_center, delta_e, sector, q, kappa, np.ndim(observable) == 2)
     rng = _rng(master_seed, "initial_state")
     phi = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     if sector == "even":
         phi[1::2] = 0.0
     if q == "one_plus_kappa_a":
-        if observable is None:
-            raise ValueError("Q = 1 + kappa*A needs the observable matrix")
         phi = phi + kappa * (observable * phi if observable.ndim == 1 else observable @ phi)
     psi = filter_weights(energies, e_center, delta_e) * phi
-    nrm = np.linalg.norm(psi)
-    if nrm < FILTER_CUT * np.linalg.norm(phi):
-        raise EmptyWindowError("filter left no weight (window misses the spectrum)")
-    return psi / nrm
+    return psi / np.linalg.norm(psi)
 
 
 @dataclass
@@ -267,9 +274,24 @@ class RandomMatrixModel:
     initial_state: np.ndarray
 
 
-def _diagonal(observable: np.ndarray) -> np.ndarray:
-    """Real diagonal of an observable; a 1-d observable is its own diagonal."""
-    return observable if observable.ndim == 1 else np.real(np.diag(observable))
+def window_levels(energies: np.ndarray, window: tuple, scale: float = 1.0) -> np.ndarray:
+    """Mask of the levels in the window [lo, hi] widened about its centre to scale times its
+    width (a superset at scale > 1); EmptyWindowError if it has no width or holds no level."""
+    lo, hi = window
+    grow = 0.5 * (scale - 1.0) * (hi - lo)
+    sel = (energies >= lo - grow) & (energies <= hi + grow)
+    if hi <= lo or not sel.any():
+        raise EmptyWindowError(f"the window [{lo - grow}, {hi + grow}] has no width or no "
+                               f"level of the spectrum [{energies[0]}, {energies[-1]}]")
+    return sel
+
+
+def window_density(energies: np.ndarray, window: Optional[tuple], scale: float = 1.0) -> float:
+    """Levels per unit energy of window_levels, or of the whole spectrum for a window of None."""
+    if window is None:
+        return (len(energies) - 1) / float(energies[-1] - energies[0])
+    n = int(np.count_nonzero(window_levels(energies, window, scale)))
+    return n / (scale * (window[1] - window[0]))
 
 
 def reference_constants(
@@ -278,35 +300,23 @@ def reference_constants(
     rho_diag: np.ndarray,
     window: Optional[tuple],
 ) -> dict:
-    """Thermal and long-time reference values of the observable.
+    """Thermal and long-time reference values of the observable's diagonal (a 1-d
+    observable is its own diagonal).
 
-    Only the observable's diagonal enters, so a 1-d observable (a diagonal)
-    serves as well as the dense matrix.  a_th averages the diagonal over the
-    occupied window, a_bar0 is the diagonal-ensemble (infinite-time)
-    average, a_inf the trace average.  d0_window counts levels per unit
-    energy in the window.  a_th and d0_window sensitivity at 1.5x and 3x
-    window width is reported alongside.
+    a_th averages it over the occupied window's `window_levels` (the whole
+    spectrum for a window of None), a_bar0 is the diagonal-ensemble
+    (infinite-time) average, a_inf the trace average and d0_window the
+    window's `window_density`; both at 1.5x and 3x the window width ride along.
     """
-    m = len(energies)
-    observable_diag = _diagonal(observable)
-    a_inf = float(np.sum(observable_diag)) / m
-    a_bar0 = float(np.dot(rho_diag, observable_diag))
-    out = {"a_bar0": a_bar0, "a_inf": a_inf}
+    observable_diag = observable if observable.ndim == 1 else np.real(np.diag(observable))
+    a_inf = float(np.sum(observable_diag)) / len(energies)
+    out = {"a_bar0": float(np.dot(rho_diag, observable_diag)), "a_inf": a_inf}
     if window is None:
-        out["a_th"] = a_inf
-        out["d0_window"] = (m - 1) / float(energies[-1] - energies[0])
-        return out
-    lo, hi = window
-    center, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        return {**out, "a_th": a_inf, "d0_window": window_density(energies, None)}
     for tag, scale in (("", 1.0), ("_w15", 1.5), ("_w30", 3.0)):
-        sel = (energies >= center - scale * half) & (energies <= center + scale * half)
-        n = int(np.count_nonzero(sel))
-        if n == 0:
-            raise EmptyWindowError(f"no levels in window scaled by {scale}")
-        out["a_th" + tag] = float(np.mean(observable_diag[sel]))
-        out["d0_window" + tag] = n / (2.0 * scale * half)
-    out["window"] = (float(lo), float(hi))
-    return out
+        out["a_th" + tag] = float(np.mean(observable_diag[window_levels(energies, window, scale)]))
+        out["d0_window" + tag] = window_density(energies, window, scale)
+    return {**out, "window": (float(window[0]), float(window[1]))}
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +457,7 @@ def split_step(protocol: protocols.DrivingProtocol, dt_out: float, step: float,
     ConfigError unless h divides the segment length of a piecewise-constant
     protocol that switches before t_end (no step may straddle a switch).
     """
-    n_sub = max(1, int(np.ceil(dt_out / step - 1e-12)))
-    h = dt_out / n_sub
+    n_sub, h = protocols.subdivide(dt_out, step)
     segs = protocol.piecewise_segments(t_end)
     if segs is not None and len(segs[1]) > 1:
         switch = float(segs[0][1] - segs[0][0])

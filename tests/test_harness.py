@@ -233,6 +233,8 @@ BAD_FIELDS = [
     # the window [-128, 32] holds every level, but the nearest, E = 0, is 12 delta_e
     # away: its filter weight exp(-36) is under rmt.FILTER_CUT
     ("eth_wide", "model.initial_state.e_center", -48.0),
+    # the window 12 +- 2e-17 rounds to [12, 12]: it holds the level E_24 but has no width
+    ("eth_thin", "model.initial_state.e_center", 12.0),
     ("strong_scale", "profile.d0", None),  # no model measures it
     # keys that are never read with the keys around them
     ("strong_scale", "seed", 3),
@@ -288,6 +290,8 @@ def test_bad_field_fails_at_load(tmp_path, monkeypatch, which, field, bad):
     monkeypatch.setattr(rmt, "sample_v", _must_not_run)
     base = {"fidelity": small_fidelity_cfg, "eth": small_eth_cfg,
             "eth_wide": lambda: {**small_eth_cfg(), "window_halfwidth_factor": 20.0},
+            "eth_thin": lambda: tiny_filtered_cfg(64, {"variant": "flat", "spacing": 0.5},
+                                                  e_center=0.0, delta_e=1e-17),
             "trotter": small_trotter_cfg, "strong_scale": strong_scale_cfg, "quench": quench_cfg,
             "strong_scale_null_d0": lambda: set_field(strong_scale_cfg(), "profile.d0", None),
             "tab_profile": lambda: set_field(small_fidelity_cfg(), "profile", {
@@ -320,22 +324,95 @@ def test_load_checks_pass_fitting_configs():
                                                -8.0))
 
 
-@pytest.mark.parametrize("q", ["identity", "one_plus_kappa_a"])
-def test_even_sector_filter_weight_checked_at_load(tmp_path, monkeypatch, q):
+@pytest.mark.parametrize("q,kappa", [pytest.param("identity", 1.0, id="identity"),
+                                     pytest.param("one_plus_kappa_a", 1.0, id="one_plus_kappa_a"),
+                                     pytest.param("one_plus_kappa_a", 0.0, id="kappa_0")])
+def test_even_sector_filter_weight_checked_at_load(tmp_path, monkeypatch, q, kappa):
     # a narrow filter on the odd level E_1 leaves the even levels no weight;
-    # only Q = 1 + kappa A moves an even-sector state onto the odd levels
+    # only Q = 1 + kappa A with kappa != 0 moves an even-sector state onto the odd levels
     cfg = small_eth_cfg()
     e = rmt.SpectrumSpec(m=64, **cfg["model"]["spectrum"]).energies()
-    cfg["model"]["initial_state"].update(e_center=float(e[1]), delta_e=0.01, q=q)
-    if q == "one_plus_kappa_a":
+    cfg["model"]["initial_state"].update(e_center=float(e[1]), delta_e=0.01, q=q, kappa=kappa)
+    if q == "one_plus_kappa_a" and kappa:
         harness.run(cfg, tmp_path)
         return
     with pytest.raises(EmptyWindowError):  # what the run would hit after sampling
         rmt.build_initial_state(e, "filtered_random", 1, e_center=float(e[1]), delta_e=0.01,
-                                sector="even")
+                                sector="even", q=q, kappa=kappa, observable=np.eye(64))
     monkeypatch.setattr(rmt, "sample_v", _must_not_run)
     with pytest.raises(ConfigError, match=re.escape("model.initial_state.e_center")):
         harness.validate_scenario_config(cfg)
+
+
+def tiny_filtered_cfg(m, spectrum, factor=None, **state):
+    """small_eth_cfg at m levels of spectrum, with a filtered state of the given keys."""
+    cfg = set_field(small_eth_cfg(m), "model.spectrum", spectrum)
+    cfg["model"]["initial_state"] = {"kind": "filtered_random", **state}
+    if factor is not None:
+        cfg["window_halfwidth_factor"] = factor
+    return cfg
+
+
+@pytest.mark.parametrize("seed,cfg", [
+    # the window [0.3, 0.58] holds the level E_1 = 0.3 on its edge
+    pytest.param(1, tiny_filtered_cfg(16, {"variant": "flat", "spacing": 0.3}, e_center=0.44,
+                                      delta_e=0.07), id="edge_level"),
+    # the one weight above rmt.FILTER_CUT, 1.8e-12 on E_0, is a small share of the norm
+    *[pytest.param(seed, tiny_filtered_cfg(16, {"variant": "flat", "spacing": 1.0}, 10.5,
+                                           e_center=-10.4, delta_e=1.0), id=f"faint_{seed}")
+      for seed in (1, 2, 3)],
+])
+def test_window_edge_configs_load_and_run(tmp_path, seed, cfg):
+    cfg["seed"] = seed
+    harness.validate_scenario_config(cfg)
+    derived = harness.run(cfg, tmp_path)["metrics"]["derived"]
+    assert derived["d0_window"] > 0 and np.isfinite(derived["a_th"])
+
+
+SMALL_SPECTRA = st.one_of(
+    st.builds(lambda s: {"variant": "flat", "spacing": s}, st.floats(0.05, 2.0)),
+    st.builds(lambda a, s: {"variant": "cosine_modulated", "alpha": a, "mean_spacing": s},
+              st.floats(0.0, 1.0), st.floats(0.05, 2.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.sampled_from([4, 8, 16]), spectrum=SMALL_SPECTRA, level=st.integers(0, 15),
+       side=st.sampled_from([-1, 1]), offset=st.none() | st.floats(0.0, 12.0),
+       delta_e=st.floats(0.01, 2.0), factor=st.floats(0.1, 12.0),
+       sector=st.sampled_from([None, "all", "even"]),
+       q=st.sampled_from([None, "identity", "one_plus_kappa_a"]),
+       kappa=st.sampled_from([None, 0.0, 0.5]))
+def test_a_config_that_loads_finds_its_window_after_sampling(
+        tmp_path_factory, m, spectrum, level, side, offset, delta_e, factor, sector, q, kappa):
+    # e_center lies offset delta_e from a level, or (offset None) puts the window's edge on it
+    e = rmt.SpectrumSpec(m=m, **spectrum).energies()
+    e_center = float(e[level % m] + side * (factor if offset is None else offset) * delta_e)
+    state = {key: v for key, v in (("sector", sector), ("q", q), ("kappa", kappa))
+             if v is not None}
+    cfg = tiny_filtered_cfg(m, spectrum, factor, e_center=e_center, delta_e=delta_e, **state)
+    try:
+        harness.validate_scenario_config(cfg)
+    except ConfigError:
+        return
+    # no EmptyWindowError after sampling, and a state that normalizes (a_bar0 reads |psi|^2)
+    derived = harness.run(cfg, tmp_path_factory.mktemp("run"))["metrics"]["derived"]
+    assert np.isfinite(derived["a_bar0"])
+
+
+@pytest.mark.parametrize("state", [
+    small_eth_cfg()["model"]["initial_state"],
+    {"kind": "eigenstate", "index": "middle"},
+])
+def test_plan_profile_carries_the_measured_d0(tmp_path, monkeypatch, state):
+    # a null d0 on a modulated spectrum is fixed at load, before any sampling, to the
+    # window density the run reports
+    cfg = set_field(small_eth_cfg(), "model.initial_state", state)
+    monkeypatch.setattr(rmt, "sample_v", _must_not_run)
+    plan = harness._plan(cfg)
+    monkeypatch.undo()
+    harness.run(cfg, tmp_path)
+    derived = json.loads((tmp_path / "metrics.json").read_text())["derived"]
+    assert plan.profile.d0 == derived["d0_window"]
 
 
 @pytest.mark.parametrize("run,cfg,key", [

@@ -246,6 +246,31 @@ def test_filtered_state_empty_window():
                                 e_center=1e6, delta_e=0.5)
 
 
+def test_even_sector_with_a_diagonal_q_stays_on_the_even_levels():
+    # Q = 1 + kappa A spreads an even-sector state only with a dense A: with a
+    # 1-d A, a narrow filter on the odd level E_1 leaves it no weight
+    e = rmt.SpectrumSpec(m=64, variant="flat", spacing=0.5).energies()
+    diag = rmt.eth_diagonal(e, 32.0, 1.0, 0.25, 1)
+    with pytest.raises(EmptyWindowError):
+        rmt.build_initial_state(e, "filtered_random", 1, e_center=float(e[1]), delta_e=0.01,
+                                sector="even", q="one_plus_kappa_a", observable=diag)
+
+
+def test_check_filter_judges_the_levels_the_state_occupies():
+    # the rule build_initial_state applies, read without a sample: a filter on E_1
+    e = rmt.SpectrumSpec(m=64, variant="flat", spacing=0.5).energies()
+    rmt.check_filter(e, float(e[1]), 0.01)
+    rmt.check_filter(e, float(e[1]), 0.01, "even", "one_plus_kappa_a")  # a dense A spreads it
+    for q, kappa, dense_a in (("identity", 1.0, True), ("one_plus_kappa_a", 1.0, False),
+                              ("one_plus_kappa_a", 0.0, True)):  # kappa 0: Q is the identity
+        with pytest.raises(EmptyWindowError):
+            rmt.check_filter(e, float(e[1]), 0.01, "even", q, kappa, dense_a)
+    # the nearest level E_0 weighs exp(-10.4^2 / 4) = 1.8e-12 at 10.4 delta_e, 6.3e-13 at 10.6
+    rmt.check_filter(e, -10.4 * 0.5, 0.5)
+    with pytest.raises(EmptyWindowError):
+        rmt.check_filter(e, -10.6 * 0.5, 0.5)
+
+
 def test_eigenstate_bounds():
     e = rmt.SpectrumSpec(m=16, variant="flat", spacing=1.0).energies()
     with pytest.raises(ValueError):
@@ -285,6 +310,27 @@ def test_reference_constants_window_sensitivity():
         assert key in refs
     with pytest.raises(EmptyWindowError):
         rmt.reference_constants(e, diag, np.abs(psi) ** 2, (1e5, 1e5 + 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(spacing=st.floats(0.05, 2.0), level=st.integers(0, 15), side=st.sampled_from([-1, 1]),
+       factor=st.floats(0.01, 10.0), delta_e=st.floats(0.01, 2.0))
+def test_window_levels_are_the_closed_window_and_widen_to_supersets(spacing, level, side,
+                                                                    factor, delta_e):
+    # a window edge computed to land on a level: the level is in [lo, hi] exactly when the
+    # comparison says so, and every wider window holds what [lo, hi] holds
+    e = rmt.SpectrumSpec(m=16, variant="flat", spacing=spacing).energies()
+    e_center = e[level] + side * factor * delta_e
+    window = (e_center - factor * delta_e, e_center + factor * delta_e)
+    closed = (e >= window[0]) & (e <= window[1])
+    if not closed.any():
+        with pytest.raises(EmptyWindowError):
+            rmt.window_levels(e, window)
+        return
+    assert np.array_equal(rmt.window_levels(e, window), closed)
+    assert rmt.window_density(e, window) == np.count_nonzero(closed) / (window[1] - window[0])
+    for scale in (1.5, 3.0):
+        assert np.all(rmt.window_levels(e, window, scale)[closed])
 
 
 # --- propagation -------------------------------------------------------------------
