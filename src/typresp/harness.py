@@ -501,17 +501,16 @@ def _build_model(plan: _Plan) -> tuple:
     return rmt.RandomMatrixModel(energies, v, observable, psi), derived
 
 
-def _diagonal_on_grid(profile, protocol, h_req, dt: float, n_out: int, t_end: float):
-    """(gamma(t_k, t_k) at t_k = k dt for k = 0..n_out, h, substeps).
-
-    The solver runs on t_i = i h with h = dt / substeps the largest such step <= h_req
-    (null: default_step(t_end)); only the output rows are solved, row k to step k substeps.
-    """
+def _gamma_on_grid(profile, protocol, h_req, t_out, t_end: float, t_primes=()):
+    """(gamma(t_k, t_k), [gamma(t_k, t') for t' in t_primes], h) on the output grid t_k = k dt:
+    one gamma_rows call on t_i = i h, h = dt / substeps the largest such step <= h_req (null:
+    default_step(t_end)), solves diagonal row k to step k substeps and each t' row to the end."""
     h_req = response.default_step(profile, protocol, t_end) if h_req is None else h_req
-    substeps, h = protocols.subdivide(dt, h_req)
-    steps = substeps * np.arange(n_out + 1)
-    g = response.gamma_rows(profile, protocol, h, steps * h, steps)
-    return g[np.arange(n_out + 1), steps], h, substeps
+    substeps, h = protocols.subdivide(float(t_out[1]), h_req)
+    steps = substeps * np.arange(len(t_out))
+    ends = np.append(steps, np.full(len(t_primes), steps[-1]))
+    g = response.gamma_rows(profile, protocol, h, np.append(steps * h, t_primes), ends)
+    return g[np.arange(len(steps)), steps], g[len(steps):, ::substeps], h
 
 
 def _approx_columns(profile, protocol, t_grid):
@@ -538,9 +537,9 @@ def _run_simulation_scenario(plan: _Plan) -> tuple:
 
     # prediction on the output grid up to its horizon
     dt, ts = float(t_grid[1]), protocol.timescale()
-    gamma_sq = _diagonal_on_grid(plan.profile, protocol, cfg["prediction"]["solver_step"], dt,
-                                 n_pred, max(plan.horizon, dt))[0] ** 2
     t_pred, a_sim = t_grid[: n_pred + 1], traj.a_series[: n_pred + 1]
+    gamma_sq = _gamma_on_grid(plan.profile, protocol, cfg["prediction"]["solver_step"], t_pred,
+                              max(plan.horizon, dt))[0] ** 2
     undriven, a_th = traj.undriven_a_series[: n_pred + 1], derived["a_th"]
     a_pred = response.predict_observable(t_pred, gamma_sq, undriven, a_th)
 
@@ -651,12 +650,11 @@ def run_respond(cfg: dict, out_dir) -> dict:
     c = _checked(_RESPOND, cfg)
     profile = build_profile(c["profile"])
     protocol = build_protocol(c["protocol"])
-    t_grid, n_out = _output_grid(c["grid"]), c["grid"]["n_out"]
-    diag, h, substeps = _diagonal_on_grid(profile, protocol, c["solver_step"],
-                                          float(t_grid[1] - t_grid[0]), n_out, float(t_grid[-1]))
+    t_grid = _output_grid(c["grid"])
+    diag, curves, h = _gamma_on_grid(profile, protocol, c["solver_step"], t_grid,
+                                     float(t_grid[-1]), c["t_primes"] or [])
     csvs = {"respond_diagonal.csv": {"t": t_grid, "gamma": diag, "gamma_sq": diag**2}}
-    for i, tp in enumerate(c["t_primes"] or []):
-        g = response.solve_gamma(profile, protocol, tp, h, n_out * substeps).gamma[::substeps]
+    for i, g in enumerate(curves):
         csvs[f"respond_tprime_{i:03d}.csv"] = {"t": t_grid, "gamma": g, "gamma_sq": g**2}
     return _write_outputs(out_dir, _base_meta(cfg), csvs, {"solver_step": h})
 

@@ -12,8 +12,9 @@ convolution gives second-order accuracy without kernel derivatives.
 
 gamma depends on t' only through (phi1, phi2), so one Heun kernel advances a
 batch of rows in lock step.  `gamma_rows` solves exactly the rows a caller
-names, each by its t' and its last step; `solve_gamma` is its one-row call and
-`gamma_diagonal_values` its call along the diagonal.  A row takes 16 bytes a step.
+names, each by its t' and its last step, and judges each by the one overshoot rule;
+`solve_gamma` is its one-row call and `gamma_diagonal_values` its call along the
+diagonal.  A row takes 16 bytes a step.
 
 The observable prediction combines the diagonal gamma(t, t)^2 with the
 undriven series:  a_pred(t) = a_th + gamma(t, t)^2 * (a_undriven(t) - a_th).
@@ -85,10 +86,16 @@ def _grid(h: float, n: int) -> np.ndarray:
 
 def gamma_rows(profile, protocol, h: float, t_primes, ends) -> np.ndarray:
     """g with g[r, i] = gamma(t_i, t_primes[r]), t_i = i*h, i <= ends[r] (ascending): one
-    kernel call solves exactly these rows, raising SolverBlowUpError at the first bad step."""
-    t_grid = _grid(h, int(ends[-1]))
+    kernel call solves exactly these rows, raising SolverBlowUpError at the first bad step.
+    The one overshoot rule warns if |gamma| on any row's filled part passes 1 + OVERSHOOT_TOL."""
+    t_grid, ends = _grid(h, int(ends[-1])), np.asarray(ends)
     v, vdd = profiles.v_of_t(profile, t_grid), profiles.v_second_deriv(profile, t_grid)
-    return _volterra_heun(*protocols.phi_arrays(protocol, t_primes), v, vdd, h, np.asarray(ends))
+    g = _volterra_heun(*protocols.phi_arrays(protocol, t_primes), v, vdd, h, ends)
+    overshoot = max(float(np.max(np.abs(row[: e + 1]))) for row, e in zip(g, ends)) - 1.0
+    if overshoot > OVERSHOOT_TOL:
+        warnings.warn(f"|gamma| overshoots 1 by {overshoot:.3g}; the grid may be too coarse",
+                      RuntimeWarning, stacklevel=2)
+    return g
 
 
 def solve_gamma(
@@ -102,14 +109,9 @@ def solve_gamma(
 
     phi1 and phi2 are evaluated once at t_prime and held fixed; they are
     parameters of the equation, not functions of the integration variable.
-    This is the one-row call of gamma_rows (16 (n + 1) bytes).
+    This is the one-row call of gamma_rows (16 (n + 1) bytes), and warns by its rule.
     """
-    (g,) = gamma_rows(profile, protocol, h, [t_prime], [n])
-    overshoot = float(np.max(np.abs(g))) - 1.0
-    if overshoot > OVERSHOOT_TOL:
-        warnings.warn(f"|gamma| overshoots 1 by {overshoot:.3g}; the grid may be too coarse",
-                      RuntimeWarning, stacklevel=2)
-    return ResponseSolution(g)
+    return ResponseSolution(gamma_rows(profile, protocol, h, [t_prime], [n])[0])
 
 
 def gamma_diagonal_values(

@@ -213,8 +213,10 @@ def check_filter(energies: np.ndarray, e_center: float, delta_e: float, sector: 
     """EmptyWindowError unless a level the state occupies keeps a filter weight >= FILTER_CUT:
     an even sector keeps only the even levels unless Q = 1 + kappa A, kappa != 0, A dense."""
     even = sector == "even" and not (q == "one_plus_kappa_a" and kappa != 0 and dense_a)
-    if filter_weights(energies[::2] if even else energies, e_center, delta_e).max() < FILTER_CUT:
-        raise EmptyWindowError(f"every occupied level has a filter weight under {FILTER_CUT:g}")
+    with np.errstate(all="ignore"):  # a delta_e**2 that underflows gives a NaN weight: rejected
+        peak = filter_weights(energies[::2] if even else energies, e_center, delta_e).max()
+    if not peak >= FILTER_CUT:
+        raise EmptyWindowError(f"no occupied level has a filter weight of {FILTER_CUT:g} or more")
 
 
 def build_initial_state(
@@ -374,7 +376,7 @@ def _readout(model: RandomMatrixModel, states: np.ndarray) -> np.ndarray:
 
 def _check_norm(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
     """rows, unless a norm drifts beyond NORM_TOL: NormDriftError at the first such t."""
-    bad = np.flatnonzero(np.abs(rows[2] - 1.0) > NORM_TOL)
+    bad = np.flatnonzero(~(np.abs(rows[2] - 1.0) <= NORM_TOL))  # a NaN norm drifts too
     if bad.size:
         k = bad[0]
         raise NormDriftError(f"norm drifted to {rows[2, k]:.12f} at t = {t[k]:.6g}")

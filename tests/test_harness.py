@@ -4,7 +4,10 @@ import copy
 import importlib.util
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -235,6 +238,8 @@ BAD_FIELDS = [
     ("eth_wide", "model.initial_state.e_center", -48.0),
     # the window 12 +- 2e-17 rounds to [12, 12]: it holds the level E_24 but has no width
     ("eth_thin", "model.initial_state.e_center", 12.0),
+    # delta_e**2 underflows to 0: the weight on the level E = 0 is 0/0 = NaN, under no cut
+    ("eth_underflow", "model.initial_state.e_center", 0.0),
     ("strong_scale", "profile.d0", None),  # no model measures it
     # keys that are never read with the keys around them
     ("strong_scale", "seed", 3),
@@ -292,6 +297,8 @@ def test_bad_field_fails_at_load(tmp_path, monkeypatch, which, field, bad):
             "eth_wide": lambda: {**small_eth_cfg(), "window_halfwidth_factor": 20.0},
             "eth_thin": lambda: tiny_filtered_cfg(64, {"variant": "flat", "spacing": 0.5},
                                                   e_center=0.0, delta_e=1e-17),
+            "eth_underflow": lambda: tiny_filtered_cfg(16, {"variant": "flat", "spacing": 1.0},
+                                                       e_center=3.5, delta_e=1e-170),
             "trotter": small_trotter_cfg, "strong_scale": strong_scale_cfg, "quench": quench_cfg,
             "strong_scale_null_d0": lambda: set_field(strong_scale_cfg(), "profile.d0", None),
             "tab_profile": lambda: set_field(small_fidelity_cfg(), "profile", {
@@ -509,6 +516,24 @@ def test_null_prediction_grid_means_default(tmp_path, monkeypatch):
     assert n_rows == n_pred + 1  # only the output rows are solved
 
 
+@pytest.mark.parametrize("run,cfg,rows", [
+    pytest.param(harness.run_respond, set_field(respond_cfg(), "t_primes", None), 51,
+                 id="respond"),
+    pytest.param(harness.run_respond, set_field(respond_cfg(), "t_primes", [0.0, 0.25, 0.6]),
+                 54, id="respond_3_tprimes"),
+    pytest.param(harness.run, small_fidelity_cfg(m=64, t_max=0.5, n_out=20), 21, id="fidelity"),
+    pytest.param(harness.run, small_eth_cfg(), 11, id="double_pretherm"),
+])
+def test_each_command_makes_one_kernel_call(tmp_path, monkeypatch, run, cfg, rows):
+    # the output rows of the diagonal and every fixed-t' curve are one gamma_rows call
+    calls, gamma_rows = [], response.gamma_rows
+    monkeypatch.setattr(response, "gamma_rows",
+                        lambda *a: calls.append(len(a[4])) or gamma_rows(*a))
+    monkeypatch.setattr(response, "solve_gamma", lambda *a: pytest.fail("solve_gamma called"))
+    run(cfg, tmp_path)
+    assert calls == [rows]
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     variant=st.sampled_from(["constant", "step", "sinusoid", "linear_ramp", "pseudorandom_b"]),
@@ -517,15 +542,24 @@ def test_null_prediction_grid_means_default(tmp_path, monkeypatch):
     dt=st.floats(0.01, 0.05),
     n_out=st.integers(1, 30),
     substeps=st.integers(1, 6),
+    t_primes=st.lists(st.floats(0.0, 3.0), max_size=3),
 )
-def test_output_rows_are_bitwise_the_strided_diagonal(variant, f0, period, dt, n_out, substeps):
-    # only the output rows are solved, and each equals its row of the whole diagonal
+def test_output_rows_are_bitwise_the_strided_diagonal(variant, f0, period, dt, n_out, substeps,
+                                                      t_primes):
+    # only the output rows are solved, and each equals its row of the whole diagonal;
+    # the fixed-t' rows of the same call equal their own one-row solves
     profile = profiles.PerturbationProfile(variant="exponential", v0=1.0, delta_v=0.5, d0=512.0)
     proto = protocols.DrivingProtocol(variant=variant, f0=f0, period=period)
-    diag, h, s = harness._diagonal_on_grid(profile, proto, dt / substeps, dt, n_out, n_out * dt)
-    assert s == substeps and h == dt / substeps
+    t_out = dt * np.arange(n_out + 1)
+    diag, curves, h = harness._gamma_on_grid(profile, proto, dt / substeps, t_out, n_out * dt,
+                                             t_primes)
+    assert h == dt / substeps
     full = response.gamma_diagonal_values(profile, proto, h, n_out * substeps)
     assert np.array_equal(diag, full[::substeps])
+    assert len(curves) == len(t_primes)
+    for tp, curve in zip(t_primes, curves):
+        row = response.solve_gamma(profile, proto, tp, h, n_out * substeps).gamma[::substeps]
+        assert np.array_equal(curve, row)
 
 
 def test_tables_are_read_once_per_run(tmp_path, monkeypatch):
@@ -880,6 +914,29 @@ def test_cli_simulate_and_summary(tmp_path, capsys):
     assert rc == 0
     assert summary["status"] == "ok" and summary["command"] == "simulate"
     assert (tmp_path / "out" / "joined.csv").exists()
+
+
+@pytest.mark.parametrize("command,cfg,rc,stderr", [
+    pytest.param("simulate", small_fidelity_cfg(m=64, t_max=0.5, n_out=20), 0, "", id="simulate"),
+    pytest.param("simulate", {"scenario": "unknown"}, 1, "", id="error"),
+    # h = 0.1 is too coarse for this drive: the rows reach |gamma| ~ 8, under the blow-up
+    pytest.param("respond", {
+        "profile": {"variant": "exponential", "v0": 5.0, "delta_v": 0.5, "d0": 512.0},
+        "protocol": {"variant": "step", "f0": 0.3, "period": 3.0},
+        "grid": {"t_max": 6.0, "n_out": 6}, "solver_step": 0.1},
+        0, "overshoots", id="respond_overshoot"),
+])
+def test_cli_stdout_is_one_json_line(tmp_path, command, cfg, rc, stderr):
+    # a process reading the summary gets one JSON object; warnings go to stderr
+    path = write_cfg(tmp_path, cfg)
+    proc = subprocess.run(
+        [sys.executable, "-m", "typresp.cli", command, "--config", str(path), "--out",
+         str(tmp_path / "out")], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == rc
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)
+    assert (stderr in proc.stderr) if stderr else proc.stderr == ""
 
 
 def test_cli_seed_override(tmp_path, capsys):

@@ -168,8 +168,9 @@ def test_named_rows_blow_up_at_their_first_bad_step(stride):
     h, steps = 0.1, stride * np.arange(60 // stride + 1)
     first_past = first_past_threshold(BLOWUP_PROFILE, BLOWUP_DRIVE, h, steps)
     assert bool(first_past) == (stride != 10)
-    if stride == 10:
-        response.gamma_rows(BLOWUP_PROFILE, BLOWUP_DRIVE, h, steps * h, steps)
+    if stride == 10:  # its rows reach |gamma| ~ 8: under the threshold, but an overshoot
+        with pytest.warns(RuntimeWarning, match="overshoots"):
+            response.gamma_rows(BLOWUP_PROFILE, BLOWUP_DRIVE, h, steps * h, steps)
         return
     with pytest.raises(SolverBlowUpError) as info:
         response.gamma_rows(BLOWUP_PROFILE, BLOWUP_DRIVE, h, steps * h, steps)

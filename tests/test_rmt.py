@@ -645,6 +645,24 @@ def test_norm_drift_raises_at_first_output(method):
         rmt.propagate(model, proto, np.linspace(0.0, 1.0, 21), method=method, step=0.05)
 
 
+@pytest.mark.parametrize("method", ["piecewise_exact", "trotter"])
+def test_nan_state_is_a_norm_drift_at_first_output(method):
+    # NaN fails every comparison, so the norm bound is written to fail it too:
+    # the undriven series and the driven run each stop at t = 0
+    model = small_fidelity_model(m=64)
+    model.initial_state = np.where(np.arange(64) == 3, np.nan, model.initial_state)
+    proto = protocols.DrivingProtocol(variant="step", f0=0.1, period=0.5)
+    t = np.linspace(0.0, 1.0, 21)
+    drifted = r"norm drifted to nan at t = 0$"
+    with pytest.raises(NormDriftError, match=drifted):
+        rmt.propagate(model, proto, t, method=method, step=0.05)
+    with pytest.raises(NormDriftError, match=drifted):
+        if method == "trotter":
+            rmt._propagate_trotter(model, proto, t, 0.05)
+        else:
+            rmt._propagate_piecewise(model, proto, t)
+
+
 def test_method_protocol_mismatch():
     model = small_fidelity_model(m=64)
     proto = protocols.DrivingProtocol(variant="sinusoid", f0=0.1, period=0.5)
