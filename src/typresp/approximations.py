@@ -7,7 +7,8 @@ solver:
 
 * strong, short-ranged-in-energy driving: gamma(t, t') = 2 J1(r t)/(r t)
   with the scale r^2 = 4 vtilde(0) D0 [Sigma_0 phi1 + Sigma_2 phi2];
-  trusted when the margin r/Sigma_0 exceeds VALID_MARGIN.
+  trusted when the margin r/Sigma_0 exceeds VALID_MARGIN.  It is evaluated
+  as J0 + J2 (the Bessel recurrence), which is exactly 1 at r t = 0.
 * fast driving (first-order average), a function of phi1 alone: the
   three-exponential expression in the rates r_hat = pi vtilde(0) phi1 D0
   and r_n = (Sigma_0/pi)(1 + n s) is the square
@@ -26,7 +27,7 @@ for the reason given in `protocols`.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import j1 as bessel_j1  # public name of J1 in this package
+from scipy.special import jv
 
 from . import profiles
 
@@ -51,17 +52,15 @@ def _times(t) -> np.ndarray:
 
 
 def strong_driving_gamma(r, t):
-    """gamma = 2 J1(r t) / (r t), with the series limit 1 at r t = 0.
+    """gamma = 2 J1(x)/x = J0(x) + J2(x) at x = r t, exactly 1 at x = 0.
 
+    jv(0, x) rather than j0, whose error grows with x (1.3e-15 near x = 257);
     r (e.g. r(t') on the diagonal) broadcasts against t.
     """
     if np.any(np.asarray(r) < 0):
         raise ValueError("scale r must be >= 0")
     x = _times(t) * r
-    tiny = x < 1e-3
-    xs = np.where(tiny, 1.0, x)  # keeps the J1 branch off 0/0
-    series = 1.0 - np.square(x) / 8.0 + np.power(x, 4) / 192.0
-    return np.where(tiny, series, 2.0 * bessel_j1(xs) / xs)
+    return jv(0, x) + jv(2, x)
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,12 @@ The exponential variant vtilde(E) = v0 exp(-|E|/delta_v) has closed forms:
 
 Tabulated profiles sample vtilde on E >= 0 (starting at E = 0) and are
 interpolated linearly; cosine transforms are evaluated exactly for the
-interpolant (stable for arbitrarily oscillatory exp(iEt)).  v'' uses the
-same rule applied to the sampled integrand E^2 vtilde(E), and the moments
-use the matching trapezoid so that v(0) = v0*d0*Sigma_0 and
-v''(0) = -v0*d0*Sigma_2 hold exactly for the sampled data.
+interpolant (stable for arbitrarily oscillatory exp(iEt)), segment by
+segment through kernels of x = t dE that np.sinc and spherical_jn give to
+full precision down to x = 0.  v'' uses the same rule applied to the
+sampled integrand E^2 vtilde(E), and the moments use the matching
+trapezoid so that v(0) = v0*d0*Sigma_0 and v''(0) = -v0*d0*Sigma_2 hold
+exactly for the sampled data.
 
 vtilde, v_of_t and v_second_deriv take their argument as numpy does and
 return its shape (a scalar gives a 0-d result); the cosine transform sums
@@ -32,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.special import spherical_jn
 
 _SUPPORT_CUT = 1e-12  # segments with vtilde below this (relative) are dropped
 
@@ -122,20 +125,15 @@ def v_second_deriv(p: PerturbationProfile, t):
 # ---------------------------------------------------------------------------
 
 
-def _stable_kernels(x: np.ndarray):
+def _kernels(x: np.ndarray):
     """S=sin(x)/x, G=(1-cos x)/x, H=(x sin x+cos x-1)/x^2, K=(sin x-x cos x)/x^2.
 
-    Small-x branches avoid cancellation; all four are O(1) near x = 0.
+    With s = sin(x/2)/(x/2): S = sinc, G = (x/2) s^2, H = S - s^2/2 and K the
+    spherical Bessel j1, all exact through x = 0.
     """
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, 1.0, x)  # placeholder to avoid 0/0 warnings
-    sin_x, cos_x = np.sin(xs), np.cos(xs)
-    x2 = x * x
-    S = np.where(small, 1.0 - x2 / 6.0, sin_x / xs)
-    G = np.where(small, x / 2.0 - x * x2 / 24.0, (1.0 - cos_x) / xs)
-    H = np.where(small, 0.5 - x2 / 8.0, (xs * sin_x + cos_x - 1.0) / (xs * xs))
-    K = np.where(small, x / 3.0 - x * x2 / 30.0, (sin_x - xs * cos_x) / (xs * xs))
-    return S, G, H, K
+    s2 = np.square(np.sinc(x / (2.0 * np.pi)))  # np.sinc(y) = sin(pi y)/(pi y)
+    S = np.sinc(x / np.pi)
+    return S, 0.5 * x * s2, S - 0.5 * s2, spherical_jn(1, x)
 
 
 def _cos_transform(e: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -147,7 +145,7 @@ def _cos_transform(e: np.ndarray, w: np.ndarray, t: np.ndarray) -> np.ndarray:
     b = (np.diff(w) / np.diff(e))[keep]
 
     x = t[..., None] * de  # (*t.shape, nseg)
-    S, G, H, K = _stable_kernels(x)
+    S, G, H, K = _kernels(x)
     c0 = np.cos(t[..., None] * e0)
     s0 = np.sin(t[..., None] * e0)
     seg = a * de * (c0 * S - s0 * G) + b * de**2 * (c0 * H - s0 * K)

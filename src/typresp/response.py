@@ -88,7 +88,10 @@ def gamma_rows(profile, protocol, h: float, t_primes, ends) -> np.ndarray:
     """g with g[r, i] = gamma(t_i, t_primes[r]), t_i = i*h, i <= ends[r] (ascending): one
     kernel call solves exactly these rows, raising SolverBlowUpError at the first bad step.
     The one overshoot rule warns if |gamma| on any row's filled part passes 1 + OVERSHOOT_TOL."""
-    t_grid, ends = _grid(h, int(ends[-1])), np.asarray(ends)
+    ends = np.asarray(ends)
+    if ends.shape != (len(t_primes),) or not ends.size or np.any(np.diff(ends, prepend=0) < 0):
+        raise ValueError(f"ends must give one nonnegative, ascending step per t', got {ends!r}")
+    t_grid = _grid(h, int(ends[-1]))
     v, vdd = profiles.v_of_t(profile, t_grid), profiles.v_second_deriv(profile, t_grid)
     g = _volterra_heun(*protocols.phi_arrays(protocol, t_primes), v, vdd, h, ends)
     overshoot = max(float(np.max(np.abs(row[: e + 1]))) for row, e in zip(g, ends)) - 1.0

@@ -344,9 +344,8 @@ class TrajectoryResult:
 def _eigh(h: np.ndarray) -> tuple:
     """(w, u) of the Hermitian h by LAPACK's MRRR driver (?heevr).
 
-    A Fortran-ordered float64 or complex128 h is consumed: LAPACK works in it
-    in place and leaves it overwritten.  Any other h (a C-ordered one, such as
-    V) is copied by scipy's wrapper first and survives the call.
+    h is a Fortran-ordered float64 or complex128 buffer the caller built for
+    this call: LAPACK works in it in place and leaves it overwritten.
 
     scipy.linalg is imported here so that importing the package does not load
     it, and called through the module attribute so a wrapper set on
@@ -485,10 +484,10 @@ def _propagate_trotter(model, protocol, t_grid, step):
     # V's eigenbasis: with y = e^{-iH0h/2} u and M = y^H e^{-iH0h} y
     # (= u^H e^{-iH0h} u), the state after step k is y c_k, c_k = P_k d and
     # d <- M c_k, starting from d = y^H e^{-iH0h} psi0.
-    w, y = _eigh(np.ascontiguousarray(model.v_matrix))  # a C-ordered V is copied, not consumed
+    step_matrix = np.array(model.v_matrix, dtype=complex, order="F")
+    w, y = _eigh(step_matrix)  # consumed: M is formed in it below
     y *= np.exp(-1j * model.energies * (h / 2.0))[:, None]
     full = np.exp(-1j * model.energies * h)
-    step_matrix = np.empty_like(y)
     for s in range(0, len(w), _BLOCK):  # by column blocks: no third m x m array
         step_matrix[:, s : s + _BLOCK] = _to_basis(y, full[:, None] * y[:, s : s + _BLOCK])
     n_out = len(t_grid) - 1

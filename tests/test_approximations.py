@@ -42,6 +42,14 @@ def j1_series_oracle(x: float) -> float:
         return float(acc)
 
 
+def gamma_series_oracle(x: float) -> float:
+    """2 J1(x)/x from the series oracle, with its limit 1 at x = 0."""
+    return 1.0 if x == 0.0 else 2.0 * j1_series_oracle(x) / x
+
+
+# strong_driving_gamma(1, x) is 2 J1(x)/x: the J1 checks below run through it
+
+
 def test_j1_against_series_oracle():
     # the 200-term series converges (remainder < 1e-12) for |x| <= ~130, so
     # the oracle comparison stays inside that range
@@ -55,7 +63,7 @@ def test_j1_against_series_oracle():
         ]
     )
     for x in xs:
-        assert abs(ap.bessel_j1(float(x)) - j1_series_oracle(float(x))) < 1e-10
+        assert abs(ap.strong_driving_gamma(1.0, float(x)) - gamma_series_oracle(float(x))) < 1e-10
 
 
 def test_j1_large_arguments_against_mpmath():
@@ -63,15 +71,25 @@ def test_j1_large_arguments_against_mpmath():
 
     rng = np.random.default_rng(12)
     for x in rng.uniform(120.0, 300.0, 100):
-        oracle = float(mp.besselj(1, mp.mpf(float(x))))
-        assert abs(ap.bessel_j1(float(x)) - oracle) < 1e-10
+        oracle = float(2 * mp.besselj(1, mp.mpf(float(x))) / float(x))
+        assert abs(ap.strong_driving_gamma(1.0, float(x)) - oracle) < 1e-10
 
 
 def test_j1_first_zero():
-    root = brentq(ap.bessel_j1, 3.0, 4.5, xtol=1e-13)
+    root = brentq(lambda x: ap.strong_driving_gamma(1.0, x), 3.0, 4.5, xtol=1e-13)
     oracle_root = brentq(j1_series_oracle, 3.0, 4.5, xtol=1e-12)
     assert root == pytest.approx(oracle_root, abs=1e-10)
     assert root == pytest.approx(3.8317059702075125, abs=1e-9)
+
+
+def test_strong_driving_gamma_against_40_digit_mpmath():
+    # J0 + J2 needs no branch at x = 0; scipy's j0 would miss by 1.3e-15 near x = 257
+    import mpmath as mp
+
+    x = np.concatenate([np.linspace(0.0, 300.0, 12_001), np.logspace(-12, 0, 25)])
+    with mp.workdps(40):
+        ref = [1.0 if v == 0 else float(2 * mp.besselj(1, mp.mpf(v)) / mp.mpf(v)) for v in x]
+    assert np.max(np.abs(ap.strong_driving_gamma(1.0, x) - ref)) <= 1e-15
 
 
 def test_strong_driving_gamma_limits():

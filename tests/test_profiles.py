@@ -130,6 +130,54 @@ def test_tabulated_matches_closed_form():
         )
 
 
+def mp_kernels(x):
+    """The four segment kernels S, G, H, K of profiles._kernels in 40-digit mpmath."""
+    import mpmath as mp
+
+    if x == 0.0:
+        return 1.0, 0.0, 0.5, 0.0
+    with mp.workdps(40):
+        xm = mp.mpf(x)
+        sin, cos = mp.sin(xm), mp.cos(xm)
+        vals = sin / xm, (1 - cos) / xm, (xm * sin + cos - 1) / xm**2, (sin - xm * cos) / xm**2
+        return tuple(float(v) for v in vals)
+
+
+def test_segment_kernels_against_40_digit_mpmath():
+    # the direct formulas cancel at small x (H by up to 3.5e-9 just above 1e-4)
+    x = np.concatenate([-np.logspace(-12, 3, 301), [0.0], np.logspace(-12, 3, 301)])
+    ref = np.array([mp_kernels(float(v)) for v in x]).T
+    for name, got, want in zip("SGHK", profiles._kernels(x), ref):
+        assert np.max(np.abs(got - want)) <= 1e-15, name
+
+
+def mp_cos_transform(e, w, t):
+    """int w(E) cos(Et) dE of the linear interpolant of (e, w), summed per segment in mpmath."""
+    import mpmath as mp
+
+    with mp.workdps(40):
+        tm, acc = mp.mpf(t), mp.mpf(0)
+        for e0, e1, w0, w1 in zip(e[:-1], e[1:], w[:-1], w[1:]):
+            e0, e1, w0, w1 = (mp.mpf(float(v)) for v in (e0, e1, w0, w1))
+            s0, s1 = mp.sin(e0 * tm), mp.sin(e1 * tm)
+            c0, c1 = mp.cos(e0 * tm), mp.cos(e1 * tm)
+            slope = (w1 - w0) / (e1 - e0)
+            acc += w0 * (s1 - s0) / tm + slope * ((e1 - e0) * s1 / tm + (c1 - c0) / tm**2)
+        return float(acc)
+
+
+@pytest.mark.parametrize("t", [0.0101, 0.02, 0.1, 1.0])
+def test_tabulated_transforms_exact_for_the_interpolant(t):
+    # at t = 0.0101 each segment has x = t dE = 1.01e-4, where the direct
+    # kernel formulas put v 6.9e-11 off
+    p = tab_from_exponential(d0=512.0, emax=6.0, n=601)
+    e, w = p.energies, p.values
+    assert profiles.v_of_t(p, t) == pytest.approx(2 * p.d0 * mp_cos_transform(e, w, t), rel=1e-14)
+    assert profiles.v_second_deriv(p, t) == pytest.approx(
+        -2 * p.d0 * mp_cos_transform(e, e**2 * w, t), rel=1e-14
+    )
+
+
 def test_validation():
     with pytest.raises(ValueError):
         profiles.PerturbationProfile(variant="exponential", v0=-1.0, delta_v=0.5, d0=1.0)

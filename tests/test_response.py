@@ -121,6 +121,23 @@ def test_bad_step_rejected_by_both_solvers(h):
         response.gamma_diagonal_values(p, proto, h, 10)
 
 
+@pytest.mark.parametrize("t_primes, ends", [
+    ([0.3, 0.3], [-2, 3]),  # a negative end
+    ([0.3, 0.3], [5, 3]),  # descending
+    ([0.3, 0.3, 0.3], [2, 3]),  # a t' without an end
+    ([0.3], [2, 3]),  # an end without a t'
+    ([], []),
+], ids=["negative", "descending", "extra_t_prime", "extra_end", "empty"])
+def test_gamma_rows_rejects_bad_ends_before_solving(monkeypatch, t_primes, ends):
+    def no_solve(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(response, "_volterra_heun", no_solve)
+    proto = protocols.DrivingProtocol(variant="step", f0=0.04, period=0.5)
+    with pytest.raises(ValueError, match="ends"):
+        response.gamma_rows(exp_profile(), proto, 0.01, t_primes, ends)
+
+
 def test_blowup_raises():
     p = exp_profile(v0=50.0, dv=0.5, d0=512.0)
     proto = protocols.DrivingProtocol(variant="constant", f0=5.0)

@@ -506,6 +506,19 @@ def test_propagate_leaves_the_model_unchanged(method, order):
         np.testing.assert_array_equal(bits(getattr(model, key)), bits(value))
 
 
+def test_trotter_takes_a_real_v_as_complex():
+    # the split step's eigh buffer then holds the complex step matrix, so a
+    # real V is copied to complex first
+    m = small_eth_model()
+    models = [rmt.RandomMatrixModel(m.energies, v, m.observable, m.initial_state)
+              for v in (m.v_matrix.real.copy(), m.v_matrix.real.astype(complex))]
+    proto = protocols.DrivingProtocol(variant="sinusoid", f0=0.3, period=0.5)
+    real, cplx = (rmt.propagate(model, proto, np.linspace(0.0, 1.0, 21), method="trotter",
+                                step=0.05) for model in models)
+    np.testing.assert_array_equal(real.a_series, cplx.a_series)
+    np.testing.assert_array_equal(real.norm_series, cplx.norm_series)
+
+
 def test_eigh_consumes_fortran_buffer_with_identical_result():
     model = small_eth_model()
     h = np.diag(model.energies) + 0.3 * model.v_matrix
