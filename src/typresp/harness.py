@@ -364,10 +364,10 @@ def _from_table(field: str, path, build: Callable):
     """build(first column, second column) of a two-column CSV; a bad table is a
     ConfigError naming the field."""
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        if data.shape[1] != 2:
+        columns = list(read_csv(path).values())
+        if len(columns) != 2:
             raise ValueError("expected a two-column CSV")
-        return build(data[:, 0], data[:, 1])
+        return build(*columns)
     except ValueError as exc:
         raise ConfigError(f"{field} {str(path)!r}: {exc}") from None
 
@@ -389,11 +389,16 @@ def write_csv(path, columns: dict) -> Path:
 
 
 def read_csv(path) -> dict:
+    """{name: column}; a ValueError naming path unless it has data rows that fit the header."""
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
         names = fh.readline().strip().split(",")
+        rows = (line.split("#", 1)[0] for line in fh)  # loadtxt's comment rule
+        widths = {len(row.split(",")) for row in rows if row.strip()}
+    if widths != {len(names)}:
+        raise ValueError(f"{path}: {len(names)} header names, data row widths {sorted(widths)}")
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return {name: data[:, i] for i, name in enumerate(names)}
+    return dict(zip(names, data.T))
 
 
 def _base_meta(cfg: dict) -> dict:
@@ -461,11 +466,15 @@ def compare(
 def compare_files(cfg: dict, out_dir) -> dict:
     """`compare` subcommand: metrics between one column of each of two CSVs."""
     c = _checked(_COMPARE, cfg)
-    a, b = read_csv(c["file_a"]), read_csv(c["file_b"])
-    for path, data, column in ((c["file_a"], a, c["column_a"]), (c["file_b"], b, c["column_b"])):
+    a, b = {}, {}
+    for key, data, column in (("file_a", a, c["column_a"]), ("file_b", b, c["column_b"])):
+        try:
+            data.update(read_csv(c[key]))
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from None
         for name in ("t", column):
             if name not in data:
-                raise GridMismatchError(f"{path} has no column {name!r}")
+                raise GridMismatchError(f"{c[key]} has no column {name!r}")
     if not np.array_equal(a["t"], b["t"]):
         raise GridMismatchError("time grids differ between the two files")
     window = c["window"] or [float(a["t"][0]), float(a["t"][-1])]

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -845,6 +846,33 @@ def test_compare_files_bad_field(tmp_path, field, bad):
            "file_b": str(tmp_path / "a.csv"), "column_b": "x", field: bad}
     with pytest.raises(ConfigError, match=field):
         harness.compare_files(cfg, tmp_path)
+
+
+@pytest.mark.parametrize("text", ["t,x,y\n0,1\n1,2\n", "t,x\n", "t,x\n# 0,1\n\n",
+                                  "t,x\n0,1\n1,2,3\n"],
+                         ids=["header_wider", "header_only", "comments_only", "ragged"])
+@pytest.mark.parametrize("where", ["read_csv", "file_a", "file_b", "profile.table",
+                                   "protocol.table"])
+def test_bad_csv_shape_is_an_error_naming_the_file(tmp_path, text, where):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text, encoding="utf-8")
+    good = str(harness.write_csv(tmp_path / "good.csv", {"t": [0.0, 1.0], "x": [1.0, 2.0]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's "input contained no data" fails the test
+        if where == "read_csv":
+            with pytest.raises(ValueError, match=r"bad\.csv"):
+                harness.read_csv(bad)
+        elif where.startswith("file_"):
+            cfg = {"file_a": good, "column_a": "x", "file_b": good, "column_b": "x",
+                   where: str(bad)}
+            with pytest.raises(ConfigError, match=rf"{where}: .*bad\.csv"):
+                harness.compare_files(cfg, tmp_path)
+        elif where == "profile.table":
+            with pytest.raises(ConfigError, match=r"profile\.table .*bad\.csv"):
+                harness.build_profile({"variant": "tabulated", "table": str(bad), "d0": 1.0})
+        else:
+            with pytest.raises(ConfigError, match=r"protocol\.table .*bad\.csv"):
+                harness.build_protocol({"variant": "tabulated", "table": str(bad)})
 
 
 def test_sweep(tmp_path):

@@ -130,27 +130,6 @@ def test_tabulated_matches_closed_form():
         )
 
 
-def mp_kernels(x):
-    """The four segment kernels S, G, H, K of profiles._kernels in 40-digit mpmath."""
-    import mpmath as mp
-
-    if x == 0.0:
-        return 1.0, 0.0, 0.5, 0.0
-    with mp.workdps(40):
-        xm = mp.mpf(x)
-        sin, cos = mp.sin(xm), mp.cos(xm)
-        vals = sin / xm, (1 - cos) / xm, (xm * sin + cos - 1) / xm**2, (sin - xm * cos) / xm**2
-        return tuple(float(v) for v in vals)
-
-
-def test_segment_kernels_against_40_digit_mpmath():
-    # the direct formulas cancel at small x (H by up to 3.5e-9 just above 1e-4)
-    x = np.concatenate([-np.logspace(-12, 3, 301), [0.0], np.logspace(-12, 3, 301)])
-    ref = np.array([mp_kernels(float(v)) for v in x]).T
-    for name, got, want in zip("SGHK", profiles._kernels(x), ref):
-        assert np.max(np.abs(got - want)) <= 1e-15, name
-
-
 def mp_cos_transform(e, w, t):
     """int w(E) cos(Et) dE of the linear interpolant of (e, w), summed per segment in mpmath."""
     import mpmath as mp
@@ -166,15 +145,36 @@ def mp_cos_transform(e, w, t):
         return float(acc)
 
 
-@pytest.mark.parametrize("t", [0.0101, 0.02, 0.1, 1.0])
-def test_tabulated_transforms_exact_for_the_interpolant(t):
-    # at t = 0.0101 each segment has x = t dE = 1.01e-4, where the direct
-    # kernel formulas put v 6.9e-11 off
-    p = tab_from_exponential(d0=512.0, emax=6.0, n=601)
+def exp_table_601():
+    return tab_from_exponential(d0=512.0, emax=6.0, n=601)
+
+
+def gapped_table():
+    """exp_table_601 with w = 0 on (2, 3): two kept runs of segments."""
+    p = exp_table_601()
+    values = np.where((p.energies > 2.0) & (p.energies < 3.0), 0.0, p.values)
+    return profiles.PerturbationProfile(
+        variant="tabulated", d0=p.d0, energies=p.energies, values=values
+    )
+
+
+@pytest.mark.parametrize("table,t", [
+    pytest.param(table, t, id=f"{t}{suffix}")
+    for table, suffix in ((exp_table_601, ""), (gapped_table, "-gapped"))
+    for t in (0.0101, 0.02, 0.1, 1.0, 10.0, 40.0, 120.0)
+])
+def test_tabulated_transforms_exact_for_the_interpolant(table, t):
+    # at t = 0.0101 each segment has x = t dE = 1.01e-4, where direct kernel
+    # formulas put v 6.9e-11 off; at large t the end terms must telescope (per
+    # segment they put v'' 1.1e-12 off at t = 40). abs=0: a pure relative bound
+    p = table()
     e, w = p.energies, p.values
-    assert profiles.v_of_t(p, t) == pytest.approx(2 * p.d0 * mp_cos_transform(e, w, t), rel=1e-14)
+    rel_v, rel_vdd = (1e-14, 1e-14) if t <= 10.0 else (5e-14, 3e-12)
+    assert profiles.v_of_t(p, t) == pytest.approx(
+        2 * p.d0 * mp_cos_transform(e, w, t), rel=rel_v, abs=0.0
+    )
     assert profiles.v_second_deriv(p, t) == pytest.approx(
-        -2 * p.d0 * mp_cos_transform(e, e**2 * w, t), rel=1e-14
+        -2 * p.d0 * mp_cos_transform(e, e**2 * w, t), rel=rel_vdd, abs=0.0
     )
 
 
