@@ -2,7 +2,7 @@
 
 Configs are YAML with nested sections; `render_config` round-trips through
 `parse_config`.  One schema table per section gives each key's check, default,
-whether it is required and where it is read: an unknown, missing or
+whether it is required and where it is read: an unknown, repeated, missing or
 never-read key or a bad value is a `ConfigError` naming the dotted field, and
 a null value is the same as an absent key.  `_plan` checks a `simulate`
 config and builds each of its inputs once, before any model is sampled; the
@@ -239,11 +239,31 @@ def _strings(section: dict, where: str) -> list:
 
 
 def parse_config(text: str) -> dict:
-    """Parse a YAML config into a plain dict (validation happens per command)."""
-    cfg = yaml.safe_load(text)
+    """A YAML config as a plain dict, checked per command; a key given twice is a ConfigError."""
+    loader = yaml.SafeLoader(text)
+    node = loader.get_single_node()
+    _unique_keys(node, "", set())
+    cfg = None if node is None else loader.construct_document(node)
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a YAML mapping")
     return cfg
+
+
+def _unique_keys(node, where: str, seen: set) -> None:
+    """Raise a ConfigError naming the dotted path of a key given twice in one mapping of a YAML
+    node tree, where YAML would keep the last value; seen holds the nodes checked."""
+    if id(node) in seen:  # an alias, checked at its anchor
+        return
+    seen.add(id(node))
+    if isinstance(node, yaml.SequenceNode):
+        for i, item in enumerate(node.value):
+            _unique_keys(item, f"{where.rstrip('.')}[{i}].", seen)
+    elif isinstance(node, yaml.MappingNode):
+        fields = [where + str(key.value) for key, _ in node.value]
+        for i, (field, (_, value)) in enumerate(zip(fields, node.value)):
+            if field in fields[:i]:
+                raise ConfigError(f"key {field!r} is given twice; keep one")
+            _unique_keys(value, field + ".", seen)
 
 
 def render_config(cfg: dict) -> str:
@@ -389,10 +409,13 @@ def write_csv(path, columns: dict) -> Path:
 
 
 def read_csv(path) -> dict:
-    """{name: column}; a ValueError naming path unless it has data rows that fit the header."""
+    """{name: column}; a ValueError naming path if a name repeats or rows do not fit the header."""
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
         names = fh.readline().strip().split(",")
+        twice = [n for i, n in enumerate(names) if n in names[:i]]
+        if twice:
+            raise ValueError(f"{path}: the header names column {twice[0]!r} twice")
         rows = (line.split("#", 1)[0] for line in fh)  # loadtxt's comment rule
         widths = {len(row.split(",")) for row in rows if row.strip()}
     if widths != {len(names)}:
@@ -438,16 +461,9 @@ def _write_outputs(out_dir, meta: Optional[dict], csvs: dict, metrics: dict,
 # ---------------------------------------------------------------------------
 
 
-def compare(
-    t_grid: np.ndarray,
-    series_a: np.ndarray,
-    series_b: np.ndarray,
-    window: tuple,
-) -> dict:
+def compare(t_grid: np.ndarray, series_a: np.ndarray, series_b: np.ndarray, window: tuple) -> dict:
     """{"rms", "max_abs", "window": [t_a, t_b]} of a - b on t_grid, over window = (t_a, t_b)."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    a = np.asarray(series_a, dtype=float)
-    b = np.asarray(series_b, dtype=float)
+    t_grid, a, b = (np.asarray(x, dtype=float) for x in (t_grid, series_a, series_b))
     if not (t_grid.shape == a.shape == b.shape):
         raise GridMismatchError("compared series must share one grid")
     ta, tb = float(window[0]), float(window[1])
@@ -502,9 +518,8 @@ def _build_model(plan: _Plan) -> tuple:
     if obs["kind"] == "fidelity":
         observable = rmt.fidelity_observable(plan.spec.m, state["index"])
     else:
-        observable = rmt.build_eth_observable(
-            energies, plan.spec.e_top, obs["a0_plus"], obs["a0_minus"], seed
-        )
+        observable = rmt.build_eth_observable(energies, plan.spec.e_top, obs["a0_plus"],
+                                              obs["a0_minus"], seed)
     psi = rmt.build_initial_state(energies, master_seed=seed, observable=observable, **state)
     derived = rmt.reference_constants(energies, observable, np.abs(psi) ** 2, plan.window)
     return rmt.RandomMatrixModel(energies, v, observable, psi), derived
@@ -616,8 +631,7 @@ def _run_strong_scale(plan: _Plan) -> tuple:
             metrics["r_max_later"] = float(later.max())
     if profile.variant == "exponential":
         metrics["crossover_amplitude"] = approximations.crossover_amplitude(
-            profile, 1.0 / profile.d0
-        )
+            profile, 1.0 / profile.d0)
     csv = {"t": t_grid, "r": r, "margin": r / sigma0, "phi1": phi1, "phi2": phi2}
     return {"strong_scale.csv": csv}, metrics, {"derived": metrics}
 

@@ -13,10 +13,11 @@ The exponential variant vtilde(E) = v0 exp(-|E|/delta_v) has closed forms:
     v(t) = 2 v0 d0 delta_v / (1 + delta_v^2 t^2),   Sigma_0 = 2 delta_v,
     Sigma_2 = 4 delta_v^3.
 
-Tabulated profiles sample vtilde on E >= 0 (starting at E = 0) and are
-interpolated linearly; cosine transforms are evaluated exactly for the
-interpolant (stable for arbitrarily oscillatory exp(iEt)) by summation by
-parts, which needs np.sinc alone and holds its precision down to t = 0.
+Tabulated profiles sample vtilde on E >= 0 from E = 0, pass the table check
+protocols._check_samples as tabulated protocols do, and are interpolated
+linearly; cosine transforms are exact for the interpolant (stable for
+arbitrarily oscillatory exp(iEt)) by summation by parts, which needs np.sinc
+alone and holds its precision down to t = 0.
 v'' uses the same rule applied to the sampled integrand E^2 vtilde(E), and
 the moments use the matching trapezoid so that v(0) = v0*d0*Sigma_0 and
 v''(0) = -v0*d0*Sigma_2 hold for the sampled data up to the segments dropped
@@ -34,6 +35,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+
+from .protocols import _check_samples
 
 _SUPPORT_CUT = 1e-12  # segments with vtilde below this (relative) are dropped
 
@@ -62,18 +65,9 @@ class PerturbationProfile:
             if not (np.isfinite(self.delta_v) and self.delta_v > 0):
                 raise ValueError("delta_v must be positive")
         else:
-            if self.energies is None or self.values is None:
-                raise ValueError("tabulated profile needs energies and values")
-            e = np.asarray(self.energies, dtype=float)
-            v = np.asarray(self.values, dtype=float)
-            if e.ndim != 1 or e.shape != v.shape or e.size < 2:
-                raise ValueError("tabulated profile needs matching 1-d samples (>= 2)")
-            if e[0] != 0.0 or np.any(np.diff(e) <= 0):
-                raise ValueError("profile samples must start at E = 0 and increase")
-            if np.any(v < 0) or not np.all(np.isfinite(v)):
-                raise ValueError("profile samples must be finite and >= 0")
-            if v[0] <= 0:
-                raise ValueError("vtilde(0) must be positive")
+            e, v = _check_samples(self.energies, self.values, "tabulated profile")
+            if e[0] != 0.0 or np.any(v < 0) or v[0] <= 0:
+                raise ValueError("profile samples need E[0] = 0, vtilde >= 0 and vtilde(0) > 0")
             object.__setattr__(self, "energies", e)
             object.__setattr__(self, "values", v)
             object.__setattr__(self, "v0", float(v[0]))

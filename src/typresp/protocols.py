@@ -13,8 +13,10 @@ is continuous at 0, but the step drive has f(0) = f0 sgn(0) = 0, so its phi1
 jumps from 0 to f0^2 just after t = 0.  The sinusoid and the two
 incommensurate ("pseudorandom") drives are one trig family with one closed
 form.  Tabulated protocols are interpolated linearly and integrated exactly
-for the interpolant (piecewise polynomial), which meets the 1e-10 fallback
-tolerance on smooth inputs.
+for the interpolant (piecewise polynomial) by the pure function
+_table_f1_f2, which meets the 1e-10 fallback tolerance on smooth inputs.
+_check_samples is the one check of a table, shared with the tabulated
+profiles: at least 2 matching, finite 1-d samples at strictly increasing x.
 
 eval_f, f1_f2 and phi_arrays take t as numpy does and return its shape (a
 scalar gives 0-d results); frequency sums run on a trailing axis.  Powers are
@@ -76,23 +78,14 @@ class DrivingProtocol:
             raise ValueError(f"unknown protocol variant {self.variant!r}")
         if not np.isfinite(self.f0):
             raise ValueError("protocol amplitude f0 must be finite")
-        if self.variant in _TIMESCALED:
-            if not (np.isfinite(self.period) and self.period > 0):
-                raise ValueError("protocol time scale must be positive")
+        if self.variant in _TIMESCALED and not (np.isfinite(self.period) and self.period > 0):
+            raise ValueError("protocol time scale must be positive")
         if self.variant == "tabulated":
-            if self.times is None or self.values is None:
-                raise ValueError("tabulated protocol needs sample times and values")
-            t = np.asarray(self.times, dtype=float)
-            v = np.asarray(self.values, dtype=float)
-            if t.ndim != 1 or t.shape != v.shape or t.size < 2:
-                raise ValueError("tabulated protocol needs matching 1-d samples (>= 2)")
-            if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-                raise ValueError("tabulated protocol samples must be finite")
-            if t[0] < 0 or np.any(np.diff(t) <= 0):
-                raise ValueError("tabulated sample times must be >= 0 and increasing")
+            t, v = _check_samples(self.times, self.values, "tabulated protocol")
+            if t[0] < 0:
+                raise ValueError("tabulated sample times must be >= 0")
             object.__setattr__(self, "times", t)
             object.__setattr__(self, "values", v)
-            object.__setattr__(self, "_table", _TabulatedIntegrals(t, v))
 
     def timescale(self) -> Optional[float]:
         """Characteristic time of f(t), or None when there is none (constant)."""
@@ -118,6 +111,18 @@ class DrivingProtocol:
         bounds[-1] = t_max
         vals = np.where(np.arange(nseg) % 2 == 0, self.f0, -self.f0)
         return bounds, vals
+
+
+def _check_samples(x, y, what: str) -> tuple:
+    """(x, y) as float arrays: at least 2 matching, finite 1-d samples at strictly increasing x."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape or x.size < 2:
+        raise ValueError(f"{what} needs matching 1-d samples (>= 2)")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError(f"{what} samples must be finite")
+    if np.any(np.diff(x) <= 0):
+        raise ValueError(f"{what} sample points must strictly increase")
+    return x, y
 
 
 def subdivide(span: float, step: float) -> tuple:
@@ -181,7 +186,7 @@ def f1_f2(p: DrivingProtocol, t):
         F2 = (np.sum(t_ / a - np.sin(at) / np.square(a), axis=-1)
               + np.sum(c * (1.0 - np.cos(bt)) / np.square(b), axis=-1))
         return f0 * F1, f0 * F2
-    return p._table.f1_f2(t)
+    return _table_f1_f2(p.times, p.values, t)
 
 
 def phi_arrays(p: DrivingProtocol, t):
@@ -202,37 +207,22 @@ def phi_arrays(p: DrivingProtocol, t):
     return phi1, phi2
 
 
-class _TabulatedIntegrals:
-    """Exact cumulative integrals of a piecewise-linear table (zero outside)."""
-
-    def __init__(self, times: np.ndarray, values: np.ndarray):
-        self.t = times
-        dt = np.diff(times)
-        seg_f1 = 0.5 * (values[:-1] + values[1:]) * dt  # exact trapezoid per segment
-        self.F1_nodes = np.concatenate(([0.0], np.cumsum(seg_f1)))
-        # int F1 over a segment: F1_i*dt + a*dt^2/2 + b*dt^3/6 with f = a + b*tau
-        a = values[:-1]
-        b = np.diff(values) / dt
-        seg_f2 = self.F1_nodes[:-1] * dt + 0.5 * a * dt**2 + b * dt**3 / 6.0
-        self.F2_nodes = np.concatenate(([0.0], np.cumsum(seg_f2)))
-        self.a = a
-        self.b = b
-
-    def f1_f2(self, t: np.ndarray):
-        F1 = np.zeros_like(t)  # zero below the table
-        F2 = np.zeros_like(t)
-
-        above = t >= self.t[-1]
-        inside = ~((t <= self.t[0]) | above)
-        F1[above] = self.F1_nodes[-1]
-        F2[above] = self.F2_nodes[-1] + self.F1_nodes[-1] * (t[above] - self.t[-1])
-
-        ti = t[inside]
-        idx = np.clip(np.searchsorted(self.t, ti, side="right") - 1, 0, len(self.a) - 1)
-        tau = ti - self.t[idx]
-        a, b = self.a[idx], self.b[idx]
-        F1[inside] = self.F1_nodes[idx] + a * tau + 0.5 * b * tau**2
-        F2[inside] = (
-            self.F2_nodes[idx] + self.F1_nodes[idx] * tau + 0.5 * a * tau**2 + b * tau**3 / 6.0
-        )
-        return F1, F2
+def _table_f1_f2(times: np.ndarray, values: np.ndarray, t: np.ndarray) -> tuple:
+    """Exact (F1(t), F2(t)) of the linear interpolant of a table, zero outside it."""
+    dt = np.diff(times)
+    a, b = values[:-1], np.diff(values) / dt  # f = a + b*tau on each segment
+    # per segment: int f is the trapezoid, int F1 is F1_i*dt + a*dt^2/2 + b*dt^3/6
+    F1_nodes = np.concatenate(([0.0], np.cumsum(0.5 * (values[:-1] + values[1:]) * dt)))
+    seg_f2 = F1_nodes[:-1] * dt + 0.5 * a * dt**2 + b * dt**3 / 6.0
+    F2_nodes = np.concatenate(([0.0], np.cumsum(seg_f2)))
+    F1, F2 = np.zeros_like(t), np.zeros_like(t)  # zero below the table
+    above = t >= times[-1]
+    inside = ~((t <= times[0]) | above)
+    F1[above] = F1_nodes[-1]
+    F2[above] = F2_nodes[-1] + F1_nodes[-1] * (t[above] - times[-1])
+    ti = t[inside]
+    idx = np.clip(np.searchsorted(times, ti, side="right") - 1, 0, len(a) - 1)
+    tau, a, b = ti - times[idx], a[idx], b[idx]
+    F1[inside] = F1_nodes[idx] + a * tau + 0.5 * b * tau**2
+    F2[inside] = F2_nodes[idx] + F1_nodes[idx] * tau + 0.5 * a * tau**2 + b * tau**3 / 6.0
+    return F1, F2

@@ -131,8 +131,8 @@ def test_r_scale_step_half_period():
     f0, T = 0.08, 0.6
     proto = protocols.DrivingProtocol(variant="step", f0=f0, period=T)
     r = float(r_of(p, proto, T / 2))
-    assert r == pytest.approx(f0 * np.sqrt(8 * p.v0 * p.d0 * p.delta_v), rel=1e-12)
-    assert r / profiles.moment(p, 0) == pytest.approx(r / (2 * p.delta_v), rel=1e-12)
+    assert r == pytest.approx(f0 * np.sqrt(8 * p.v0 * p.d0 * p.delta_v), rel=1e-12, abs=0.0)
+    assert r / profiles.moment(p, 0) == pytest.approx(r / (2 * p.delta_v), rel=1e-12, abs=0.0)
 
 
 def test_r_scale_larger_in_first_period():
@@ -240,7 +240,7 @@ def test_weak_fast_gamma_properties():
     p2 = protocols.DrivingProtocol(variant="constant", f0=0.02)
     g1 = ap.weak_fast_gamma(p, phi1_of(p1, 1.0), 1.0)
     g2 = ap.weak_fast_gamma(p, phi1_of(p2, 1.0), 1.0)
-    assert np.log(g2) == pytest.approx(4 * np.log(g1), rel=1e-10)
+    assert np.log(g2) == pytest.approx(4 * np.log(g1), rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("form", [ap.fast_driving_gamma, ap.weak_fast_gamma])
@@ -364,10 +364,10 @@ def test_crossover_amplitude_formula():
     p = exp_profile(v0=1.0, dv=0.5)
     eps = 2.0**-9
     val = ap.crossover_amplitude(p, eps)
-    assert val == pytest.approx(np.sqrt(2 * eps * 0.5 / np.pi**2), rel=1e-12)
+    assert val == pytest.approx(np.sqrt(2 * eps * 0.5 / np.pi**2), rel=1e-12, abs=0.0)
     assert ap.crossover_amplitude(p, 0.0) == 0.0
     assert ap.crossover_amplitude(exp_profile(v0=4.0, dv=0.5), eps) == pytest.approx(
-        val / 2, rel=1e-12
+        val / 2, rel=1e-12, abs=0.0
     )
     tab = profiles.PerturbationProfile(
         variant="tabulated",

@@ -323,6 +323,70 @@ def test_empty_default_prediction_fails_at_load(tmp_path, monkeypatch):
         harness.run(cfg, tmp_path)
 
 
+def text_file(name, text):
+    """A value to set: the path of a file holding text, written into the test's tmp_path."""
+    def write(tmp_path):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        return str(tmp_path / name)
+    return write
+
+
+def tabulated(base, table):
+    """A config factory: base with its profile read from table, with a given d0."""
+    return lambda tmp_path: set_field(base(), "profile", {
+        "variant": "tabulated", "table": table(tmp_path), "d0": 128.0})
+
+
+def compare_cfg(tmp_path):
+    return {"file_a": text_file("a.csv", "t,x,x\n0,1,5\n1,2,6\n")(tmp_path), "column_a": "x",
+            "file_b": text_file("b.csv", "t,x\n0,1\n1,2\n")(tmp_path), "column_b": "x"}
+
+
+FINITE = r"profile\.table .*must be finite"
+NAN_ENERGY = table_csv([0.0, 1.0, np.nan, 3.0], [1.0, 0.5, 0.25, 0.125], "nan.csv")
+INF_ENERGY = table_csv([0.0, 1.0, 2.0, np.inf], [1.0, 0.5, 0.25, 0.125], "inf.csv")
+
+# (command, config factory, (old, new) edit of its YAML text or None, what the error says):
+# each error names the field, and the table errors say what is wrong with the table
+LOAD_FAILURES = [
+    pytest.param(harness.run, lambda tmp_path: small_fidelity_cfg(),
+                 ("seed: 1\n", "seed: 1\nseed: 2\n"), r"'seed' is given twice",
+                 id="yaml-key-twice"),
+    pytest.param(harness.run, lambda tmp_path: small_fidelity_cfg(),
+                 ("  m: 128\n", "  m: 128\n  m: 64\n"), r"'model\.m' is given twice",
+                 id="yaml-nested-key-twice"),
+    pytest.param(harness.compare_files, compare_cfg, None, r"file_a: .*'x' twice",
+                 id="compare-header-twice"),
+    pytest.param(harness.run, tabulated(small_fidelity_cfg, text_file("e.csv", "E,E\n0,1\n1,0\n")),
+                 None, r"profile\.table .*'E' twice", id="profile-table-header-twice"),
+    pytest.param(harness.run_respond, tabulated(respond_cfg, NAN_ENERGY), None, FINITE,
+                 id="respond-nan-energy"),
+    pytest.param(harness.run_respond, tabulated(respond_cfg, INF_ENERGY), None, FINITE,
+                 id="respond-inf-energy"),
+    pytest.param(harness.run, tabulated(small_fidelity_cfg, NAN_ENERGY), None, FINITE,
+                 id="simulate-nan-energy"),
+    pytest.param(harness.run, tabulated(small_fidelity_cfg, INF_ENERGY), None, FINITE,
+                 id="simulate-inf-energy"),
+]
+
+
+@pytest.mark.parametrize("command,make_cfg,edit,match", LOAD_FAILURES)
+def test_repeated_names_and_nonfinite_tables_fail_at_load(
+        tmp_path, monkeypatch, command, make_cfg, edit, match):
+    monkeypatch.setattr(rmt, "sample_v", _must_not_run)
+    monkeypatch.setattr(response, "gamma_rows", _must_not_run)
+    text = harness.render_config(make_cfg(tmp_path))
+    if edit is not None:
+        assert edit[0] in text
+        text = text.replace(*edit)
+    path = tmp_path / "cfg.yaml"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match=match):
+            command(harness.load_config(path), tmp_path / "out")
+
+
 def test_load_checks_pass_fitting_configs():
     harness.validate_scenario_config(small_trotter_cfg())
     sinusoid = set_field(small_trotter_cfg(), "protocol.variant", "sinusoid")
@@ -666,8 +730,8 @@ def test_compare_identical_and_offset():
     m = harness.compare(t, a, a, (0.0, 1.0))
     assert m == {"rms": 0.0, "max_abs": 0.0, "window": [0.0, 1.0]}
     m = harness.compare(t, a, a + 0.25, (0.0, 1.0))
-    assert m["rms"] == pytest.approx(0.25, rel=1e-12)
-    assert m["max_abs"] == pytest.approx(0.25, rel=1e-12)
+    assert m["rms"] == pytest.approx(0.25, rel=1e-12, abs=0.0)
+    assert m["max_abs"] == pytest.approx(0.25, rel=1e-12, abs=0.0)
     assert m["rms"] <= m["max_abs"]
 
 
@@ -727,7 +791,7 @@ def test_fidelity_run_artifacts(tmp_path):
 @pytest.mark.parametrize("make_cfg,method", [
     (small_fidelity_cfg, {"name": "piecewise_exact", "step": None}),
     # dt = 1/30 split into the fewest steps <= trotter_step 0.01: four of 1/120
-    (small_trotter_cfg, {"name": "trotter", "step": pytest.approx(1 / 120, rel=1e-12)}),
+    (small_trotter_cfg, {"name": "trotter", "step": pytest.approx(1 / 120, rel=1e-12, abs=0.0)}),
 ], ids=["piecewise_exact", "trotter"])
 def test_sidecar_records_method_and_step(tmp_path, make_cfg, method):
     harness.run(make_cfg(), tmp_path)
@@ -794,8 +858,8 @@ def test_quench_asymptotics_run(tmp_path):
     }
     out = harness.run(cfg, tmp_path)
     m = out["metrics"]
-    assert m["phi1_late"] == pytest.approx(m["phi1_limit"], rel=2e-2)
-    assert m["phi2_late"] == pytest.approx(m["phi2_limit"], rel=3e-2)
+    assert m["phi1_late"] == pytest.approx(m["phi1_limit"], rel=2e-2, abs=0.0)
+    assert m["phi2_late"] == pytest.approx(m["phi2_limit"], rel=3e-2, abs=0.0)
     cfg["protocol"]["variant"] = "step"
     with pytest.raises(ConfigError):
         harness.run(cfg, tmp_path)
@@ -813,7 +877,7 @@ def test_compare_files_subcommand(tmp_path):
         "window": [0.0, 1.0],
     }
     out = harness.compare_files(cfg, tmp_path)
-    assert out["metrics"]["rms"] == pytest.approx(0.1, rel=1e-9)
+    assert out["metrics"]["rms"] == pytest.approx(0.1, rel=1e-9, abs=0.0)
     harness.write_csv(tmp_path / "c.csv", {"t": t + 1.0, "y": np.sin(t)})
     cfg["file_b"] = str(tmp_path / "c.csv")
     with pytest.raises(GridMismatchError):

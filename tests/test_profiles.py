@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from typresp import profiles
+from typresp import profiles, protocols
 
 
 def exp_profile(v0=1.0, dv=0.5, d0=512.0):
@@ -45,16 +45,17 @@ def test_v_closed_form_vs_quadrature():
 
 def test_v_at_zero():
     p = exp_profile()
-    assert profiles.v_of_t(p, 0.0) == pytest.approx(2 * p.v0 * p.d0 * p.delta_v, rel=1e-14)
+    v0 = 2 * p.v0 * p.d0 * p.delta_v
+    assert profiles.v_of_t(p, 0.0) == pytest.approx(v0, rel=1e-14, abs=0.0)
     re, _ = quad_v(p, 0.0)
-    assert profiles.v_of_t(p, 0.0) == pytest.approx(re, rel=1e-10)
+    assert profiles.v_of_t(p, 0.0) == pytest.approx(re, rel=1e-10, abs=0.0)
 
 
 def test_v_example_value():
     p = exp_profile(v0=1.0, dv=0.5, d0=512.0)
-    assert profiles.v_of_t(p, 2.0) == pytest.approx(256.0, rel=1e-12)
+    assert profiles.v_of_t(p, 2.0) == pytest.approx(256.0, rel=1e-12, abs=0.0)
     re, _ = quad_v(p, 2.0)
-    assert re == pytest.approx(256.0, rel=1e-10)
+    assert re == pytest.approx(256.0, rel=1e-10, abs=0.0)
 
 
 def test_v_decays():
@@ -73,13 +74,13 @@ def test_v_even():
 
 def test_moments_exponential():
     p = exp_profile(dv=0.7)
-    assert profiles.moment(p, 0) == pytest.approx(2 * 0.7, rel=1e-14)
-    assert profiles.moment(p, 2) == pytest.approx(4 * 0.7**3, rel=1e-14)
+    assert profiles.moment(p, 0) == pytest.approx(2 * 0.7, rel=1e-14, abs=0.0)
+    assert profiles.moment(p, 2) == pytest.approx(4 * 0.7**3, rel=1e-14, abs=0.0)
     # quadrature oracle
     s0, _ = quad(lambda e: 2 * np.exp(-e / 0.7), 0, np.inf)
     s2, _ = quad(lambda e: 2 * e * e * np.exp(-e / 0.7), 0, np.inf)
-    assert profiles.moment(p, 0) == pytest.approx(s0, rel=1e-10)
-    assert profiles.moment(p, 2) == pytest.approx(s2, rel=1e-10)
+    assert profiles.moment(p, 0) == pytest.approx(s0, rel=1e-10, abs=0.0)
+    assert profiles.moment(p, 2) == pytest.approx(s2, rel=1e-10, abs=0.0)
     with pytest.raises(ValueError):
         profiles.moment(p, 1)
 
@@ -96,7 +97,7 @@ def test_second_derivative_exponential():
     p = exp_profile(v0=1.3, dv=0.5, d0=64.0)
     # at 0: v'' = -v0 d0 Sigma2
     s2 = profiles.moment(p, 2)
-    assert profiles.v_second_deriv(p, 0.0) == pytest.approx(-p.v0 * p.d0 * s2, rel=1e-12)
+    assert profiles.v_second_deriv(p, 0.0) == pytest.approx(-p.v0 * p.d0 * s2, rel=1e-12, abs=0.0)
     # finite differences of the closed form
     h = 1e-4
     for t in (0.3, 1.0, 4.0):
@@ -112,9 +113,9 @@ def test_identities_v0_and_vdd0():
     for p in (exp_profile(), exp_profile(v0=2.5, dv=1.7, d0=33.0), tab_from_exponential()):
         s0 = profiles.moment(p, 0)
         s2 = profiles.moment(p, 2)
-        assert profiles.v_of_t(p, 0.0) == pytest.approx(p.v0 * p.d0 * s0, rel=1e-10)
+        assert profiles.v_of_t(p, 0.0) == pytest.approx(p.v0 * p.d0 * s0, rel=1e-10, abs=0.0)
         assert profiles.v_second_deriv(p, 0.0) == pytest.approx(
-            -p.v0 * p.d0 * s2, rel=1e-8
+            -p.v0 * p.d0 * s2, rel=1e-8, abs=0.0
         )
 
 
@@ -192,3 +193,23 @@ def test_validation():
         )
     with pytest.raises(ValueError):
         profiles.v_of_t(exp_profile(), np.inf)
+
+
+# samples both tabulated constructors reject through the one check, protocols._check_samples
+BAD_SAMPLES = [
+    pytest.param(None, [1.0, 0.5], id="no-points"),
+    pytest.param([0.0, 1.0], [1.0], id="mismatched"),
+    pytest.param([0.0], [1.0], id="one-sample"),
+    pytest.param([0.0, 1.0, np.nan], [1.0, 0.5, 0.25], id="nan-point"),
+    pytest.param([0.0, 1.0, np.inf], [1.0, 0.5, 0.25], id="inf-point"),
+    pytest.param([0.0, 1.0, 2.0], [1.0, np.nan, 0.25], id="nan-value"),
+    pytest.param([0.0, 1.0, 1.0], [1.0, 0.5, 0.25], id="repeated-point"),
+]
+
+
+@pytest.mark.parametrize("x,y", BAD_SAMPLES)
+def test_tabulated_profile_and_protocol_share_one_sample_check(x, y):
+    with pytest.raises(ValueError, match="^tabulated profile"):
+        profiles.PerturbationProfile("tabulated", 1.0, energies=x, values=y)
+    with pytest.raises(ValueError, match="^tabulated protocol"):
+        protocols.DrivingProtocol("tabulated", times=x, values=y)

@@ -55,7 +55,7 @@ def test_eval_step_example():
 
 def test_eval_sinusoid_example():
     p = make("sinusoid", f0=1.0, period=1.0)
-    assert protocols.eval_f(p, 0.25) == pytest.approx(1.0, rel=1e-12)
+    assert protocols.eval_f(p, 0.25) == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
 
 def test_eval_pseudorandom_a_at_zero():
@@ -79,7 +79,7 @@ def test_eval_pseudorandom_oracle():
                     np.sin(np.sqrt(2 * k - 1) * t / 1.3) + np.cos(np.sqrt(2 * k) * t / 1.3)
                     for k in range(1, 4)
                 )
-            assert protocols.eval_f(p, t) == pytest.approx(oracle, rel=1e-12)
+            assert protocols.eval_f(p, t) == pytest.approx(oracle, rel=1e-12, abs=0.0)
 
 
 def test_eval_rejects_bad_times():
@@ -157,15 +157,15 @@ def test_linear_ramp_asymptotics():
     # phi1 = f0^2 (1 - T/2t)^2 and phi2 = f0^2 (T/4 - T^2/6t)^2
     t = np.array([100 * T, 1000 * T])
     phi1, phi2 = protocols.phi_arrays(p, t)
-    assert phi1 == pytest.approx(f0**2 * (1 - T / (2 * t)) ** 2, rel=1e-12)
-    assert phi2 == pytest.approx(f0**2 * (T / 4 - T**2 / (6 * t)) ** 2, rel=1e-12)
-    assert phi1[1] == pytest.approx(f0**2, rel=2e-3)
-    assert phi2[1] == pytest.approx(f0**2 * T**2 / 16, rel=2e-3)
+    assert phi1 == pytest.approx(f0**2 * (1 - T / (2 * t)) ** 2, rel=1e-12, abs=0.0)
+    assert phi2 == pytest.approx(f0**2 * (T / 4 - T**2 / (6 * t)) ** 2, rel=1e-12, abs=0.0)
+    assert phi1[1] == pytest.approx(f0**2, rel=2e-3, abs=0.0)
+    assert phi2[1] == pytest.approx(f0**2 * T**2 / 16, rel=2e-3, abs=0.0)
     # early times: phi1 ~ (f0 t / 2T)^2 and phi2 ~ (f0 t^2 / 12 T)^2
     t = np.array([T / 100, T / 30])
     phi1, phi2 = protocols.phi_arrays(p, t)
-    assert phi1 == pytest.approx((f0 * t / (2 * T)) ** 2, rel=1e-10)
-    assert phi2 == pytest.approx((f0 * t**2 / (12 * T)) ** 2, rel=1e-10)
+    assert phi1 == pytest.approx((f0 * t / (2 * T)) ** 2, rel=1e-10, abs=0.0)
+    assert phi2 == pytest.approx((f0 * t**2 / (12 * T)) ** 2, rel=1e-10, abs=0.0)
 
 
 def test_phi_at_zero_limits():

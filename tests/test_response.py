@@ -41,7 +41,7 @@ def test_weak_constant_decay_rate():
     t = np.arange(n + 1) * h
     sel = (t > 0.5 / r_hat) & (sol.gamma > 1e-12)
     rate = -np.polyfit(t[sel], np.log(sol.gamma[sel]), 1)[0]
-    assert rate == pytest.approx(r_hat, rel=0.05)
+    assert rate == pytest.approx(r_hat, rel=0.05, abs=0.0)
 
 
 def test_second_order_convergence():

@@ -56,11 +56,11 @@ def test_cosine_spectrum_mean_spacing_and_density():
     assert e[0] == 0.0
     spacings = np.diff(e)
     # mean spacing normalized over the full span
-    assert spec.e_top / spec.m == pytest.approx(2.0**-9, rel=1e-12)
-    assert (e[-1] + spacings[-1]) == pytest.approx(spec.e_top, rel=1e-9)
+    assert spec.e_top / spec.m == pytest.approx(2.0**-9, rel=1e-12, abs=0.0)
+    assert (e[-1] + spacings[-1]) == pytest.approx(spec.e_top, rel=1e-9, abs=0.0)
     # density of states peaks in the middle: smallest spacings there
     assert spacings[spec.m // 2] < spacings[5]
-    assert spacings.min() == pytest.approx(2.0**-9 / 1.1, rel=1e-6)
+    assert spacings.min() == pytest.approx(2.0**-9 / 1.1, rel=1e-6, abs=0.0)
     # E_mu = sum_{k < mu} eps0 [1 + alpha (1 + cos(2 pi k / m))] in closed form,
     # at this size and at the paper geometry
     for m in (4096, 16384):
@@ -101,10 +101,10 @@ def test_sample_v_variance_profile():
         sel = (de >= lo) & (de < hi)
         assert sel.sum() >= 10_000
         expected = prof.vtilde(de[sel]).mean()
-        assert vv[sel].mean() == pytest.approx(expected, rel=0.05)
+        assert vv[sel].mean() == pytest.approx(expected, rel=0.05, abs=0.0)
     # diagonal variance is vtilde(0)
     diag = np.real(np.diag(v))
-    assert np.mean(diag**2) == pytest.approx(prof.vtilde(0.0), rel=0.15)
+    assert np.mean(diag**2) == pytest.approx(prof.vtilde(0.0), rel=0.15, abs=0.0)
 
 
 def triu_sample_v(energies, profile, master_seed):
@@ -190,7 +190,7 @@ def test_eth_observable_structure():
     assert np.array_equal(np.real(np.diag(a)), rmt.eth_diagonal(e, spec.e_top, 1.0, 0.25, 5))
     # off-diagonal GUE variance 1/m
     iu = np.triu_indices(256, 1)
-    assert np.mean(np.abs(a[iu]) ** 2) == pytest.approx(1 / 256, rel=0.05)
+    assert np.mean(np.abs(a[iu]) ** 2) == pytest.approx(1 / 256, rel=0.05, abs=0.0)
     with pytest.raises(ValueError):
         rmt.build_eth_observable(e[:255], spec.e_top, 1.0, 0.25, 5)  # odd m
 
@@ -293,9 +293,9 @@ def test_reference_constants_fidelity():
                                    np.abs(model.initial_state) ** 2, None)
     # observable projects on the initial state: diagonal ensemble stays 1
     assert refs["a_bar0"] == 1.0
-    assert refs["a_inf"] == pytest.approx(1 / m, rel=1e-12)
-    assert refs["a_th"] == pytest.approx(1 / m, rel=1e-12)
-    assert refs["d0_window"] == pytest.approx(64.0, rel=1e-2)
+    assert refs["a_inf"] == pytest.approx(1 / m, rel=1e-12, abs=0.0)
+    assert refs["a_th"] == pytest.approx(1 / m, rel=1e-12, abs=0.0)
+    assert refs["d0_window"] == pytest.approx(64.0, rel=1e-2, abs=0.0)
 
 
 def test_reference_constants_window_sensitivity():
@@ -366,8 +366,8 @@ def test_trotter_second_order_convergence():
     for step in (0.5 / 100, 0.5 / 200, 0.5 / 400):
         a = rmt.propagate(model, proto, t, method="trotter", step=step).a_series
         errs.append(np.max(np.abs(a - ref)))
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.5)
-    assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.5)
+    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.5, abs=0.0)
+    assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.5, abs=0.0)
 
 
 def test_undriven_energy_constant():
@@ -442,7 +442,7 @@ def test_trotter_matches_two_gemv_split_step(make_model):
     proto = protocols.DrivingProtocol(variant="sinusoid", f0=0.3, period=0.7)
     t = np.linspace(0.0, 2.0, 201)
     traj = rmt.propagate(model, proto, t, method="trotter", step=0.004)
-    assert traj.step == pytest.approx(0.01 / 3, rel=1e-12)
+    assert traj.step == pytest.approx(0.01 / 3, rel=1e-12, abs=0.0)
     assert_rows_match(traj, split_step_loop(model, proto, t, 0.004), 1e-12)
 
 
@@ -454,7 +454,7 @@ def test_trotter_matches_two_gemv_split_step_any_size(m, n_sub, n_out, kind):
     proto = protocols.DrivingProtocol(variant="sinusoid", f0=0.3, period=0.7)
     t = np.linspace(0.0, 0.02 * n_out, n_out + 1)
     traj = rmt.propagate(model, proto, t, method="trotter", step=0.02 / n_sub)
-    assert traj.step == pytest.approx(0.02 / n_sub, rel=1e-9)
+    assert traj.step == pytest.approx(0.02 / n_sub, rel=1e-9, abs=0.0)
     assert_rows_match(traj, split_step_loop(model, proto, t, 0.02 / n_sub), 1e-12)
 
 
