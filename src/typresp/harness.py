@@ -8,9 +8,9 @@ a null value is the same as an absent key.  `_plan` checks a `simulate`
 config and builds each of its inputs once, before any model is sampled; the
 scenario runners take that plan and build nothing.  Keys that pass straight
 to a library call stay absent when not given, so that call's default is the
-only one.  Every CSV is written by np.savetxt with 17-significant-digit floats
-(bit-exact round trips) and a JSON metadata sidecar: the raw config echo,
-seeds, versions, and derived constants needed to re-run it.
+only one; a None default is derived by the run.  Every CSV is written by
+np.savetxt with 17-significant-digit floats (bit-exact round trips) and a
+JSON sidecar: the raw config echo, seeds, versions and derived constants.
 
 Scenarios
 ---------
@@ -107,7 +107,7 @@ def _req(check, when: Optional[Callable] = None, default=_OMIT) -> tuple:
 
 
 def _opt(check, default=_OMIT, when: Optional[Callable] = None) -> tuple:
-    """A key that may be absent; a default of None also admits null."""
+    """A key that may be absent; a None default is derived by the run."""
     return check, default, when, False
 
 
@@ -204,15 +204,14 @@ def _checked(schema: dict, raw, where: str = "") -> dict:
     unknown = set(raw) - set(schema)
     if unknown:
         raise ConfigError(f"unknown keys in {section}: {sorted(unknown)}; allowed: {list(schema)}")
-    out = {}
+    out, given = {}, {k: v for k, v in raw.items() if v is not None}  # null is the same as absent
     for key, (check, default, when, required) in schema.items():
-        field, given = where + key, raw.get(key) is not None  # null is the same as absent
-        read = when is None or when(out)
-        if (read and required and not given) or (given and not read):
+        field, read = where + key, when is None or when(out)
+        if (read and required and key not in given) or (key in given and not read):
             about = f" with {', '.join(_strings(out, where))}" if when else ""
             raise ConfigError(f"missing key {field!r}{about}" if read else
                               f"key {field!r} is never read{about}; remove it")
-        value = raw.get(key, default) if read else default
+        value = given.get(key, default)
         if value is _OMIT:
             continue
         if isinstance(check, dict):
@@ -220,7 +219,7 @@ def _checked(schema: dict, raw, where: str = "") -> dict:
             continue
         what, convert = check
         try:
-            out[key] = None if value is None and default is None else convert(value)
+            out[key] = None if value is None else convert(value)  # only a None default is None
         except (TypeError, ValueError, OverflowError):
             what = "null or " + what if default is None and not required else what
             raise ConfigError(f"{field} must be {what}, got {value!r}") from None
@@ -444,10 +443,9 @@ def write_sidecar(csv_path, meta: dict) -> Path:
 
 def _write_outputs(out_dir, meta: Optional[dict], csvs: dict, metrics: dict,
                    metrics_file: Optional[str] = None) -> dict:
-    """Write each CSV of {name: columns} with a sidecar of meta, then metrics to
-    metrics_file if one is named; the run summary {"files", "metrics"}."""
+    """Write each CSV of {name: columns} with a sidecar of meta, then metrics to metrics_file
+    if one is named, into the out_dir its command made; the summary {"files", "metrics"}."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     files = [write_csv(out_dir / name, columns) for name, columns in csvs.items()]
     for f in files:
         write_sidecar(f, meta)
@@ -498,6 +496,7 @@ def compare_files(cfg: dict, out_dir) -> dict:
         metrics = compare(a["t"], a[c["column_a"]], b[c["column_b"]], (window[0], window[1]))
     except ValueError as exc:  # compare's window rules, which a config must keep
         raise ConfigError(f"window {window}: {exc}") from None
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     return _write_outputs(out_dir, None, {}, metrics, "compare_metrics.json")
 
 
@@ -554,17 +553,16 @@ def _approx_columns(profile, protocol, t_grid):
 def _run_simulation_scenario(plan: _Plan) -> tuple:
     """Shared fidelity / double_pretherm pipeline: (CSVs, metrics, sidecar fields)."""
     cfg, protocol, t_grid, n_pred = plan.cfg, plan.protocol, plan.t_grid, plan.n_pred
+    # prediction on the output grid up to its horizon, solved first: a blow-up costs no sampling
+    dt, ts, t_pred = float(t_grid[1]), protocol.timescale(), t_grid[: n_pred + 1]
+    gamma_sq = _gamma_on_grid(plan.profile, protocol, cfg["prediction"]["solver_step"], t_pred,
+                              max(plan.horizon, dt))[0] ** 2
     model, derived = _build_model(plan)
 
     method = cfg["model"]["method"]
     traj = rmt.propagate(model, protocol, t_grid, method=method, step=cfg["model"]["trotter_step"])
-
-    # prediction on the output grid up to its horizon
-    dt, ts = float(t_grid[1]), protocol.timescale()
-    t_pred, a_sim = t_grid[: n_pred + 1], traj.a_series[: n_pred + 1]
-    gamma_sq = _gamma_on_grid(plan.profile, protocol, cfg["prediction"]["solver_step"], t_pred,
-                              max(plan.horizon, dt))[0] ** 2
-    undriven, a_th = traj.undriven_a_series[: n_pred + 1], derived["a_th"]
+    a_sim, undriven, a_th = (traj.a_series[: n_pred + 1], traj.undriven_a_series[: n_pred + 1],
+                             derived["a_th"])
     a_pred = response.predict_observable(t_pred, gamma_sq, undriven, a_th)
 
     # metrics: early window (two driving periods when defined) and full window
@@ -658,6 +656,7 @@ def run(cfg: dict, out_dir) -> dict:
 
 def _run_plan(plan: _Plan, raw: dict, out_dir) -> dict:
     """Run a plan and write its outputs; the sidecars echo raw, the config it was built from."""
+    Path(out_dir).mkdir(parents=True, exist_ok=True)  # before any work: a bad out_dir fails first
     runners = {"strong_scale": _run_strong_scale, "quench_asymptotics": _run_quench_asymptotics}
     csvs, metrics, sidecar = runners.get(plan.cfg["scenario"], _run_simulation_scenario)(plan)
     return _write_outputs(out_dir, {**_base_meta(raw), **sidecar}, csvs, metrics, "metrics.json")
@@ -674,6 +673,7 @@ def run_respond(cfg: dict, out_dir) -> dict:
     profile = build_profile(c["profile"])
     protocol = build_protocol(c["protocol"])
     t_grid = _output_grid(c["grid"])
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     diag, curves, h = _gamma_on_grid(profile, protocol, c["solver_step"], t_grid,
                                      float(t_grid[-1]), c["t_primes"] or [])
     csvs = {"respond_diagonal.csv": {"t": t_grid, "gamma": diag, "gamma_sq": diag**2}}
@@ -687,6 +687,7 @@ def run_approx(cfg: dict, out_dir) -> dict:
     c = _checked(_INPUTS, cfg)
     profile = build_profile(c["profile"])
     protocol = build_protocol(c["protocol"])
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     csvs = {"approximations.csv": _approx_columns(profile, protocol, _output_grid(c["grid"]))}
     return _write_outputs(out_dir, _base_meta(cfg), csvs, {"sigma0": profiles.moment(profile, 0)})
 

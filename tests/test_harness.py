@@ -216,8 +216,6 @@ BAD_FIELDS = [
     ("fidelity", "model.initial_state.index", -1),
     ("fidelity", "model.initial_state.index", 2.5),
     ("fidelity", "model.initial_state.index", "first"),
-    ("fidelity", "model.initial_state.index", None),  # an eigenstate needs an index
-    ("fidelity", "prediction", None),
     ("fidelity", "prediction.t_max", 0.01),  # rounds to 0 steps of dt = 0.025
     ("fidelity", "protocol.variant", "sinusoid"),  # piecewise_exact needs piecewise constant
     ("trotter", "model.trotter_step", 0.012),  # h = 1/90 does not divide T/2 = 0.25
@@ -311,6 +309,57 @@ def test_bad_field_fails_at_load(tmp_path, monkeypatch, which, field, bad):
         harness.validate_scenario_config(cfg)
     with pytest.raises(ConfigError, match=re.escape(field)):
         harness.run(cfg, tmp_path)
+
+
+def drop_field(cfg, dotted):
+    """Copy of cfg without the dotted field, where it is given."""
+    cfg = copy.deepcopy(cfg)
+    *parents, last = dotted.split(".")
+    node = cfg
+    for k in parents:
+        node = node.get(k, {})
+    node.pop(last, None)
+    return cfg
+
+
+def optional_keys(schema, where=""):
+    """The dotted names of a schema's optional keys, those of its sections too."""
+    for key, (check, _, _, required) in schema.items():
+        if not required:
+            yield where + key
+        if isinstance(check, dict):
+            yield from optional_keys(check, f"{where}{key}.")
+
+
+# (config factory of tmp_path, schema, its check): the checked config of each command
+NULL_BASES = {
+    "fidelity": (lambda _: small_fidelity_cfg(), harness._SCENARIO,
+                 harness.validate_scenario_config),
+    "eth": (lambda _: small_eth_cfg(), harness._SCENARIO, harness.validate_scenario_config),
+    "trotter": (lambda _: small_trotter_cfg(), harness._SCENARIO,
+                harness.validate_scenario_config),
+    "respond": (lambda _: respond_cfg(), harness._RESPOND,
+                lambda c: harness._checked(harness._RESPOND, c)),
+    "compare": (lambda tmp_path: compare_cfg(tmp_path), harness._COMPARE,
+                lambda c: harness._checked(harness._COMPARE, c)),
+}
+
+
+@pytest.mark.parametrize("which,key", [(which, key) for which, (_, schema, _) in NULL_BASES.items()
+                                       for key in optional_keys(schema)])
+def test_null_is_the_absent_key(tmp_path, monkeypatch, which, key):
+    # every optional key, read or not: a null index is "middle", a null prediction {}
+    monkeypatch.setattr(rmt, "sample_v", _must_not_run)
+    base, _, check = NULL_BASES[which]
+
+    def outcome(cfg):
+        try:
+            return check(cfg)
+        except ConfigError as exc:  # the trotter base without its method rejects its step
+            return f"ConfigError: {exc}"
+
+    absent = outcome(drop_field(base(tmp_path), key))
+    assert outcome(set_field(base(tmp_path), key, None)) == absent
 
 
 def test_empty_default_prediction_fails_at_load(tmp_path, monkeypatch):
@@ -1046,6 +1095,35 @@ def test_cli_error_record(tmp_path, capsys):
     assert rc == 1
     assert record["status"] == "error"
     assert record["error"] == "ConfigError"
+
+
+def cli_error(tmp_path, capsys, command, cfg, out):
+    """The error name of a failed CLI run of cfg with --out tmp_path / out."""
+    path = write_cfg(tmp_path, cfg)
+    rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / out)])
+    record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert rc == 1 and record["status"] == "error"
+    return record["error"]
+
+
+def test_cli_solver_blow_up_fails_before_sampling(tmp_path, monkeypatch, capsys):
+    # a solver step of dt = 1 is far too coarse for f0 = 2: the solve blows up, and V is never drawn
+    monkeypatch.setattr(rmt, "sample_v", _must_not_run)
+    cfg = set_field(small_fidelity_cfg(f0=2.0, period=2.0, m=64, t_max=4.0, n_out=4),
+                    "prediction.solver_step", 1.0)
+    assert cli_error(tmp_path, capsys, "simulate", cfg, "out") == "SolverBlowUpError"
+
+
+@pytest.mark.parametrize("out,error", [("file", "FileExistsError"),
+                                       ("file/sub", "NotADirectoryError")])
+@pytest.mark.parametrize("command", ["simulate", "respond"])
+def test_cli_bad_out_fails_before_sampling_or_solving(tmp_path, monkeypatch, capsys, command,
+                                                      out, error):
+    monkeypatch.setattr(rmt, "sample_v", _must_not_run)
+    monkeypatch.setattr(response, "gamma_rows", _must_not_run)
+    (tmp_path / "file").write_text("not a directory\n", encoding="utf-8")
+    cfg = small_fidelity_cfg(m=64, t_max=0.5, n_out=20) if command == "simulate" else respond_cfg()
+    assert cli_error(tmp_path, capsys, command, cfg, out) == error
 
 
 def test_cli_sweep_seed_without_sweep_section(tmp_path, capsys):

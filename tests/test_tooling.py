@@ -1,6 +1,7 @@
 """Rules the test suite keeps about itself."""
 
 import ast
+import re
 from pathlib import Path
 
 
@@ -17,3 +18,27 @@ def test_every_relative_approx_bound_states_its_absolute_bound():
             if name == "approx" and "rel" in keys and "abs" not in keys:
                 loose.append(f"{path.name}:{node.lineno}")
     assert not loose, f"approx(..., rel=) without abs= at {loose}"
+
+
+def test_readme_config_table_names_every_schema_key():
+    # the first column of README's config table names each leaf key of a simulate config in
+    # full, and nothing else; a row may also name a section, such as `model`
+    from typresp import harness
+
+    def leaves(schema, where=""):
+        for key, (check, *_) in schema.items():
+            if isinstance(check, dict):
+                yield from leaves(check, f"{where}{key}.")
+            else:
+                yield where + key
+
+    keys = set(leaves(harness._SCENARIO))
+    sections = {k.rsplit(".", i)[0] for k in keys for i in range(1, k.count(".") + 1)}
+    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| key | value | default | required |") + 2
+    named = set()
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        named.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    assert named - sections == keys
