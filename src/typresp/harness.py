@@ -8,9 +8,9 @@ a null value is the same as an absent key.  `_plan` checks a `simulate`
 config and builds each of its inputs once, before any model is sampled; the
 scenario runners take that plan and build nothing.  Keys that pass straight
 to a library call stay absent when not given, so that call's default is the
-only one; a None default is derived by the run.  Every CSV is written by
-np.savetxt with 17-significant-digit floats (bit-exact round trips) and a
-JSON sidecar: the raw config echo, seeds, versions and derived constants.
+only one; a None default is derived at load and checked as a given value.
+Every CSV is written by np.savetxt with 17-significant-digit floats (bit-exact
+round trips) and a JSON sidecar: raw config echo, seeds, versions, derived constants.
 
 Scenarios
 ---------
@@ -107,7 +107,7 @@ def _req(check, when: Optional[Callable] = None, default=_OMIT) -> tuple:
 
 
 def _opt(check, default=_OMIT, when: Optional[Callable] = None) -> tuple:
-    """A key that may be absent; a None default is derived by the run."""
+    """A key that may be absent; a None default is derived at load, checked as a given one."""
     return check, default, when, False
 
 
@@ -157,12 +157,13 @@ _MODEL = {
         "e_center": _opt(_FINITE, 0.0, when=_filtered),
         "delta_e": _opt(_POSITIVE, 1.0, when=_filtered),
         "q": _opt(_one_of(rmt.Q_KINDS), when=_filtered),
-        "kappa": _opt(_FINITE, when=_filtered),
+        "kappa": _opt(_FINITE, when=lambda s: _filtered(s) and s.get("q") == "one_plus_kappa_a"),
         "sector": _opt(_one_of(rmt.SECTORS), when=_filtered),
     }),
     "method": _opt(_one_of(rmt.METHODS), "piecewise_exact"),
     "trotter_step": _req(_POSITIVE, when=lambda m: m["method"] == "trotter", default=None),
 }
+_SOLVER_STEP = _opt(_POSITIVE, None)  # null: response.default_step, fixed at load (_solver_step)
 _SCENARIO = {
     "scenario": _req(_one_of(SCENARIOS)),
     "seed": _req(_whole(0), when=_simulation),
@@ -170,7 +171,7 @@ _SCENARIO = {
     "model": _req(_MODEL, when=_simulation),
     "prediction": _opt({
         "t_max": _opt(_POSITIVE, None),  # null: min(grid.t_max, 5 timescales)
-        "solver_step": _opt(_POSITIVE, None),  # null: response.default_step
+        "solver_step": _SOLVER_STEP,
     }, {}, when=_simulation),
     "window_halfwidth_factor": _opt(
         _POSITIVE, 2.0, when=lambda c: _simulation(c) and _filtered(c["model"]["initial_state"])),
@@ -178,7 +179,7 @@ _SCENARIO = {
 _RESPOND = {
     **_INPUTS,
     "t_primes": _opt(_list_of(_NONNEG), None),
-    "solver_step": _opt(_POSITIVE, None),
+    "solver_step": _SOLVER_STEP,
 }
 _COMPARE = {
     "file_a": _req(_PATH),
@@ -221,7 +222,6 @@ def _checked(schema: dict, raw, where: str = "") -> dict:
         try:
             out[key] = None if value is None else convert(value)  # only a None default is None
         except (TypeError, ValueError, OverflowError):
-            what = "null or " + what if default is None and not required else what
             raise ConfigError(f"{field} must be {what}, got {value!r}") from None
     return out
 
@@ -283,28 +283,28 @@ class _Plan(NamedTuple):
     spec: Optional[rmt.SpectrumSpec] = None
     energies: Optional[np.ndarray] = None
     window: Optional[tuple] = None  # the energies a filtered_random state occupies
-    horizon: Optional[float] = None  # of the prediction, n_pred output steps long
-    n_pred: Optional[int] = None
+    n_pred: Optional[int] = None  # output steps of the prediction
+    solver_step: Optional[float] = None  # given, or default_step's up to the prediction's end
 
 
 def validate_scenario_config(cfg: dict) -> dict:
     """Check a `simulate` config; returns its normalised copy.
 
     Beyond the schema, the rules that cross fields are checked here, without
-    matrix work: the protocol and profile build (their tables included; a
-    null d0 only in a simulation), quench_asymptotics has a linear ramp,
-    fidelity needs an eigenstate, eth an even m, piecewise_exact a
-    piecewise-constant protocol, trotter a trotter_step whose split step fits
-    the protocol, the prediction horizon reaches half an output step, the
-    state index ("middle" is m // 2) lies in [0, m), and a filtered state
-    passes the run's own `rmt.window_levels` and `rmt.check_filter`, so a
-    config that loads does not fail on its window after sampling.
+    matrix work: the protocol and profile build (their tables included; a null d0
+    only in a simulation), quench_asymptotics has a linear ramp, fidelity needs an
+    eigenstate, eth an even m, piecewise_exact a piecewise-constant protocol,
+    trotter a trotter_step whose split step fits the protocol, the prediction
+    horizon reaches half an output step, a null solver step's default_step is > 0,
+    the state index ("middle" is m // 2) lies in [0, m), and a filtered state
+    passes the run's own `rmt.window_levels` and `rmt.check_filter`, so a config
+    that loads does not fail on its window after sampling.
     """
     return _plan(cfg).cfg
 
 
 def _plan(cfg: dict) -> _Plan:
-    """The checked plan of a `simulate` config (see validate_scenario_config); its d0 is final."""
+    """A `simulate` config's checked plan (validate_scenario_config): its d0 and step are final."""
     c = _checked(_SCENARIO, cfg)
     protocol = build_protocol(c["protocol"])
     t_grid = _output_grid(c["grid"])
@@ -355,7 +355,17 @@ def _plan(cfg: dict) -> _Plan:
     # a null d0 is 1/spacing on a flat spectrum, else the density the run measures in the window
     d0 = 1.0 / spec.spacing if spec.variant == "flat" else rmt.window_density(e, window)
     profile = build_profile(c["profile"], d0_override=d0)
-    return _Plan(c, protocol, profile, t_grid, spec, e, window, horizon, n_pred)
+    h_req = _solver_step(c["prediction"], profile, protocol, max(horizon, dt), "prediction.")
+    return _Plan(c, protocol, profile, t_grid, spec, e, window, n_pred, h_req)
+
+
+def _solver_step(section: dict, profile, protocol, t_end: float, where: str) -> float:
+    """section's solver_step, else default_step up to t_end, either under the key's own check."""
+    h = section["solver_step"] or response.default_step(profile, protocol, t_end)  # given: > 0
+    try:
+        return _SOLVER_STEP[0][1](h)
+    except ValueError as exc:  # only a default can fail: a given step passed this check at load
+        raise ConfigError(f"{where}solver_step must be {exc}, got default_step's {h!r}") from None
 
 
 def build_profile(section: dict, d0_override: Optional[float] = None):
@@ -524,11 +534,10 @@ def _build_model(plan: _Plan) -> tuple:
     return rmt.RandomMatrixModel(energies, v, observable, psi), derived
 
 
-def _gamma_on_grid(profile, protocol, h_req, t_out, t_end: float, t_primes=()):
+def _gamma_on_grid(profile, protocol, h_req: float, t_out, t_primes=()):
     """(gamma(t_k, t_k), [gamma(t_k, t') for t' in t_primes], h) on the output grid t_k = k dt:
-    one gamma_rows call on t_i = i h, h = dt / substeps the largest such step <= h_req (null:
-    default_step(t_end)), solves diagonal row k to step k substeps and each t' row to the end."""
-    h_req = response.default_step(profile, protocol, t_end) if h_req is None else h_req
+    one gamma_rows call on t_i = i h, h = dt / substeps the largest such step <= h_req, solves
+    diagonal row k to step k substeps and each t' row to the end."""
     substeps, h = protocols.subdivide(float(t_out[1]), h_req)
     steps = substeps * np.arange(len(t_out))
     ends = np.append(steps, np.full(len(t_primes), steps[-1]))
@@ -555,8 +564,7 @@ def _run_simulation_scenario(plan: _Plan) -> tuple:
     cfg, protocol, t_grid, n_pred = plan.cfg, plan.protocol, plan.t_grid, plan.n_pred
     # prediction on the output grid up to its horizon, solved first: a blow-up costs no sampling
     dt, ts, t_pred = float(t_grid[1]), protocol.timescale(), t_grid[: n_pred + 1]
-    gamma_sq = _gamma_on_grid(plan.profile, protocol, cfg["prediction"]["solver_step"], t_pred,
-                              max(plan.horizon, dt))[0] ** 2
+    gamma_sq = _gamma_on_grid(plan.profile, protocol, plan.solver_step, t_pred)[0] ** 2
     model, derived = _build_model(plan)
 
     method = cfg["model"]["method"]
@@ -583,7 +591,7 @@ def _run_simulation_scenario(plan: _Plan) -> tuple:
                 "h0_first_period": float(np.mean(traj.h0_series[: per + 1])),
                 "h0_last_period": float(np.mean(traj.h0_series[-per:])),
             }
-            band_sel = (t_pred >= 2 * ts) & (t_pred <= t_pred_end)
+            band_sel = t_pred >= 2 * ts
             if np.any(band_sel):
                 band = a_pred[band_sel]
                 metrics["band"] = {
@@ -670,12 +678,11 @@ def _run_plan(plan: _Plan, raw: dict, out_dir) -> dict:
 def run_respond(cfg: dict, out_dir) -> dict:
     """Solve for gamma: diagonal always, plus any requested fixed t' curves."""
     c = _checked(_RESPOND, cfg)
-    profile = build_profile(c["profile"])
-    protocol = build_protocol(c["protocol"])
+    profile, protocol = build_profile(c["profile"]), build_protocol(c["protocol"])
     t_grid = _output_grid(c["grid"])
+    h_req = _solver_step(c, profile, protocol, float(t_grid[-1]), "")
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    diag, curves, h = _gamma_on_grid(profile, protocol, c["solver_step"], t_grid,
-                                     float(t_grid[-1]), c["t_primes"] or [])
+    diag, curves, h = _gamma_on_grid(profile, protocol, h_req, t_grid, c["t_primes"] or [])
     csvs = {"respond_diagonal.csv": {"t": t_grid, "gamma": diag, "gamma_sq": diag**2}}
     for i, g in enumerate(curves):
         csvs[f"respond_tprime_{i:03d}.csv"] = {"t": t_grid, "gamma": g, "gamma_sq": g**2}

@@ -198,7 +198,7 @@ def phi_arrays(p: DrivingProtocol, t):
     t = np.asarray(t, dtype=float)
     _check_times(t)
     if p.variant == "constant":
-        return np.full_like(t, p.f0**2), np.zeros_like(t)
+        return np.full_like(t, np.square(p.f0)), np.zeros_like(t)
     F1, F2 = f1_f2(p, t)
     zero = t == 0.0
     with np.errstate(divide="ignore", invalid="ignore"):

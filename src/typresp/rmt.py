@@ -16,9 +16,9 @@ and the state y d with y = e^{-iH0 h/2} u is formed only at outputs.  Every
 eigendecomposition is one call of scipy's `evr` (MRRR) driver.  A piecewise
 run first chains the segments, keeping the start coefficients of those that
 hold outputs, then reads out all outputs of one f value together; the
-undriven series is that run with f = 0.  Both routes hand their states to one
-readout of <A>, <H0> and the norm, one GEMM per 64 outputs, and the norm is
-checked at every output as its block is read out, naming the first t that drifted.
+undriven series is that run with f = 0.  Both routes share one readout of <A>, <H0>
+and the norm, one GEMM per 64 outputs; every output's norm is checked, per block when
+split-stepping, after the last group when piecewise, naming the first t that drifted.
 
 Memory is set by the dense m x m complex arrays (16 m^2 bytes each) alive at
 the propagation peak.  Piecewise: V, a dense A (two-sector observable only),
@@ -202,8 +202,7 @@ def fidelity_observable(m: int, index: int) -> np.ndarray:
     return a
 
 
-def filter_weights(energies: np.ndarray, e_center: float = 0.0,
-                   delta_e: float = 1.0) -> np.ndarray:
+def filter_weights(energies: np.ndarray, e_center: float, delta_e: float) -> np.ndarray:
     """Gaussian filter exp(-(E_mu - e_center)^2 / 4 delta_e^2); `check_filter` judges it."""
     return np.exp(-((energies - e_center) ** 2) / (4.0 * delta_e**2))
 

@@ -182,6 +182,30 @@ def test_respond_rejects_bad_solver_step_before_solving(tmp_path, monkeypatch, b
         harness.run_respond(cfg, tmp_path)
 
 
+# (command, config factory, dotted field, bad value, what the field must be)
+ONE_FORM = [
+    (harness.run, small_fidelity_cfg, "profile.d0", 0, "a finite number > 0"),
+    (harness.run, small_fidelity_cfg, "protocol.period", 0, "a finite number > 0"),
+    (harness.run, small_fidelity_cfg, "prediction.t_max", 0, "a finite number > 0"),
+    (harness.run, small_fidelity_cfg, "prediction.solver_step", 0, "a finite number > 0"),
+    (harness.run_respond, respond_cfg, "solver_step", 0, "a finite number > 0"),
+    (harness.run_respond, respond_cfg, "t_primes", [-1],
+     "a list of any number of values, each a finite number >= 0"),
+]
+
+
+@pytest.mark.parametrize("run,make_cfg,field,bad,what", ONE_FORM, ids=[c[2] for c in ONE_FORM])
+def test_bad_value_message_is_one_form_for_every_key(tmp_path, monkeypatch, run, make_cfg, field,
+                                                     bad, what):
+    # an optional key with a None default reads as any other: a null is the absent key anyway
+    monkeypatch.setattr(rmt, "sample_v", _must_not_run)
+    monkeypatch.setattr(response, "gamma_rows", _must_not_run)
+    with pytest.raises(ConfigError) as exc:
+        run(set_field(make_cfg(), field, bad), tmp_path / "out")
+    assert str(exc.value) == f"{field} must be {what}, got {bad!r}"
+    assert not (tmp_path / "out").exists()
+
+
 # (config, dotted field, bad value): each must fail at load, naming the field
 BAD_FIELDS = [
     ("fidelity", "grid.t_max", float("nan")),
@@ -265,6 +289,9 @@ BAD_FIELDS = [
     ("fidelity", "model.trotter_step", 0.01),  # piecewise_exact takes no split step
     ("fidelity", "model.initial_state.q", "identity"),  # an eigenstate is not filtered
     ("fidelity", "model.initial_state.kappa", 1.0),
+    # kappa weighs A in Q = 1 + kappa A, which only q: one_plus_kappa_a applies
+    ("eth_identity", "model.initial_state.kappa", 5.0),
+    ("eth_no_q", "model.initial_state.kappa", 5.0),
     ("fidelity", "model.initial_state.e_center", 0.0),
     ("fidelity", "model.initial_state.delta_e", 1.0),
     ("fidelity", "model.initial_state.sector", "all"),
@@ -298,6 +325,8 @@ def test_bad_field_fails_at_load(tmp_path, monkeypatch, which, field, bad):
                                                   e_center=0.0, delta_e=1e-17),
             "eth_underflow": lambda: tiny_filtered_cfg(16, {"variant": "flat", "spacing": 1.0},
                                                        e_center=3.5, delta_e=1e-170),
+            "eth_identity": lambda: set_field(small_eth_cfg(), "model.initial_state.q", "identity"),
+            "eth_no_q": lambda: drop_field(small_eth_cfg(), "model.initial_state.q"),
             "trotter": small_trotter_cfg, "strong_scale": strong_scale_cfg, "quench": quench_cfg,
             "strong_scale_null_d0": lambda: set_field(strong_scale_cfg(), "profile.d0", None),
             "tab_profile": lambda: set_field(small_fidelity_cfg(), "profile", {
@@ -445,21 +474,24 @@ def test_load_checks_pass_fitting_configs():
                                                -8.0))
 
 
-@pytest.mark.parametrize("q,kappa", [pytest.param("identity", 1.0, id="identity"),
-                                     pytest.param("one_plus_kappa_a", 1.0, id="one_plus_kappa_a"),
-                                     pytest.param("one_plus_kappa_a", 0.0, id="kappa_0")])
-def test_even_sector_filter_weight_checked_at_load(tmp_path, monkeypatch, q, kappa):
+@pytest.mark.parametrize("q_keys", [
+    pytest.param({"q": "identity"}, id="identity"),
+    pytest.param({"q": "one_plus_kappa_a", "kappa": 1.0}, id="one_plus_kappa_a"),
+    pytest.param({"q": "one_plus_kappa_a", "kappa": 0.0}, id="kappa_0")])
+def test_even_sector_filter_weight_checked_at_load(tmp_path, monkeypatch, q_keys):
     # a narrow filter on the odd level E_1 leaves the even levels no weight;
     # only Q = 1 + kappa A with kappa != 0 moves an even-sector state onto the odd levels
     cfg = small_eth_cfg()
     e = rmt.SpectrumSpec(m=64, **cfg["model"]["spectrum"]).energies()
-    cfg["model"]["initial_state"].update(e_center=float(e[1]), delta_e=0.01, q=q, kappa=kappa)
-    if q == "one_plus_kappa_a" and kappa:
+    state = cfg["model"]["initial_state"]
+    del state["kappa"]
+    state.update(e_center=float(e[1]), delta_e=0.01, **q_keys)
+    if q_keys.get("kappa"):
         harness.run(cfg, tmp_path)
         return
     with pytest.raises(EmptyWindowError):  # what the run would hit after sampling
         rmt.build_initial_state(e, "filtered_random", 1, e_center=float(e[1]), delta_e=0.01,
-                                sector="even", q=q, kappa=kappa, observable=np.eye(64))
+                                sector="even", observable=np.eye(64), **q_keys)
     monkeypatch.setattr(rmt, "sample_v", _must_not_run)
     with pytest.raises(ConfigError, match=re.escape("model.initial_state.e_center")):
         harness.validate_scenario_config(cfg)
@@ -665,8 +697,7 @@ def test_output_rows_are_bitwise_the_strided_diagonal(variant, f0, period, dt, n
     profile = profiles.PerturbationProfile(variant="exponential", v0=1.0, delta_v=0.5, d0=512.0)
     proto = protocols.DrivingProtocol(variant=variant, f0=f0, period=period)
     t_out = dt * np.arange(n_out + 1)
-    diag, curves, h = harness._gamma_on_grid(profile, proto, dt / substeps, t_out, n_out * dt,
-                                             t_primes)
+    diag, curves, h = harness._gamma_on_grid(profile, proto, dt / substeps, t_out, t_primes)
     assert h == dt / substeps
     full = response.gamma_diagonal_values(profile, proto, h, n_out * substeps)
     assert np.array_equal(diag, full[::substeps])
@@ -1112,6 +1143,62 @@ def test_cli_solver_blow_up_fails_before_sampling(tmp_path, monkeypatch, capsys)
     cfg = set_field(small_fidelity_cfg(f0=2.0, period=2.0, m=64, t_max=4.0, n_out=4),
                     "prediction.solver_step", 1.0)
     assert cli_error(tmp_path, capsys, "simulate", cfg, "out") == "SolverBlowUpError"
+
+
+# f0^2 overflows to inf, so default_step's step for a null solver_step is 0.0
+F0_OVERFLOWS = [
+    pytest.param("simulate", set_field(small_fidelity_cfg(m=64), "protocol.f0", 1e160),
+                 "prediction.", id="step"),
+    pytest.param("simulate", set_field(small_fidelity_cfg(m=64), "protocol",
+                                       {"variant": "constant", "f0": 1e160}),
+                 "prediction.", id="constant"),
+    pytest.param("simulate", set_field(set_field(small_trotter_cfg(), "model.m", 64), "protocol",
+                                       {"variant": "sinusoid", "f0": 1e160, "period": 0.5}),
+                 "prediction.", id="sinusoid_trotter"),
+    pytest.param("respond", set_field(respond_cfg(), "protocol.f0", 1e160), "", id="respond"),
+]
+
+
+# numpy warns of the overflow in np.square (a RuntimeWarning on stderr outside the suite, where
+# filterwarnings makes it an error); the ConfigError that follows is what this test checks
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("command,cfg,where", F0_OVERFLOWS)
+def test_cli_overflowing_drive_fails_at_load(tmp_path, monkeypatch, capsys, command, cfg, where):
+    # a derived step passes the solver_step check as a given one does, before the directory
+    gamma_rows = response.gamma_rows
+    monkeypatch.setattr(rmt, "sample_v", _must_not_run)
+    monkeypatch.setattr(response, "gamma_rows", _must_not_run)
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"] == "ConfigError"
+    assert record["message"] == (f"{where}solver_step must be a finite number > 0, "
+                                 "got default_step's 0.0")
+    assert not (tmp_path / "out").exists()
+    # a given step is not judged against the drive: its solve blows up, still before sampling
+    monkeypatch.setattr(response, "gamma_rows", gamma_rows)
+    given = set_field(cfg, where + "solver_step", 0.01)
+    assert cli_error(tmp_path, capsys, command, given, "given") == "SolverBlowUpError"
+
+
+@pytest.mark.parametrize("run,cfg,after", [
+    pytest.param(harness.run, small_fidelity_cfg(m=64, t_max=0.5, n_out=20), "_plan",
+                 id="simulate"),
+    pytest.param(harness.run_respond, respond_cfg(), "_solver_step", id="respond"),
+])
+def test_run_derives_no_step_after_load(tmp_path, monkeypatch, run, cfg, after):
+    # a null solver_step is resolved once, at load; the run then solves on the plan's step
+    calls, default_step, load = [], response.default_step, getattr(harness, after)
+    monkeypatch.setattr(response, "default_step", lambda *a: calls.append(a) or default_step(*a))
+
+    def loaded(*args):
+        out = load(*args)
+        monkeypatch.setattr(response, "default_step", _must_not_run)
+        return out
+
+    monkeypatch.setattr(harness, after, loaded)
+    run(cfg, tmp_path)  # completes: nothing after the load derives a step
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("out,error", [("file", "FileExistsError"),

@@ -42,3 +42,13 @@ def test_readme_config_table_names_every_schema_key():
             break
         named.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
     assert named - sections == keys
+
+
+def test_readme_command_paragraphs_name_every_schema_key():
+    # README's paragraph on `respond` and on `compare` backticks each key of its schema
+    from typresp import harness
+
+    paragraphs = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").split("\n\n")
+    for command, schema in (("respond", harness._RESPOND), ("compare", harness._COMPARE)):
+        text, = [p for p in paragraphs if p.startswith(f"`{command}` ")]
+        assert set(schema) - set(re.findall(r"`([^`]+)`", text)) == set(), command
