@@ -5,10 +5,11 @@ Configs are YAML with nested sections; `render_config` round-trips through
 whether it is required and where it is read: an unknown, repeated, missing or
 never-read key or a bad value is a `ConfigError` naming the dotted field, and
 a null value is the same as an absent key.  `_plan` checks a `simulate`
-config and builds each of its inputs once, before any model is sampled; the
-scenario runners take that plan and build nothing.  Keys that pass straight
-to a library call stay absent when not given, so that call's default is the
-only one; a None default is derived at load and checked as a given value.
+config and builds each of its inputs once, before any model is sampled, its
+step grids too, each sized against the physical memory; the scenario runners
+take that plan, build nothing and do no step arithmetic.  Keys that pass
+straight to a library call stay absent when not given, so that call's default
+is the only one; a None default is derived at load and checked as a given value.
 Every CSV is written by np.savetxt with 17-significant-digit floats (bit-exact
 round trips) and a JSON sidecar: raw config echo, seeds, versions, derived constants.
 
@@ -31,6 +32,7 @@ import copy
 import json
 import math
 import operator
+import os
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional
@@ -163,7 +165,7 @@ _MODEL = {
     "method": _opt(_one_of(rmt.METHODS), "piecewise_exact"),
     "trotter_step": _req(_POSITIVE, when=lambda m: m["method"] == "trotter", default=None),
 }
-_SOLVER_STEP = _opt(_POSITIVE, None)  # null: response.default_step, fixed at load (_solver_step)
+_SOLVER_STEP = _opt(_POSITIVE, None)  # null: response.default_step, fixed at load (_solver_grid)
 _SCENARIO = {
     "scenario": _req(_one_of(SCENARIOS)),
     "seed": _req(_whole(0), when=_simulation),
@@ -284,7 +286,8 @@ class _Plan(NamedTuple):
     energies: Optional[np.ndarray] = None
     window: Optional[tuple] = None  # the energies a filtered_random state occupies
     n_pred: Optional[int] = None  # output steps of the prediction
-    solver_step: Optional[float] = None  # given, or default_step's up to the prediction's end
+    solver: Optional[tuple] = None  # (substeps, h): the prediction's grid, dt = substeps h
+    split: Optional[tuple] = None  # (n_sub, h): a trotter run's split step, dt = n_sub h
 
 
 def validate_scenario_config(cfg: dict) -> dict:
@@ -296,9 +299,10 @@ def validate_scenario_config(cfg: dict) -> dict:
     eigenstate, eth an even m, piecewise_exact a piecewise-constant protocol,
     trotter a trotter_step whose split step fits the protocol, the prediction
     horizon reaches half an output step, a null solver step's default_step is > 0,
-    the state index ("middle" is m // 2) lies in [0, m), and a filtered state
-    passes the run's own `rmt.window_levels` and `rmt.check_filter`, so a config
-    that loads does not fail on its window after sampling.
+    each step grid's arrays fit the physical memory (`_sized`), the state index
+    ("middle" is m // 2) lies in [0, m), and a filtered state passes the run's own
+    `rmt.window_levels` and `rmt.check_filter`, so a config that loads does not
+    fail on its window after sampling.
     """
     return _plan(cfg).cfg
 
@@ -334,11 +338,12 @@ def _plan(cfg: dict) -> _Plan:
     if model["method"] == "piecewise_exact" and variant not in protocols.PIECEWISE_CONSTANT:
         raise ConfigError(f"model.method piecewise_exact needs protocol.variant in "
                           f"{list(protocols.PIECEWISE_CONSTANT)}, got {variant!r}")
+    split = None
     if model["method"] == "trotter":
-        try:
-            rmt.split_step(protocol, dt, model["trotter_step"], t_end)
-        except ConfigError as exc:
-            raise ConfigError(f"model.trotter_step {model['trotter_step']!r}: {exc}") from None
+        step, n_out = model["trotter_step"], c["grid"]["n_out"]
+        split = _sized(f"model.trotter_step {step!r}",
+                       lambda: rmt.split_step(protocol, dt, step, t_end),
+                       lambda n_sub: 8 * n_out * n_sub, "rmt's f_mid")
     index = state["index"] = m // 2 if state["index"] == "middle" else state["index"]
     if index >= m:
         raise ConfigError(f"model.initial_state.index must lie in [0, {m}), got {index!r}")
@@ -355,17 +360,45 @@ def _plan(cfg: dict) -> _Plan:
     # a null d0 is 1/spacing on a flat spectrum, else the density the run measures in the window
     d0 = 1.0 / spec.spacing if spec.variant == "flat" else rmt.window_density(e, window)
     profile = build_profile(c["profile"], d0_override=d0)
-    h_req = _solver_step(c["prediction"], profile, protocol, max(horizon, dt), "prediction.")
-    return _Plan(c, protocol, profile, t_grid, spec, e, window, n_pred, h_req)
+    solver = _solver_grid(c["prediction"], profile, protocol, max(horizon, dt),
+                          t_grid[: n_pred + 1], (), "prediction.")
+    return _Plan(c, protocol, profile, t_grid, spec, e, window, n_pred, solver, split)
 
 
-def _solver_step(section: dict, profile, protocol, t_end: float, where: str) -> float:
-    """section's solver_step, else default_step up to t_end, either under the key's own check."""
+def _solver_grid(section: dict, profile, protocol, t_end: float, t_out, t_primes,
+                 where: str) -> tuple:
+    """The solver grid (substeps, h) = subdivide(dt, step) of a _gamma_on_grid call on t_out and
+    t_primes, _sized: step is section's solver_step, else default_step up to t_end, checked."""
     h = section["solver_step"] or response.default_step(profile, protocol, t_end)  # given: > 0
     try:
-        return _SOLVER_STEP[0][1](h)
+        _SOLVER_STEP[0][1](h)
     except ValueError as exc:  # only a default can fail: a given step passed this check at load
         raise ConfigError(f"{where}solver_step must be {exc}, got default_step's {h!r}") from None
+    what = f"{where}solver_step {'' if section['solver_step'] else 'null, default_step '}{h!r}"
+    rows, n_out = len(t_out) + len(t_primes), len(t_out) - 1
+    return _sized(what, lambda: protocols.subdivide(float(t_out[1]), h),
+                  lambda k: 16 * rows * (k * n_out + 1), "the solver's g and c")
+
+
+def _sized(what: str, grid: Callable, nbytes: Callable, arrays: str) -> tuple:
+    """grid()'s (k, h), k steps an output step; a ConfigError on what if grid() refuses the step,
+    if k overflows, or if the arrays k sizes, nbytes(k) bytes, exceed _physical_memory()."""
+    try:
+        k, h = grid()
+    except OverflowError:  # dt / step is inf: too many steps to count, and to hold below
+        k, h = math.inf, None
+    except ConfigError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+    need, have = nbytes(float(k)), _physical_memory()  # float: past 1.8e308 it is inf
+    if need > have:
+        raise ConfigError(f"{what} gives {k:.3g} steps an output step: {arrays} would take "
+                          f"{need:.3g} bytes, over the {have:.3g} bytes of physical memory")
+    return k, h
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this host: no array a config sizes may need more."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def build_profile(section: dict, d0_override: Optional[float] = None):
@@ -534,15 +567,15 @@ def _build_model(plan: _Plan) -> tuple:
     return rmt.RandomMatrixModel(energies, v, observable, psi), derived
 
 
-def _gamma_on_grid(profile, protocol, h_req: float, t_out, t_primes=()):
-    """(gamma(t_k, t_k), [gamma(t_k, t') for t' in t_primes], h) on the output grid t_k = k dt:
-    one gamma_rows call on t_i = i h, h = dt / substeps the largest such step <= h_req, solves
-    diagonal row k to step k substeps and each t' row to the end."""
-    substeps, h = protocols.subdivide(float(t_out[1]), h_req)
+def _gamma_on_grid(profile, protocol, grid: tuple, t_out, t_primes=()):
+    """(gamma(t_k, t_k), [gamma(t_k, t') for t' in t_primes]) on the output grid t_k = k dt:
+    one gamma_rows call on the solver grid (substeps, h), t_i = i h with dt = substeps h,
+    solves diagonal row k to step k substeps and each t' row to the end."""
+    substeps, h = grid
     steps = substeps * np.arange(len(t_out))
     ends = np.append(steps, np.full(len(t_primes), steps[-1]))
     g = response.gamma_rows(profile, protocol, h, np.append(steps * h, t_primes), ends)
-    return g[np.arange(len(steps)), steps], g[len(steps):, ::substeps], h
+    return g[np.arange(len(steps)), steps], g[len(steps):, ::substeps]
 
 
 def _approx_columns(profile, protocol, t_grid):
@@ -564,7 +597,7 @@ def _run_simulation_scenario(plan: _Plan) -> tuple:
     cfg, protocol, t_grid, n_pred = plan.cfg, plan.protocol, plan.t_grid, plan.n_pred
     # prediction on the output grid up to its horizon, solved first: a blow-up costs no sampling
     dt, ts, t_pred = float(t_grid[1]), protocol.timescale(), t_grid[: n_pred + 1]
-    gamma_sq = _gamma_on_grid(plan.profile, protocol, plan.solver_step, t_pred)[0] ** 2
+    gamma_sq = _gamma_on_grid(plan.profile, protocol, plan.solver, t_pred)[0] ** 2
     model, derived = _build_model(plan)
 
     method = cfg["model"]["method"]
@@ -620,7 +653,8 @@ def _run_simulation_scenario(plan: _Plan) -> tuple:
             "gamma_sq": gamma_sq,
         },
     }
-    return csvs, metrics, {"derived": derived, "method": {"name": method, "step": traj.step}}
+    step = None if plan.split is None else plan.split[1]
+    return csvs, metrics, {"derived": derived, "method": {"name": method, "step": step}}
 
 
 def _run_strong_scale(plan: _Plan) -> tuple:
@@ -680,13 +714,14 @@ def run_respond(cfg: dict, out_dir) -> dict:
     c = _checked(_RESPOND, cfg)
     profile, protocol = build_profile(c["profile"]), build_protocol(c["protocol"])
     t_grid = _output_grid(c["grid"])
-    h_req = _solver_step(c, profile, protocol, float(t_grid[-1]), "")
+    t_primes = c["t_primes"] or []
+    grid = _solver_grid(c, profile, protocol, float(t_grid[-1]), t_grid, t_primes, "")
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    diag, curves, h = _gamma_on_grid(profile, protocol, h_req, t_grid, c["t_primes"] or [])
+    diag, curves = _gamma_on_grid(profile, protocol, grid, t_grid, t_primes)
     csvs = {"respond_diagonal.csv": {"t": t_grid, "gamma": diag, "gamma_sq": diag**2}}
     for i, g in enumerate(curves):
         csvs[f"respond_tprime_{i:03d}.csv"] = {"t": t_grid, "gamma": g, "gamma_sq": g**2}
-    return _write_outputs(out_dir, _base_meta(cfg), csvs, {"solver_step": h})
+    return _write_outputs(out_dir, _base_meta(cfg), csvs, {"solver_step": grid[1]})
 
 
 def run_approx(cfg: dict, out_dir) -> dict:

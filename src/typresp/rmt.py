@@ -327,17 +327,13 @@ def reference_constants(
 
 @dataclass
 class TrajectoryResult:
-    """Aligned series from one driven run plus the undriven baseline.
-
-    step is the split step a trotter run used (None for piecewise_exact).
-    """
+    """Aligned series from one driven run plus the undriven baseline."""
 
     a_series: np.ndarray
     h0_series: np.ndarray
     norm_series: np.ndarray
     undriven_a_series: np.ndarray
     undriven_h0_series: np.ndarray
-    step: Optional[float] = None
 
 
 def _eigh(h: np.ndarray) -> tuple:
@@ -502,7 +498,7 @@ def _propagate_trotter(model, protocol, t_grid, step):
             block[:, j] = c
         outs = slice(s + 1, s + 1 + len(f_blk))
         out[:, outs] = _check_norm(_readout(model, y @ block[:, : len(f_blk)]), t_grid[outs])
-    return out, h
+    return out
 
 
 def propagate(
@@ -515,26 +511,24 @@ def propagate(
     """Exact Schroedinger propagation under H0 + f(t) V, recorded on t_grid.
 
     piecewise_exact: one eigendecomposition per distinct f value (constant
-    and step protocols only); trotter: second-order split step with the
-    midpoint f value, one matrix-vector product per step in V's eigenbasis
-    (any protocol).
+    and step protocols only); trotter: the second-order split step of
+    split_step's h (a caller that reports h calls split_step), midpoint f,
+    one matrix-vector product per step in V's eigenbasis (any protocol).
     """
     if method not in METHODS:
         raise ConfigError(f"unknown propagation method {method!r}")
     undriven = undriven_series(model, t_grid)  # checks t_grid before the driven run
     t_grid = np.asarray(t_grid, dtype=float)
-    used_step = None
     if method == "piecewise_exact":
         rows = _propagate_piecewise(model, protocol, t_grid)
     elif method == "trotter":
         if step is None or step <= 0:
             raise ConfigError("trotter propagation needs a positive step")
-        rows, used_step = _propagate_trotter(model, protocol, t_grid, step)
+        rows = _propagate_trotter(model, protocol, t_grid, step)
     return TrajectoryResult(
         a_series=rows[0],
         h0_series=rows[1],
         norm_series=rows[2],
         undriven_a_series=undriven[0],
         undriven_h0_series=undriven[1],
-        step=used_step,
     )

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -697,8 +698,8 @@ def test_output_rows_are_bitwise_the_strided_diagonal(variant, f0, period, dt, n
     profile = profiles.PerturbationProfile(variant="exponential", v0=1.0, delta_v=0.5, d0=512.0)
     proto = protocols.DrivingProtocol(variant=variant, f0=f0, period=period)
     t_out = dt * np.arange(n_out + 1)
-    diag, curves, h = harness._gamma_on_grid(profile, proto, dt / substeps, t_out, t_primes)
-    assert h == dt / substeps
+    h = dt / substeps
+    diag, curves = harness._gamma_on_grid(profile, proto, (substeps, h), t_out, t_primes)
     full = response.gamma_diagonal_values(profile, proto, h, n_out * substeps)
     assert np.array_equal(diag, full[::substeps])
     assert len(curves) == len(t_primes)
@@ -1181,19 +1182,80 @@ def test_cli_overflowing_drive_fails_at_load(tmp_path, monkeypatch, capsys, comm
     assert cli_error(tmp_path, capsys, command, given, "given") == "SolverBlowUpError"
 
 
+# given, derived and split steps too fine for the arrays they size (1e-310: too fine to count)
+def too_fine_trotter(protocol, step):
+    return set_field(set_field(set_field(small_trotter_cfg(), "model.m", 64), "protocol", protocol),
+                     "model.trotter_step", step)
+
+
+SINUSOID = {"variant": "sinusoid", "f0": 0.08, "period": 0.5}
+TOO_FINE = [
+    pytest.param("simulate", set_field(small_fidelity_cfg(m=64), "prediction.solver_step", 1e-300),
+                 "prediction.solver_step", id="solver_step"),
+    pytest.param("simulate", set_field(small_fidelity_cfg(m=64), "prediction.solver_step", 1e-310),
+                 "prediction.solver_step", id="solver_step_inf"),
+    pytest.param("simulate", set_field(small_fidelity_cfg(m=64), "protocol.f0", 1e100),
+                 "prediction.solver_step", id="default_step"),
+    pytest.param("respond", set_field(respond_cfg(), "solver_step", 1e-300), "solver_step",
+                 id="respond"),
+    pytest.param("respond", set_field(respond_cfg(), "solver_step", 1e-310), "solver_step",
+                 id="respond_inf"),
+    pytest.param("simulate", too_fine_trotter(SINUSOID, 1e-300), "model.trotter_step",
+                 id="trotter_sinusoid"),
+    pytest.param("simulate", too_fine_trotter(small_fidelity_cfg()["protocol"], 1e-300),
+                 "model.trotter_step", id="trotter_step"),
+    pytest.param("simulate", too_fine_trotter(SINUSOID, 1e-310), "model.trotter_step",
+                 id="trotter_inf"),
+]
+
+
+@pytest.mark.parametrize("command,cfg,key", TOO_FINE)
+def test_cli_too_fine_step_fails_at_load(tmp_path, monkeypatch, capsys, command, cfg, key):
+    # a step is sized at load: one that overflows its count, or whose arrays would not fit in
+    # memory, is a ConfigError naming its key, before the directory, a sample or a solve
+    monkeypatch.setattr(rmt, "sample_v", _must_not_run)
+    monkeypatch.setattr(response, "gamma_rows", _must_not_run)
+    path = write_cfg(tmp_path, cfg)
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(key + " ") and "physical memory" in record["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_beyond_memory_fails_at_load(tmp_path, monkeypatch):
+    # the benchmark's pretherm workload, on a host with one byte less than its solver's g and c
+    monkeypatch.setattr(rmt, "sample_v", _must_not_run)
+    cfg = harness.load_config(ROOT / "perfbench" / "workloads" / "pretherm.yaml")
+    plan = harness._plan(cfg)
+    substeps, n_pred = plan.solver[0], plan.n_pred
+    need = 16 * (n_pred + 1) * (substeps * n_pred + 1)  # rows x (n + 1), as _volterra_heun says
+    monkeypatch.setattr(harness, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ConfigError, match=r"^prediction\.solver_step .* physical memory"):
+        harness.run(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    monkeypatch.setattr(harness, "_physical_memory", lambda: need)
+    assert harness._plan(cfg).solver == plan.solver  # exactly the memory: it loads
+
+
 @pytest.mark.parametrize("run,cfg,after", [
     pytest.param(harness.run, small_fidelity_cfg(m=64, t_max=0.5, n_out=20), "_plan",
                  id="simulate"),
-    pytest.param(harness.run_respond, respond_cfg(), "_solver_step", id="respond"),
+    pytest.param(harness.run, set_field(small_trotter_cfg(), "model.m", 64), "_plan",
+                 id="simulate_trotter"),
+    pytest.param(harness.run_respond, respond_cfg(), "_solver_grid", id="respond"),
 ])
 def test_run_derives_no_step_after_load(tmp_path, monkeypatch, run, cfg, after):
-    # a null solver_step is resolved once, at load; the run then solves on the plan's step
+    # each step grid is fixed once, at load; the run takes the plan's grids and derives no step.
+    # rmt's propagate subdivides on its own, so only the harness's protocols is swapped
     calls, default_step, load = [], response.default_step, getattr(harness, after)
     monkeypatch.setattr(response, "default_step", lambda *a: calls.append(a) or default_step(*a))
+    no_subdivide = types.SimpleNamespace(**{**vars(protocols), "subdivide": _must_not_run})
 
     def loaded(*args):
         out = load(*args)
         monkeypatch.setattr(response, "default_step", _must_not_run)
+        monkeypatch.setattr(harness, "protocols", no_subdivide)
         return out
 
     monkeypatch.setattr(harness, after, loaded)
