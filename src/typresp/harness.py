@@ -340,10 +340,13 @@ def _plan(cfg: dict) -> _Plan:
                           f"{list(protocols.PIECEWISE_CONSTANT)}, got {variant!r}")
     split = None
     if model["method"] == "trotter":
-        step, n_out = model["trotter_step"], c["grid"]["n_out"]
+        # rmt evaluates f one block of _BLOCK outputs at a time: eval_f's peak, plus the block
+        # before it, still held
+        step, outs = model["trotter_step"], min(c["grid"]["n_out"], rmt._BLOCK)
         split = _sized(f"model.trotter_step {step!r}",
                        lambda: rmt.split_step(protocol, dt, step, t_end),
-                       lambda n_sub: 8 * n_out * n_sub, "rmt's f_mid")
+                       lambda n_sub: 8 * outs * n_sub * (1 + protocols._EVAL_F_PEAK[variant]),
+                       "a block of rmt's midpoint drive values, as eval_f builds it,")
     index = state["index"] = m // 2 if state["index"] == "middle" else state["index"]
     if index >= m:
         raise ConfigError(f"model.initial_state.index must lie in [0, {m}), got {index!r}")

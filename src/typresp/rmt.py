@@ -21,11 +21,17 @@ and the norm, one GEMM per 64 outputs; every output's norm is checked, per block
 split-stepping, after the last group when piecewise, naming the first t that drifted.
 
 Memory is set by the dense m x m complex arrays (16 m^2 bytes each) alive at
-the propagation peak.  Piecewise: V, a dense A (two-sector observable only),
-one eigenbasis per distinct f value and one in flight (the buffer H0 + f V
-that `evr` overwrites while it writes the next eigenbasis).  Trotter: V, V's
-eigenvectors and M.  Everything else is m x _BLOCK blocks: V and A are drawn
-row by row into their own storage and mirrored by row blocks.
+the propagation peak.  Piecewise: V, a dense A (two-sector observable only)
+and one eigenbasis per distinct f value: K + 2 arrays for K distinct values,
+K + 1 for a diagonal observable.  `evr` works on H0 + f V in V's own storage:
+V lends its strict lower triangle and diagonal, written from its intact upper
+triangle, and gets them back bit for bit after the last call, also when a
+call raises (`_lent_lower`).  So V must be writable and Hermitian as sampled,
+its lower triangle bitwise 0 + conj(upper) (any other V is a ValueError
+before any work), and one model must not be propagated from two threads at
+once.  Trotter: V, V's eigenvectors and M; f is evaluated one block of
+_BLOCK outputs at a time.  Everything else is m x _BLOCK blocks: V and A are
+drawn row by row into their own storage and mirrored by row blocks.
 
 All randomness flows from one 64-bit master seed through named PCG64
 substreams (one per matrix/vector), so adding an observable never perturbs
@@ -34,6 +40,7 @@ the V sample.
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -336,11 +343,13 @@ class TrajectoryResult:
     undriven_h0_series: np.ndarray
 
 
-def _eigh(h: np.ndarray) -> tuple:
-    """(w, u) of the Hermitian h by LAPACK's MRRR driver (?heevr).
+def _eigh(h: np.ndarray, lower: bool = True) -> tuple:
+    """(w, u) of the Hermitian h by LAPACK's MRRR driver (?heevr), read from h's lower
+    triangle (upper if not lower) and diagonal.
 
-    h is a Fortran-ordered float64 or complex128 buffer the caller built for
-    this call: LAPACK works in it in place and leaves it overwritten.
+    h is a Fortran-ordered float64 or complex128 buffer the caller lends to this
+    call: LAPACK works in that triangle and the diagonal in place and leaves them
+    overwritten; the other triangle it never touches.
 
     scipy.linalg is imported here so that importing the package does not load
     it, and called through the module attribute so a wrapper set on
@@ -348,14 +357,51 @@ def _eigh(h: np.ndarray) -> tuple:
     """
     import scipy.linalg
 
-    return scipy.linalg.eigh(h, driver="evr", overwrite_a=True)
+    return scipy.linalg.eigh(h, lower=lower, driver="evr", overwrite_a=True)
 
 
-def _hamiltonian(model: RandomMatrixModel, fv: float) -> np.ndarray:
-    """H0 + fv V in a fresh Fortran-ordered buffer, for _eigh to consume."""
-    h = np.multiply(fv, model.v_matrix, order="F")
-    h[np.diag_indices(len(h))] += model.energies
-    return h
+def _lower_blocks(v: np.ndarray):
+    """(rows, mask, upper) for each block of _BLOCK rows s:e of V: the rows V[s:e, :e], the
+    mask of their entries in V's strict lower triangle, and the upper-triangle entries
+    V[:e, s:e].T that mirror those entries."""
+    for s in range(0, len(v), _BLOCK):
+        e = min(s + _BLOCK, len(v))
+        yield v[s:e, :e], np.arange(e) < np.arange(s, e)[:, None], v[:e, s:e].T
+
+
+@contextmanager
+def _lent_lower(model: RandomMatrixModel):
+    """Yields eig(fv): the _eigh of H0 + fv V, written into V's strict lower triangle and
+    diagonal from its intact upper triangle.  On exit, raise or not, the lower triangle is
+    restored as 0 + conj(upper), the mirror _hermitian writes, and the diagonal from a copy.
+
+    First, a ValueError unless V is writable and its lower triangle is bitwise that mirror,
+    so every V accepted comes back bit for bit.  A C-ordered V is lent as the Fortran view
+    V.T, uplo 'U': its lower triangle then takes fv times the upper one, not conjugated.
+    """
+    v = model.v_matrix
+    if not (v.flags.writeable and all(
+            np.where(mask, 0 + upper.conj(), rows).tobytes() == rows.tobytes()
+            for rows, mask, upper in _lower_blocks(v))):
+        raise ValueError("piecewise propagation lends V's lower triangle to LAPACK: V must be "
+                         "writable, and its strict lower triangle bitwise 0 + conj of its "
+                         "upper triangle, as sample_v makes it")
+    c_order = v.flags.c_contiguous
+    h, lower = (v.T, False) if c_order else (v, True)
+    diag, on_diag = v.diagonal().copy(), np.diag_indices(len(v))
+
+    def eig(fv: float) -> tuple:
+        for rows, mask, upper in _lower_blocks(v):
+            np.copyto(rows, fv * (upper if c_order else upper.conj()), where=mask)
+        v[on_diag] = model.energies + fv * diag
+        return _eigh(h, lower)
+
+    try:
+        yield eig
+    finally:
+        for rows, mask, upper in _lower_blocks(v):
+            np.copyto(rows, 0 + upper.conj(), where=mask)
+        v[on_diag] = diag
 
 
 def _readout(model: RandomMatrixModel, states: np.ndarray) -> np.ndarray:
@@ -414,29 +460,30 @@ def _propagate_piecewise(model, protocol, t_grid):
             f"not {protocol.variant!r}"
         )
     bounds, values = segs
-    cache = {0.0: (model.energies, None)}  # f = 0: pure phase evolution
+    cache = {0.0: (model.energies, None)}  # f = 0: pure phase evolution, V is not lent
     groups = {}  # f -> (start coefficients, output indices) of its segments with outputs
     taus = np.empty(len(t_grid))
     psi = model.initial_state
     oi = 0
-    for k in range(len(values)):
-        t0, t1, fv = bounds[k], bounds[k + 1], float(values[k])
-        if fv not in cache:
-            cache[fv] = _eigh(_hamiltonian(model, fv))
-        w, u = cache[fv]
-        c = psi if u is None else _to_basis(u, psi)
-        oj = int(np.searchsorted(t_grid, t1 + 1e-12, side="right"))  # t1 itself: this segment
-        if oj > oi:
-            starts, outputs = groups.setdefault(fv, ([], []))
-            starts.append(c)
-            outputs.append(np.arange(oi, oj))
-            taus[oi:oj] = t_grid[oi:oj] - t0
-        oi = oj
-        if oi >= len(t_grid):
-            break
-        psi = np.exp(-1j * w * (t1 - t0)) * c
-        if u is not None:
-            psi = u @ psi
+    with _lent_lower(model) if np.any(values != 0) else nullcontext() as eig:
+        for k in range(len(values)):
+            t0, t1, fv = bounds[k], bounds[k + 1], float(values[k])
+            if fv not in cache:
+                cache[fv] = eig(fv)
+            w, u = cache[fv]
+            c = psi if u is None else _to_basis(u, psi)
+            oj = int(np.searchsorted(t_grid, t1 + 1e-12, side="right"))  # t1: this segment
+            if oj > oi:
+                starts, outputs = groups.setdefault(fv, ([], []))
+                starts.append(c)
+                outputs.append(np.arange(oi, oj))
+                taus[oi:oj] = t_grid[oi:oj] - t0
+            oi = oj
+            if oi >= len(t_grid):
+                break
+            psi = np.exp(-1j * w * (t1 - t0)) * c
+            if u is not None:
+                psi = u @ psi
     out = np.empty((3, len(t_grid)))
     for fv, (starts, outputs) in groups.items():
         idx = np.concatenate(outputs)
@@ -486,11 +533,12 @@ def _propagate_trotter(model, protocol, t_grid, step):
     for s in range(0, len(w), _BLOCK):  # by column blocks: no third m x m array
         step_matrix[:, s : s + _BLOCK] = _to_basis(y, full[:, None] * y[:, s : s + _BLOCK])
     n_out = len(t_grid) - 1
-    f_mid = protocols.eval_f(protocol, (np.arange(n_out * n_sub) + 0.5) * h)
     d = _to_basis(y, full * psi)
     block = np.empty((len(w), _BLOCK), dtype=complex, order="F")  # c at outputs, by column
     for s in range(0, n_out, _BLOCK):
-        f_blk = f_mid[s * n_sub : (s + _BLOCK) * n_sub].reshape(-1, n_sub)  # one row per output
+        f_blk = protocols.eval_f(  # this block's midpoint drive values, a row per output
+            protocol, (np.arange(s * n_sub, min(s + _BLOCK, n_out) * n_sub) + 0.5) * h
+        ).reshape(-1, n_sub)
         for j, f_out in enumerate(f_blk):
             for fk in f_out:
                 c = np.exp(-1j * fk * w * h) * d
@@ -511,9 +559,12 @@ def propagate(
     """Exact Schroedinger propagation under H0 + f(t) V, recorded on t_grid.
 
     piecewise_exact: one eigendecomposition per distinct f value (constant
-    and step protocols only); trotter: the second-order split step of
-    split_step's h (a caller that reports h calls split_step), midpoint f,
-    one matrix-vector product per step in V's eigenbasis (any protocol).
+    and step protocols only), worked out in V's own lower triangle, which is
+    restored (V must be writable and Hermitian as sample_v makes it, and not
+    propagated from another thread meanwhile: see the module docstring);
+    trotter: the second-order split step of split_step's h (a caller that
+    reports h calls split_step), midpoint f, one matrix-vector product per
+    step in V's eigenbasis (any protocol).
     """
     if method not in METHODS:
         raise ConfigError(f"unknown propagation method {method!r}")

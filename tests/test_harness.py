@@ -1238,6 +1238,25 @@ def test_grid_beyond_memory_fails_at_load(tmp_path, monkeypatch):
     assert harness._plan(cfg).solver == plan.solver  # exactly the memory: it loads
 
 
+def test_split_step_beyond_memory_fails_at_load(tmp_path, monkeypatch):
+    # the benchmark's sinusoid_trotter workload under the pseudorandom_a drive, on a host with
+    # one byte less than a block of 64 of its 320 outputs' midpoint drive values at eval_f's
+    # peak for that drive (20 float64s a value, the times included), with the block before
+    monkeypatch.setattr(rmt, "sample_v", _must_not_run)
+    cfg = harness.load_config(ROOT / "perfbench" / "workloads" / "sinusoid_trotter.yaml")
+    cfg["protocol"]["variant"] = "pseudorandom_a"
+    n_sub = harness._plan(cfg).split[0]
+    need = 8 * 64 * n_sub * (20 + 1)
+    monkeypatch.setattr(harness, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ConfigError, match=r"^model\.trotter_step .* physical memory"):
+        harness.run(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    # exactly the memory: the split step passes, and the solver's larger g and c fail next
+    monkeypatch.setattr(harness, "_physical_memory", lambda: need)
+    with pytest.raises(ConfigError, match=r"^prediction\.solver_step .* physical memory"):
+        harness._plan(cfg)
+
+
 @pytest.mark.parametrize("run,cfg,after", [
     pytest.param(harness.run, small_fidelity_cfg(m=64, t_max=0.5, n_out=20), "_plan",
                  id="simulate"),

@@ -1,5 +1,7 @@
 """Protocol closed forms against quadrature oracles and exact identities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +98,22 @@ def test_tabulated_outside_range_is_zero():
     p = tabulated_example()
     assert protocols.eval_f(p, 2.9999) != 0.0
     assert protocols.eval_f(p, 3.5) == 0.0
+
+
+@pytest.mark.parametrize("variant", protocols.VARIANTS)
+def test_eval_f_peak_stays_within_its_table(variant):
+    # the split step's memory check at load counts eval_f's peak from this table, so the table
+    # must bound what eval_f allocates, the times included (slack: numpy's iterator buffers)
+    p = tabulated_example() if variant == "tabulated" else make(variant)
+    n = 200_000
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        protocols.eval_f(p, (np.arange(n) + 0.5) * 1e-4)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak <= protocols._EVAL_F_PEAK[variant] * 8 * n + 2**17
 
 
 # --- closed forms vs quadrature ---------------------------------------------

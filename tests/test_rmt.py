@@ -477,9 +477,9 @@ def test_trotter_memory_stays_two_matrices_and_blocks():
     assert peak < (2 * m + 6 * 64) * m * 16
 
 
-def test_piecewise_memory_stays_one_eigenbasis_per_value_and_one_in_flight():
-    # K = 2 distinct f values: their eigenbases plus, during the second eigh,
-    # the Hamiltonian buffer LAPACK works in; never a copy of it beside it
+def test_piecewise_memory_stays_one_eigenbasis_per_value():
+    # K = 2 distinct f values: their eigenbases, and nothing m x m beside them, since LAPACK
+    # works on H0 + f V in V's own lower triangle, not in a buffer of its own
     m, k = 512, 2
     model = small_eth_model(m=m)
     proto = protocols.DrivingProtocol(variant="step", f0=0.3, period=0.5)
@@ -491,21 +491,77 @@ def test_piecewise_memory_stays_one_eigenbasis_per_value_and_one_in_flight():
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
-    assert peak < ((k + 1) * m + 6 * 64) * m * 16
+    assert peak < (k * m + 6 * 64) * m * 16
+
+
+def signed_zero_model(order="C"):
+    """small_eth_model with the V of the tabulated sampling profile, whose zero tail leaves
+    negative zeros in the imaginary part of V's upper triangle, in the given memory layout."""
+    model = small_eth_model()
+    v = rmt.sample_v(model.energies, SAMPLING_PROFILES["tabulated"], 5)
+    assert np.any(np.signbit(v.imag[v.imag == 0]))
+    model.v_matrix = np.asarray(v, order=order)
+    return model
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("method", ["piecewise_exact", "trotter"])
 def test_propagate_leaves_the_model_unchanged(method, order):
-    # _eigh consumes a Fortran-ordered argument: propagate must hand it only
-    # buffers of its own, whatever the layout of V
-    model = small_eth_model()
-    model.v_matrix = np.asarray(model.v_matrix, order=order)
-    before = {k: getattr(model, k).copy() for k in ("v_matrix", "observable", "initial_state")}
+    # piecewise propagation lends V's lower triangle and diagonal to LAPACK and restores
+    # them; the split step consumes a copy of V: either way V comes back bit for bit,
+    # signed zeros included, whatever its layout
     proto = protocols.DrivingProtocol(variant="step", f0=0.3, period=0.5)
-    rmt.propagate(model, proto, np.linspace(0.0, 1.0, 21), method=method, step=0.05)
-    for key, value in before.items():
-        np.testing.assert_array_equal(bits(getattr(model, key)), bits(value))
+    exponential = small_eth_model()
+    exponential.v_matrix = np.asarray(exponential.v_matrix, order=order)
+    for model in (exponential, signed_zero_model(order)):
+        before = {k: getattr(model, k).copy() for k in ("v_matrix", "observable", "initial_state")}
+        rmt.propagate(model, proto, np.linspace(0.0, 1.0, 21), method=method, step=0.05)
+        for key, value in before.items():
+            np.testing.assert_array_equal(bits(getattr(model, key)), bits(value))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_lent_v_is_restored_when_eigh_raises(monkeypatch, order):
+    model = signed_zero_model(order)
+    before = model.v_matrix.copy()
+
+    def fail(*args, **kwargs):
+        assert not np.array_equal(bits(model.v_matrix), bits(before))  # H0 + f V is in V
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(rmt, "_eigh", fail)
+    proto = protocols.DrivingProtocol(variant="step", f0=0.3, period=0.5)
+    with pytest.raises(np.linalg.LinAlgError, match="no convergence"):
+        rmt.propagate(model, proto, np.linspace(0.0, 1.0, 21), method="piecewise_exact")
+    np.testing.assert_array_equal(bits(model.v_matrix), bits(before))
+
+
+def spoil_lower(v):
+    v[5, 2] += 1e-3
+
+
+def spoil_signed_zero(v):
+    i, j = np.argwhere((np.tril(v.real, -1) == 0) & np.tri(len(v), k=-1, dtype=bool))[0]
+    v.real[i, j] = -0.0  # equal to the mirror's +0, but not bit for bit
+
+
+def spoil_read_only(v):
+    v.flags.writeable = False
+
+
+@pytest.mark.parametrize("spoil", [spoil_lower, spoil_signed_zero, spoil_read_only],
+                         ids=["lower", "signed_zero", "read_only"])
+def test_piecewise_refuses_a_v_it_could_not_restore(monkeypatch, spoil):
+    # a V whose lower triangle is not bitwise the mirror of its upper one, or that cannot be
+    # written, is refused before any eigendecomposition, and left as it was
+    monkeypatch.setattr(rmt, "_eigh", lambda *args, **kwargs: pytest.fail("_eigh ran"))
+    model = signed_zero_model()
+    spoil(model.v_matrix)
+    before = model.v_matrix.copy()
+    proto = protocols.DrivingProtocol(variant="step", f0=0.3, period=0.5)
+    with pytest.raises(ValueError, match=r"writable, .* bitwise 0 \+ conj of its upper"):
+        rmt.propagate(model, proto, np.linspace(0.0, 1.0, 21), method="piecewise_exact")
+    np.testing.assert_array_equal(bits(model.v_matrix), bits(before))
 
 
 def test_trotter_takes_a_real_v_as_complex():
@@ -644,7 +700,8 @@ def test_trotter_norm_drift_names_first_bad_output(monkeypatch):
     # steps: it passes NORM_TOL between outputs 4 (k = 48) and 5 (k = 60),
     # inside the first readout block
     eigh = rmt._eigh
-    monkeypatch.setattr(rmt, "_eigh", lambda h: (lambda w, u: (w, (1 + 1e-8) * u))(*eigh(h)))
+    monkeypatch.setattr(rmt, "_eigh", lambda *args, **kwargs: (
+        lambda w, u: (w, (1 + 1e-8) * u))(*eigh(*args, **kwargs)))
     model = small_fidelity_model(m=64)
     proto = protocols.DrivingProtocol(variant="sinusoid", f0=0.1, period=0.5)
     with pytest.raises(NormDriftError, match=r"norm drifted to 1\.000001200001 at t = 0\.3$"):
