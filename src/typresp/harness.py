@@ -6,10 +6,11 @@ whether it is required and where it is read: an unknown, repeated, missing or
 never-read key or a bad value is a `ConfigError` naming the dotted field, and
 a null value is the same as an absent key.  `_plan` checks a `simulate`
 config and builds each of its inputs once, before any model is sampled, its
-step grids too, each sized against the physical memory; the scenario runners
-take that plan, build nothing and do no step arithmetic.  Keys that pass
-straight to a library call stay absent when not given, so that call's default
-is the only one; a None default is derived at load and checked as a given value.
+step grids too; of these only the solver grid is sized against the physical
+memory, as is the output grid.  The scenario runners take that plan, build
+nothing and do no step arithmetic.  Keys that pass straight to a library call
+stay absent when not given, so that call's default is the only one; a None
+default is derived at load and checked as a given value.
 Every CSV is written by np.savetxt with 17-significant-digit floats (bit-exact
 round trips) and a JSON sidecar: raw config echo, seeds, versions, derived constants.
 
@@ -297,12 +298,12 @@ def validate_scenario_config(cfg: dict) -> dict:
     matrix work: the protocol and profile build (their tables included; a null d0
     only in a simulation), quench_asymptotics has a linear ramp, fidelity needs an
     eigenstate, eth an even m, piecewise_exact a piecewise-constant protocol,
-    trotter a trotter_step whose split step fits the protocol, the prediction
-    horizon reaches half an output step, a null solver step's default_step is > 0,
-    each step grid's arrays fit the physical memory (`_sized`), the state index
-    ("middle" is m // 2) lies in [0, m), and a filtered state passes the run's own
-    `rmt.window_levels` and `rmt.check_filter`, so a config that loads does not
-    fail on its window after sampling.
+    trotter a trotter_step that `rmt.split_step` takes, the prediction horizon reaches
+    half an output step, a null solver step's default_step is > 0, the output grid and,
+    of the step grids, only the solver grid fit the physical memory (`_output_grid`,
+    `_solver_grid`), the state index ("middle" is m // 2) lies in [0, m), and a
+    filtered state passes the run's own `rmt.window_levels` and `rmt.check_filter`,
+    so a config that loads does not fail on its window after sampling.
     """
     return _plan(cfg).cfg
 
@@ -340,13 +341,10 @@ def _plan(cfg: dict) -> _Plan:
                           f"{list(protocols.PIECEWISE_CONSTANT)}, got {variant!r}")
     split = None
     if model["method"] == "trotter":
-        # rmt evaluates f one block of _BLOCK outputs at a time: eval_f's peak, plus the block
-        # before it, still held
-        step, outs = model["trotter_step"], min(c["grid"]["n_out"], rmt._BLOCK)
-        split = _sized(f"model.trotter_step {step!r}",
-                       lambda: rmt.split_step(protocol, dt, step, t_end),
-                       lambda n_sub: 8 * outs * n_sub * (1 + protocols._EVAL_F_PEAK[variant]),
-                       "a block of rmt's midpoint drive values, as eval_f builds it,")
+        try:
+            split = rmt.split_step(protocol, dt, model["trotter_step"], t_end)
+        except ConfigError as exc:
+            raise ConfigError(f"model.trotter_step {model['trotter_step']!r}: {exc}") from None
     index = state["index"] = m // 2 if state["index"] == "middle" else state["index"]
     if index >= m:
         raise ConfigError(f"model.initial_state.index must lie in [0, {m}), got {index!r}")
@@ -371,36 +369,28 @@ def _plan(cfg: dict) -> _Plan:
 def _solver_grid(section: dict, profile, protocol, t_end: float, t_out, t_primes,
                  where: str) -> tuple:
     """The solver grid (substeps, h) = subdivide(dt, step) of a _gamma_on_grid call on t_out and
-    t_primes, _sized: step is section's solver_step, else default_step up to t_end, checked."""
+    t_primes: step is section's solver_step, else default_step up to t_end, checked.  A
+    ConfigError if substeps overflows, or if the solver's g and c exceed _physical_memory()."""
     h = section["solver_step"] or response.default_step(profile, protocol, t_end)  # given: > 0
     try:
         _SOLVER_STEP[0][1](h)
     except ValueError as exc:  # only a default can fail: a given step passed this check at load
         raise ConfigError(f"{where}solver_step must be {exc}, got default_step's {h!r}") from None
     what = f"{where}solver_step {'' if section['solver_step'] else 'null, default_step '}{h!r}"
-    rows, n_out = len(t_out) + len(t_primes), len(t_out) - 1
-    return _sized(what, lambda: protocols.subdivide(float(t_out[1]), h),
-                  lambda k: 16 * rows * (k * n_out + 1), "the solver's g and c")
-
-
-def _sized(what: str, grid: Callable, nbytes: Callable, arrays: str) -> tuple:
-    """grid()'s (k, h), k steps an output step; a ConfigError on what if grid() refuses the step,
-    if k overflows, or if the arrays k sizes, nbytes(k) bytes, exceed _physical_memory()."""
     try:
-        k, h = grid()
+        k, h = protocols.subdivide(float(t_out[1]), h)
     except OverflowError:  # dt / step is inf: too many steps to count, and to hold below
         k, h = math.inf, None
-    except ConfigError as exc:
-        raise ConfigError(f"{what}: {exc}") from None
-    need, have = nbytes(float(k)), _physical_memory()  # float: past 1.8e308 it is inf
+    rows, n_out = len(t_out) + len(t_primes), len(t_out) - 1
+    need, have = 16 * rows * (float(k) * n_out + 1), _physical_memory()  # past 1.8e308: inf
     if need > have:
-        raise ConfigError(f"{what} gives {k:.3g} steps an output step: {arrays} would take "
-                          f"{need:.3g} bytes, over the {have:.3g} bytes of physical memory")
+        raise ConfigError(f"{what} gives {k:.3g} steps an output step: the solver's g and c would "
+                          f"take {need:.3g} bytes, over the {have:.3g} bytes of physical memory")
     return k, h
 
 
 def _physical_memory() -> int:
-    """Bytes of physical memory on this host: no array a config sizes may need more."""
+    """Bytes of physical memory on this host: no grid a config sizes may need more."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
@@ -552,7 +542,12 @@ def compare_files(cfg: dict, out_dir) -> dict:
 
 
 def _output_grid(grid: dict) -> np.ndarray:
-    return grid["t_max"] / grid["n_out"] * np.arange(grid["n_out"] + 1)
+    """Times k t_max / n_out; a ConfigError if they and their arange exceed _physical_memory()."""
+    n, have = grid["n_out"], _physical_memory()
+    if 16 * (n + 1) > have:
+        raise ConfigError(f"grid.n_out {n!r}: the output grid, {n + 1} times and their arange "
+                          f"at 16 bytes a time, would exceed the {have} bytes of physical memory")
+    return grid["t_max"] / n * np.arange(n + 1)
 
 
 def _build_model(plan: _Plan) -> tuple:
@@ -731,9 +726,9 @@ def run_approx(cfg: dict, out_dir) -> dict:
     """Closed-form approximation curves (evaluated on the diagonal t' = t)."""
     c = _checked(_INPUTS, cfg)
     profile = build_profile(c["profile"])
-    protocol = build_protocol(c["protocol"])
+    protocol, t_grid = build_protocol(c["protocol"]), _output_grid(c["grid"])
     Path(out_dir).mkdir(parents=True, exist_ok=True)
-    csvs = {"approximations.csv": _approx_columns(profile, protocol, _output_grid(c["grid"]))}
+    csvs = {"approximations.csv": _approx_columns(profile, protocol, t_grid)}
     return _write_outputs(out_dir, _base_meta(cfg), csvs, {"sigma0": profiles.moment(profile, 0)})
 
 

@@ -49,11 +49,6 @@ PIECEWISE_CONSTANT = ("constant", "step")
 # variants for which `period` is meaningful (period or ramp/characteristic time)
 _TIMESCALED = ("step", "sinusoid", "linear_ramp", "pseudorandom_a", "pseudorandom_b")
 
-# eval_f's peak allocation in float64s per value of t, t included (tracemalloc, 2e5 values):
-# what the split step's midpoint drive values take per step while one block of them is built
-_EVAL_F_PEAK = {"constant": 2, "step": 3, "sinusoid": 4, "linear_ramp": 3.125,
-                "pseudorandom_a": 20, "pseudorandom_b": 14, "tabulated": 2}
-
 # the trig drives f = f0 (sum_k sin(a_k t/T) + sum_k c_k cos(b_k t/T)): variant -> (a, b, c)
 _TRIG = {
     "sinusoid": (np.array([2 * np.pi]), np.empty(0), np.empty(0)),

@@ -29,9 +29,9 @@ triangle, and gets them back bit for bit after the last call, also when a
 call raises (`_lent_lower`).  So V must be writable and Hermitian as sampled,
 its lower triangle bitwise 0 + conj(upper) (any other V is a ValueError
 before any work), and one model must not be propagated from two threads at
-once.  Trotter: V, V's eigenvectors and M; f is evaluated one block of
-_BLOCK outputs at a time.  Everything else is m x _BLOCK blocks: V and A are
-drawn row by row into their own storage and mirrored by row blocks.
+once.  Trotter: V, V's eigenvectors and M; f is evaluated _BLOCK midpoints at
+a time.  Everything else is m x _BLOCK blocks: V and A are drawn row by row
+into their own storage and mirrored by row blocks.
 
 All randomness flows from one 64-bit master seed through named PCG64
 substreams (one per matrix/vector), so adding an observable never perturbs
@@ -497,18 +497,24 @@ def split_step(protocol: protocols.DrivingProtocol, dt_out: float, step: float,
                t_end: float) -> tuple:
     """(n_sub, h): the largest split step h = dt_out / n_sub <= step.
 
-    ConfigError unless h divides the segment length of a piecewise-constant
+    ConfigError unless the run to t_end takes at most 2**52 steps (past them, k + 1/2 of a
+    midpoint time (k + 1/2) h rounds) and h divides the segment length of a piecewise-constant
     protocol that switches before t_end (no step may straddle a switch).
     """
-    n_sub, h = protocols.subdivide(dt_out, step)
+    try:
+        n_sub, h = protocols.subdivide(dt_out, step)
+    except OverflowError:  # dt_out / step is inf: too many steps to count
+        n_sub = h = np.inf
+    steps = n_sub * float(round(t_end / dt_out))  # exact up to 2**53
+    if steps > 2**52:
+        raise ConfigError(f"{steps:.3g} split steps to t = {t_end:.6g}: past 2**52 steps, the "
+                          "midpoint time (k + 1/2) h of step k is not exact")
     segs = protocol.piecewise_segments(t_end)
     if segs is not None and len(segs[1]) > 1:
         switch = float(segs[0][1] - segs[0][0])
         if abs(switch / h - round(switch / h)) > 1e-9:
-            raise ConfigError(
-                f"split-step size {h:.6g} must divide the protocol segment "
-                f"length {switch:.6g} for piecewise-constant protocols"
-            )
+            raise ConfigError(f"split-step size {h:.6g} must divide the protocol segment length "
+                              f"{switch:.6g} for piecewise-constant protocols")
     return n_sub, h
 
 
@@ -534,18 +540,19 @@ def _propagate_trotter(model, protocol, t_grid, step):
         step_matrix[:, s : s + _BLOCK] = _to_basis(y, full[:, None] * y[:, s : s + _BLOCK])
     n_out = len(t_grid) - 1
     d = _to_basis(y, full * psi)
+    n = n_out * n_sub  # f_mid[k] = f((k + 1/2) h), evaluated _BLOCK midpoints at a time
+    f_mid = (f for s in range(0, n, _BLOCK)
+             for f in protocols.eval_f(protocol, (np.arange(s, min(s + _BLOCK, n)) + 0.5) * h))
     block = np.empty((len(w), _BLOCK), dtype=complex, order="F")  # c at outputs, by column
     for s in range(0, n_out, _BLOCK):
-        f_blk = protocols.eval_f(  # this block's midpoint drive values, a row per output
-            protocol, (np.arange(s * n_sub, min(s + _BLOCK, n_out) * n_sub) + 0.5) * h
-        ).reshape(-1, n_sub)
-        for j, f_out in enumerate(f_blk):
-            for fk in f_out:
-                c = np.exp(-1j * fk * w * h) * d
+        n_blk = min(_BLOCK, n_out - s)
+        for j in range(n_blk):
+            for _ in range(n_sub):
+                c = np.exp(-1j * next(f_mid) * w * h) * d
                 d = step_matrix @ c
             block[:, j] = c
-        outs = slice(s + 1, s + 1 + len(f_blk))
-        out[:, outs] = _check_norm(_readout(model, y @ block[:, : len(f_blk)]), t_grid[outs])
+        outs = slice(s + 1, s + 1 + n_blk)
+        out[:, outs] = _check_norm(_readout(model, y @ block[:, :n_blk]), t_grid[outs])
     return out
 
 

@@ -379,6 +379,18 @@ def test_crossover_amplitude_formula():
         ap.crossover_amplitude(tab, eps)
 
 
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: ap.strong_driving_gamma(-0.1, 1.0), "scale r must be >= 0", id="r"),
+    pytest.param(lambda: ap.strong_driving_gamma([0.2, -1e-300], 1.0), "scale r must be >= 0",
+                 id="r_array"),
+    pytest.param(lambda: ap.crossover_amplitude(exp_profile(), -2.0**-9),
+                 "level spacing must be >= 0", id="spacing"),
+])
+def test_approximation_guards_name_their_rule(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # --- vectorised diagonal columns ---------------------------------------------------
 
 

@@ -217,6 +217,7 @@ BAD_FIELDS = [
     ("fidelity", "seed", 1.5),
     ("fidelity", "seed", -1),
     ("fidelity", "seed", "one"),
+    ("fidelity", "profile", 3),  # a section must be a mapping
     ("fidelity", "profile.variant", "gaussian"),
     ("fidelity", "profile.delta_v", -1),
     ("fidelity", "profile.v0", "x"),
@@ -235,7 +236,9 @@ BAD_FIELDS = [
     ("fidelity", "model.spectrum.spacing", "x"),
     ("fidelity", "model.observable.kind", "bogus"),
     ("fidelity", "model.initial_state.kind", "bogus"),
-    ("fidelity", "model.initial_state.kind", "filtered_random"),  # fidelity needs an eigenstate
+    # fidelity needs an eigenstate (without an index, which a filtered state never reads)
+    pytest.param("fidelity_unindexed", "model.initial_state.kind", "filtered_random",
+                 id="fidelity-model.initial_state.kind-filtered_random"),
     ("fidelity", "model.initial_state.index", 9999),
     ("fidelity", "model.initial_state.index", 128),
     ("fidelity", "model.initial_state.index", -1),
@@ -265,6 +268,7 @@ BAD_FIELDS = [
     # delta_e**2 underflows to 0: the weight on the level E = 0 is 0/0 = NaN, under no cut
     ("eth_underflow", "model.initial_state.e_center", 0.0),
     ("strong_scale", "profile.d0", None),  # no model measures it
+    ("strong_scale", "grid.n_out", 10**13),  # 160 TB of output times: not numpy's MemoryError
     # keys that are never read with the keys around them
     ("strong_scale", "seed", 3),
     ("quench", "seed", 3),
@@ -317,10 +321,16 @@ BAD_FIELDS = [
 ]
 
 
+# the rule a BAD_FIELDS case must reach, where the message names it before the field
+BAD_FIELD_RULES = {"fidelity_unindexed": "projects on an eigenstate, .*"}
+
+
 @pytest.mark.parametrize("which,field,bad", BAD_FIELDS)
 def test_bad_field_fails_at_load(tmp_path, monkeypatch, which, field, bad):
     monkeypatch.setattr(rmt, "sample_v", _must_not_run)
     base = {"fidelity": small_fidelity_cfg, "eth": small_eth_cfg,
+            "fidelity_unindexed": lambda: drop_field(small_fidelity_cfg(),
+                                                     "model.initial_state.index"),
             "eth_wide": lambda: {**small_eth_cfg(), "window_halfwidth_factor": 20.0},
             "eth_thin": lambda: tiny_filtered_cfg(64, {"variant": "flat", "spacing": 0.5},
                                                   e_center=0.0, delta_e=1e-17),
@@ -335,9 +345,10 @@ def test_bad_field_fails_at_load(tmp_path, monkeypatch, which, field, bad):
             "tab_protocol": lambda: strong_scale_cfg({"variant": "tabulated",
                                                       "table": PROTOCOL_TABLE(tmp_path)})}[which]()
     cfg = set_field(base, field, bad(tmp_path) if callable(bad) else bad)
-    with pytest.raises(ConfigError, match=re.escape(field)):
+    match = BAD_FIELD_RULES.get(which, "") + re.escape(field)
+    with pytest.raises(ConfigError, match=match):
         harness.validate_scenario_config(cfg)
-    with pytest.raises(ConfigError, match=re.escape(field)):
+    with pytest.raises(ConfigError, match=match):
         harness.run(cfg, tmp_path)
 
 
@@ -425,9 +436,22 @@ FINITE = r"profile\.table .*must be finite"
 NAN_ENERGY = table_csv([0.0, 1.0, np.nan, 3.0], [1.0, 0.5, 0.25, 0.125], "nan.csv")
 INF_ENERGY = table_csv([0.0, 1.0, 2.0, np.inf], [1.0, 0.5, 0.25, 0.125], "inf.csv")
 
+
+def aliased_sweep(tmp_path):
+    return {"sweep": {"base": small_fidelity_cfg(), "variations": [{"model.m": 1}]}}
+
+
 # (command, config factory, (old, new) edit of its YAML text or None, what the error says):
-# each error names the field, and the table errors say what is wrong with the table
+# each error names the field (a YAML list, the config), and the table errors say what is
+# wrong with the table
 LOAD_FAILURES = [
+    pytest.param(harness.run, lambda tmp_path: [small_fidelity_cfg()], None,
+                 "^config must be a YAML mapping$", id="yaml-list"),
+    # the alias repeats the anchored variation's node: not a key given twice, so the
+    # variation's own check is what fails
+    pytest.param(harness.run_sweep, aliased_sweep,
+                 ("  - model.m: 1\n", "  - &v\n    model.m: 1\n  - *v\n"),
+                 r"^model\.m must be a whole number >= 2, got 1$", id="yaml-alias"),
     pytest.param(harness.run, lambda tmp_path: small_fidelity_cfg(),
                  ("seed: 1\n", "seed: 1\nseed: 2\n"), r"'seed' is given twice",
                  id="yaml-key-twice"),
@@ -993,11 +1017,18 @@ def test_compare_files_bad_field(tmp_path, field, bad):
         harness.compare_files(cfg, tmp_path)
 
 
-@pytest.mark.parametrize("text", ["t,x,y\n0,1\n1,2\n", "t,x\n", "t,x\n# 0,1\n\n",
-                                  "t,x\n0,1\n1,2,3\n"],
-                         ids=["header_wider", "header_only", "comments_only", "ragged"])
-@pytest.mark.parametrize("where", ["read_csv", "file_a", "file_b", "profile.table",
-                                   "protocol.table"])
+BAD_CSVS = {"header_wider": "t,x,y\n0,1\n1,2\n", "header_only": "t,x\n",
+            "comments_only": "t,x\n# 0,1\n\n", "ragged": "t,x\n0,1\n1,2,3\n"}
+TABLES = ["profile.table", "protocol.table"]
+
+
+# every bad shape wherever a CSV is read, and a well-formed table of three columns
+@pytest.mark.parametrize("where,text", [
+    *(pytest.param(where, text, id=f"{where}-{name}") for where in
+      ["read_csv", "file_a", "file_b", *TABLES] for name, text in BAD_CSVS.items()),
+    *(pytest.param(where, "E,x,y\n0,1,2\n1,2,3\n", id=f"{where}-three_columns")
+      for where in TABLES),
+])
 def test_bad_csv_shape_is_an_error_naming_the_file(tmp_path, text, where):
     bad = tmp_path / "bad.csv"
     bad.write_text(text, encoding="utf-8")
@@ -1182,7 +1213,8 @@ def test_cli_overflowing_drive_fails_at_load(tmp_path, monkeypatch, capsys, comm
     assert cli_error(tmp_path, capsys, command, given, "given") == "SolverBlowUpError"
 
 
-# given, derived and split steps too fine for the arrays they size (1e-310: too fine to count)
+# given and derived solver steps too fine for the arrays they size, and split steps past the
+# 2**52 whose midpoint times are exact (1e-310: too fine to count)
 def too_fine_trotter(protocol, step):
     return set_field(set_field(set_field(small_trotter_cfg(), "model.m", 64), "protocol", protocol),
                      "model.trotter_step", step)
@@ -1211,15 +1243,17 @@ TOO_FINE = [
 
 @pytest.mark.parametrize("command,cfg,key", TOO_FINE)
 def test_cli_too_fine_step_fails_at_load(tmp_path, monkeypatch, capsys, command, cfg, key):
-    # a step is sized at load: one that overflows its count, or whose arrays would not fit in
-    # memory, is a ConfigError naming its key, before the directory, a sample or a solve
+    # a step is checked at load: a solver step whose count overflows or whose arrays would not
+    # fit in memory, or a split step with more steps than exact midpoint times, is a
+    # ConfigError naming its key, before the directory, a sample or a solve
     monkeypatch.setattr(rmt, "sample_v", _must_not_run)
     monkeypatch.setattr(response, "gamma_rows", _must_not_run)
     path = write_cfg(tmp_path, cfg)
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     record = json.loads(capsys.readouterr().out)
     assert record["error"] == "ConfigError"
-    assert record["message"].startswith(key + " ") and "physical memory" in record["message"]
+    rule = "past 2**52 steps" if key == "model.trotter_step" else "physical memory"
+    assert record["message"].startswith(key + " ") and rule in record["message"]
     assert not (tmp_path / "out").exists()
 
 
@@ -1238,23 +1272,46 @@ def test_grid_beyond_memory_fails_at_load(tmp_path, monkeypatch):
     assert harness._plan(cfg).solver == plan.solver  # exactly the memory: it loads
 
 
-def test_split_step_beyond_memory_fails_at_load(tmp_path, monkeypatch):
-    # the benchmark's sinusoid_trotter workload under the pseudorandom_a drive, on a host with
-    # one byte less than a block of 64 of its 320 outputs' midpoint drive values at eval_f's
-    # peak for that drive (20 float64s a value, the times included), with the block before
+def test_split_step_past_exact_midpoints_fails_at_load(tmp_path, monkeypatch):
+    # one output step of 1 split into 2**52 steps: each midpoint index k + 1/2 is an exact
+    # float; one step more is refused at load, naming the key, with no directory
     monkeypatch.setattr(rmt, "sample_v", _must_not_run)
-    cfg = harness.load_config(ROOT / "perfbench" / "workloads" / "sinusoid_trotter.yaml")
-    cfg["protocol"]["variant"] = "pseudorandom_a"
-    n_sub = harness._plan(cfg).split[0]
-    need = 8 * 64 * n_sub * (20 + 1)
-    monkeypatch.setattr(harness, "_physical_memory", lambda: need - 1)
-    with pytest.raises(ConfigError, match=r"^model\.trotter_step .* physical memory"):
+    monkeypatch.setattr(response, "gamma_rows", _must_not_run)
+    cfg = set_field(set_field(too_fine_trotter(SINUSOID, 2.0**-52), "grid.t_max", 1.0),
+                    "grid.n_out", 1)
+    assert harness._plan(cfg).split == (2**52, 2.0**-52)
+    cfg = set_field(cfg, "model.trotter_step", 1.0 / (2**52 + 1))
+    with pytest.raises(ConfigError, match=r"^model\.trotter_step .*: 4\.5e\+15 split steps to "
+                                          r"t = 1: past 2\*\*52 steps"):
         harness.run(cfg, tmp_path / "out")
     assert not (tmp_path / "out").exists()
-    # exactly the memory: the split step passes, and the solver's larger g and c fail next
+
+
+# the output grid's times and their arange, 16 (n_out + 1) bytes, are sized at load
+GRID_MEMORY = [
+    pytest.param(harness.run, small_fidelity_cfg(m=64), "prediction.solver_step", id="simulate"),
+    pytest.param(harness.run_respond, respond_cfg(), "solver_step", id="respond"),
+    pytest.param(harness.run_approx, drop_field(strong_scale_cfg(), "scenario"), None,
+                 id="approx"),
+]
+
+
+@pytest.mark.parametrize("command,cfg,next_key", GRID_MEMORY)
+def test_output_grid_beyond_memory_fails_at_load(tmp_path, monkeypatch, command, cfg, next_key):
+    monkeypatch.setattr(rmt, "sample_v", _must_not_run)
+    monkeypatch.setattr(response, "gamma_rows", _must_not_run)
+    need = 16 * (cfg["grid"]["n_out"] + 1)
+    monkeypatch.setattr(harness, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ConfigError, match=r"^grid\.n_out \d+: .* physical memory"):
+        command(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    # exactly the memory: the grid passes, and a solver's larger g and c fail next
     monkeypatch.setattr(harness, "_physical_memory", lambda: need)
-    with pytest.raises(ConfigError, match=r"^prediction\.solver_step .* physical memory"):
-        harness._plan(cfg)
+    if next_key is None:
+        command(cfg, tmp_path / "out")
+    else:
+        with pytest.raises(ConfigError, match=rf"^{re.escape(next_key)} .* physical memory"):
+            command(cfg, tmp_path / "out")
 
 
 @pytest.mark.parametrize("run,cfg,after", [

@@ -195,6 +195,23 @@ def test_validation():
         profiles.v_of_t(exp_profile(), np.inf)
 
 
+@pytest.mark.parametrize("call,message", [
+    pytest.param(lambda: profiles.PerturbationProfile("gaussian", 1.0),
+                 "unknown profile variant 'gaussian'", id="variant"),
+    pytest.param(lambda: profiles.PerturbationProfile("exponential", 1.0, delta_v=0.0),
+                 "delta_v must be positive", id="delta_v_zero"),
+    pytest.param(lambda: profiles.PerturbationProfile("exponential", 1.0, delta_v=-0.5),
+                 "delta_v must be positive", id="delta_v_negative"),
+    pytest.param(lambda: profiles.v_second_deriv(exp_profile(), np.nan),
+                 "time argument must be finite", id="vdd_nan"),
+    pytest.param(lambda: profiles.v_second_deriv(exp_profile(), [0.0, -np.inf]),
+                 "time argument must be finite", id="vdd_inf"),
+])
+def test_profile_guards_name_their_rule(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # samples both tabulated constructors reject through the one check, protocols._check_samples
 BAD_SAMPLES = [
     pytest.param(None, [1.0, 0.5], id="no-points"),

@@ -138,6 +138,14 @@ def test_gamma_rows_rejects_bad_ends_before_solving(monkeypatch, t_primes, ends)
         response.gamma_rows(exp_profile(), proto, 0.01, t_primes, ends)
 
 
+@pytest.mark.parametrize("t_primes, ends", [([0.3], [0]), ([0.0, 0.3], [0, 0])],
+                         ids=["one_row", "two_rows"])
+def test_gamma_rows_needs_a_step_beyond_zero(t_primes, ends):
+    proto = protocols.DrivingProtocol(variant="step", f0=0.04, period=0.5)
+    with pytest.raises(ValueError, match="need at least one step beyond t = 0, got n = 0"):
+        response.gamma_rows(exp_profile(), proto, 0.01, t_primes, ends)
+
+
 def test_blowup_raises():
     p = exp_profile(v0=50.0, dv=0.5, d0=512.0)
     proto = protocols.DrivingProtocol(variant="constant", f0=5.0)

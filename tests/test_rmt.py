@@ -477,6 +477,27 @@ def test_trotter_memory_stays_two_matrices_and_blocks():
     assert peak < (2 * m + 6 * 64) * m * 16
 
 
+def test_split_step_memory_does_not_grow_with_the_step_count():
+    # the drive is evaluated 64 midpoints at a time, so the split step's traced peak is the same
+    # at 32 steps an output step (2 outputs: one chunk of 64) and at 8192 (256 chunks); the
+    # warm-up call first fills numpy's caches
+    model = small_fidelity_model(m=16)
+    proto = protocols.DrivingProtocol(variant="pseudorandom_a", f0=0.3, period=0.7)
+    t = np.linspace(0.0, 0.2, 3)
+
+    def peak(n_sub):
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            rmt._propagate_trotter(model, proto, t, 0.1 / n_sub)
+            return tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+
+    peak(32)
+    assert peak(8192) <= peak(32) + 2**12
+
+
 def test_piecewise_memory_stays_one_eigenbasis_per_value():
     # K = 2 distinct f values: their eigenbases, and nothing m x m beside them, since LAPACK
     # works on H0 + f V in V's own lower triangle, not in a buffer of its own
@@ -751,6 +772,48 @@ def test_trotter_step_must_respect_switches():
     with pytest.raises(ConfigError):
         rmt.propagate(model, proto, t, method="trotter", step=0.1)
     rmt.propagate(model, proto, np.linspace(0.0, 1.0, 21), method="trotter", step=0.05)
+
+
+SINE = protocols.DrivingProtocol(variant="sinusoid", f0=0.1, period=0.5)
+
+
+def trotter_on(t, step=0.05):
+    return lambda: rmt.propagate(small_fidelity_model(m=16), SINE, np.asarray(t),
+                                 method="trotter", step=step)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda: rmt.propagate(small_fidelity_model(m=16), SINE, np.linspace(0, 1, 11),
+                                       method="rk4"),
+                 ConfigError, "unknown propagation method 'rk4'", id="method"),
+    pytest.param(trotter_on(np.linspace(0.1, 1.0, 10)), ConfigError,
+                 "needs a uniform grid starting at t = 0", id="trotter_late_start"),
+    pytest.param(trotter_on([0.0]), ConfigError, "needs a uniform grid starting at t = 0",
+                 id="trotter_one_time"),
+    pytest.param(trotter_on([0.0, 0.1, 0.3]), ConfigError, "needs a uniform output grid",
+                 id="trotter_uneven"),
+    pytest.param(trotter_on([0.0, 1.0], 1.0 / (2**52 + 1)), ConfigError,
+                 r"past 2\*\*52 steps", id="trotter_past_exact_midpoints"),
+    pytest.param(trotter_on([0.0, 1.0], 1e-310), ConfigError, "^inf split steps",
+                 id="trotter_uncountable"),
+    pytest.param(lambda: rmt.SpectrumSpec(m=1), ValueError, "at least two levels", id="m"),
+    pytest.param(lambda: rmt.SpectrumSpec(m=4, variant="gapped"), ValueError,
+                 "unknown spectrum variant 'gapped'", id="spectrum_variant"),
+    pytest.param(lambda: rmt.SpectrumSpec(m=4, spacing=0.0), ValueError,
+                 "flat spacing must be positive", id="spacing"),
+    pytest.param(lambda: rmt.SpectrumSpec(m=4, variant="cosine_modulated", mean_spacing=-1.0),
+                 ValueError, "mean spacing must be positive", id="mean_spacing"),
+    pytest.param(lambda: rmt.SpectrumSpec(m=4, variant="cosine_modulated", alpha=-0.1),
+                 ValueError, "alpha must be >= 0", id="alpha"),
+    pytest.param(lambda: rmt.build_initial_state(np.arange(4.0), "thermal", 1), ValueError,
+                 "unknown initial-state kind", id="state_kind"),
+    pytest.param(lambda: rmt.build_initial_state(np.arange(4.0), "filtered_random", 1,
+                                                 delta_e=0.0),
+                 ValueError, "delta_e must be positive", id="delta_e"),
+])
+def test_public_guards_name_their_rule(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 # --- auxiliary Hamiltonian ----------------------------------------------------------
