@@ -10,7 +10,7 @@ class GridMismatchError(ValueError):
 
 
 class SolverBlowUpError(RuntimeError):
-    """The response-function solver left its stability envelope (|gamma| > 10)."""
+    """The response-function solver left its stability envelope (|gamma| > 10, or NaN)."""
 
     def __init__(self, t: float, value: float):
         self.t = t

@@ -335,15 +335,19 @@ def _plan(cfg: dict) -> _Plan:
                           f"but model.initial_state.kind is {state['kind']!r}")
     if obs["kind"] == "eth" and m % 2:
         raise ConfigError(f"model.m must be even for the two-sector eth observable, got {m}")
-    variant = protocol.variant
-    if model["method"] == "piecewise_exact" and variant not in protocols.PIECEWISE_CONSTANT:
-        raise ConfigError(f"model.method piecewise_exact needs protocol.variant in "
-                          f"{list(protocols.PIECEWISE_CONSTANT)}, got {variant!r}")
+    if model["method"] == "piecewise_exact":
+        if protocol.variant not in protocols.PIECEWISE_CONSTANT:
+            raise ConfigError(f"model.method piecewise_exact needs protocol.variant in "
+                              f"{list(protocols.PIECEWISE_CONSTANT)}, got {protocol.variant!r}")
+        try:
+            protocol.piecewise_segments(t_end)  # its pieces: a ValueError if too many to count
+        except ValueError as exc:
+            raise ConfigError(f"protocol.period {protocol.period!r}: {exc}") from None
     split = None
     if model["method"] == "trotter":
-        try:
+        try:  # split_step also raises piecewise_segments' ValueError
             split = rmt.split_step(protocol, dt, model["trotter_step"], t_end)
-        except ConfigError as exc:
+        except ValueError as exc:
             raise ConfigError(f"model.trotter_step {model['trotter_step']!r}: {exc}") from None
     index = state["index"] = m // 2 if state["index"] == "middle" else state["index"]
     if index >= m:
@@ -370,17 +374,14 @@ def _solver_grid(section: dict, profile, protocol, t_end: float, t_out, t_primes
                  where: str) -> tuple:
     """The solver grid (substeps, h) = subdivide(dt, step) of a _gamma_on_grid call on t_out and
     t_primes: step is section's solver_step, else default_step up to t_end, checked.  A
-    ConfigError if substeps overflows, or if the solver's g and c exceed _physical_memory()."""
+    ConfigError if the solver's g and c exceed _physical_memory()."""
     h = section["solver_step"] or response.default_step(profile, protocol, t_end)  # given: > 0
     try:
         _SOLVER_STEP[0][1](h)
     except ValueError as exc:  # only a default can fail: a given step passed this check at load
         raise ConfigError(f"{where}solver_step must be {exc}, got default_step's {h!r}") from None
     what = f"{where}solver_step {'' if section['solver_step'] else 'null, default_step '}{h!r}"
-    try:
-        k, h = protocols.subdivide(float(t_out[1]), h)
-    except OverflowError:  # dt / step is inf: too many steps to count, and to hold below
-        k, h = math.inf, None
+    k, h = protocols.subdivide(float(t_out[1]), h)  # an uncountable k is inf: past any memory
     rows, n_out = len(t_out) + len(t_primes), len(t_out) - 1
     need, have = 16 * rows * (float(k) * n_out + 1), _physical_memory()  # past 1.8e308: inf
     if need > have:

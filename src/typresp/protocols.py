@@ -17,6 +17,8 @@ for the interpolant (piecewise polynomial) by the pure function
 _table_f1_f2, which meets the 1e-10 fallback tolerance on smooth inputs.
 _check_samples is the one check of a table, shared with the tabulated
 profiles: at least 2 matching, finite 1-d samples at strictly increasing x.
+subdivide is the one count of pieces (inf past float range): piecewise_segments
+yields a drive's pieces one at a time, stores none and refuses an inf count.
 
 eval_f, f1_f2 and phi_arrays take t as numpy does and return its shape (a
 scalar gives 0-d results); frequency sums run on a trailing axis.  Powers are
@@ -96,21 +98,19 @@ class DrivingProtocol:
         return None
 
     def piecewise_segments(self, t_max: float):
-        """Piecewise-constant segmentation on [0, t_max], or None.
-
-        Returns (boundaries, values) with len(values) = len(boundaries) - 1.
-        Only the PIECEWISE_CONSTANT variants have one.
-        """
+        """The pieces (t0, t1, f) of f on [0, t_max], yielded one at a time, or None if f is not
+        PIECEWISE_CONSTANT.  Constant is one piece; step's piece k < n = subdivide(t_max, T/2)[0]
+        spans [k T/2, (k + 1) T/2] (the last ends at t_max), f = (-1)^k f0; inf n: a ValueError."""
         if self.variant not in PIECEWISE_CONSTANT:
             return None
         if self.variant == "constant":
-            return np.array([0.0, t_max]), np.array([self.f0])
-        half = self.period / 2.0
-        nseg = subdivide(t_max, half)[0]  # t_max = 0: one empty segment
-        bounds = np.arange(nseg + 1) * half
-        bounds[-1] = t_max
-        vals = np.where(np.arange(nseg) % 2 == 0, self.f0, -self.f0)
-        return bounds, vals
+            return iter([(0.0, t_max, self.f0)])
+        half, f0 = self.period / 2.0, self.f0
+        n = subdivide(t_max, half)[0]  # t_max = 0: one empty piece
+        if n == np.inf:  # no run could draw them to t_max
+            raise ValueError(f"the step drive's pieces to t = {t_max:.6g} are too many to count")
+        return ((k * half, t_max if k == n - 1 else (k + 1) * half, -f0 if k % 2 else f0)
+                for k in range(n))
 
 
 def _check_samples(x, y, what: str) -> tuple:
@@ -126,8 +126,10 @@ def _check_samples(x, y, what: str) -> tuple:
 
 
 def subdivide(span: float, step: float) -> tuple:
-    """(n, span / n): the fewest n >= 1 pieces of span no longer than step (1e-12 slack)."""
-    n = max(1, int(np.ceil(span / step - 1e-12)))
+    """(n, span / n): the fewest n >= 1 pieces of span no longer than step (1e-12 slack); n is
+    inf, and span / n 0, where span / step overflows or is NaN."""
+    q = np.ceil(span / step - 1e-12)
+    n = max(1, int(q)) if np.isfinite(q) else np.inf
     return n, span / n
 
 

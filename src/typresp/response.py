@@ -67,7 +67,7 @@ def _volterra_heun(phi1, phi2, v_grid, vdd_grid, h: float, ends) -> np.ndarray:
         inner = np.einsum("ij,ij->i", g[a, i:0:-1], c[a, 1 : i + 1])
         d_pred = -h * (0.5 * (g_i + h * d_prev[a]) * (k0[a] + k) + inner)
         g_next = g_i + 0.5 * h * (d_prev[a] + d_pred)
-        over = np.abs(g_next) > BLOWUP_THRESHOLD
+        over = ~(np.abs(g_next) <= BLOWUP_THRESHOLD)  # a NaN step blows up too
         if over.any():
             raise SolverBlowUpError((i + 1) * h, g_next[np.argmax(over)])
         g[a, i + 1] = g_next

@@ -30,8 +30,10 @@ call raises (`_lent_lower`).  So V must be writable and Hermitian as sampled,
 its lower triangle bitwise 0 + conj(upper) (any other V is a ValueError
 before any work), and one model must not be propagated from two threads at
 once.  Trotter: V, V's eigenvectors and M; f is evaluated _BLOCK midpoints at
-a time.  Everything else is m x _BLOCK blocks: V and A are drawn row by row
-into their own storage and mirrored by row blocks.
+a time.  Neither route holds anything that grows with the step or switch count
+(the piecewise route draws the drive's pieces one at a time).  Everything else
+is m x _BLOCK blocks: V and A are drawn row by row into their own storage and
+mirrored by row blocks.
 
 All randomness flows from one 64-bit master seed through named PCG64
 substreams (one per matrix/vector), so adding an observable never perturbs
@@ -40,6 +42,7 @@ the V sample.
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Optional
@@ -453,26 +456,22 @@ def undriven_series(model: RandomMatrixModel, t_grid: np.ndarray) -> np.ndarray:
 
 
 def _propagate_piecewise(model, protocol, t_grid):
-    segs = protocol.piecewise_segments(float(t_grid[-1]))
-    if segs is None:
-        raise ConfigError(
-            f"piecewise-exact propagation needs a piecewise-constant protocol, "
-            f"not {protocol.variant!r}"
-        )
-    bounds, values = segs
+    pieces = protocol.piecewise_segments(float(t_grid[-1]))
+    if pieces is None:
+        raise ConfigError(f"piecewise-exact propagation needs a piecewise-constant protocol, "
+                          f"not {protocol.variant!r}")
     cache = {0.0: (model.energies, None)}  # f = 0: pure phase evolution, V is not lent
-    groups = {}  # f -> (start coefficients, output indices) of its segments with outputs
+    groups = {}  # f -> (start coefficients, output indices) of its pieces with outputs
     taus = np.empty(len(t_grid))
     psi = model.initial_state
     oi = 0
-    with _lent_lower(model) if np.any(values != 0) else nullcontext() as eig:
-        for k in range(len(values)):
-            t0, t1, fv = bounds[k], bounds[k + 1], float(values[k])
+    with _lent_lower(model) if protocol.f0 != 0 else nullcontext() as eig:  # each f is +-f0
+        for t0, t1, fv in pieces:
             if fv not in cache:
                 cache[fv] = eig(fv)
             w, u = cache[fv]
             c = psi if u is None else _to_basis(u, psi)
-            oj = int(np.searchsorted(t_grid, t1 + 1e-12, side="right"))  # t1: this segment
+            oj = int(np.searchsorted(t_grid, t1 + 1e-12, side="right"))  # t1: this piece
             if oj > oi:
                 starts, outputs = groups.setdefault(fv, ([], []))
                 starts.append(c)
@@ -498,21 +497,18 @@ def split_step(protocol: protocols.DrivingProtocol, dt_out: float, step: float,
     """(n_sub, h): the largest split step h = dt_out / n_sub <= step.
 
     ConfigError unless the run to t_end takes at most 2**52 steps (past them, k + 1/2 of a
-    midpoint time (k + 1/2) h rounds) and h divides the segment length of a piecewise-constant
-    protocol that switches before t_end (no step may straddle a switch).
-    """
-    try:
-        n_sub, h = protocols.subdivide(dt_out, step)
-    except OverflowError:  # dt_out / step is inf: too many steps to count
-        n_sub = h = np.inf
+    midpoint time (k + 1/2) h rounds) and a drive that switches before t_end starts with a
+    whole number >= 1 of steps h (no step may straddle a switch).  piecewise_segments, which
+    gives the first two pieces, raises a ValueError if the pieces are too many to count."""
+    n_sub, h = protocols.subdivide(dt_out, step)
     steps = n_sub * float(round(t_end / dt_out))  # exact up to 2**53
     if steps > 2**52:
         raise ConfigError(f"{steps:.3g} split steps to t = {t_end:.6g}: past 2**52 steps, the "
                           "midpoint time (k + 1/2) h of step k is not exact")
-    segs = protocol.piecewise_segments(t_end)
-    if segs is not None and len(segs[1]) > 1:
-        switch = float(segs[0][1] - segs[0][0])
-        if abs(switch / h - round(switch / h)) > 1e-9:
+    pieces = list(itertools.islice(protocol.piecewise_segments(t_end) or (), 2))
+    if len(pieces) > 1:  # the drive switches before t_end, first at t1 of its first piece
+        switch = pieces[0][1] - pieces[0][0]
+        if round(switch / h) < 1 or abs(switch / h - round(switch / h)) > 1e-9:
             raise ConfigError(f"split-step size {h:.6g} must divide the protocol segment length "
                               f"{switch:.6g} for piecewise-constant protocols")
     return n_sub, h

@@ -1213,46 +1213,62 @@ def test_cli_overflowing_drive_fails_at_load(tmp_path, monkeypatch, capsys, comm
     assert cli_error(tmp_path, capsys, command, given, "given") == "SolverBlowUpError"
 
 
-# given and derived solver steps too fine for the arrays they size, and split steps past the
-# 2**52 whose midpoint times are exact (1e-310: too fine to count)
+# given and derived solver steps too fine for the arrays they size, split steps past the
+# 2**52 whose midpoint times are exact (1e-310: too fine to count), split steps longer than
+# the step drive's pieces, and step drives with pieces too many to count (period 1e-310)
 def too_fine_trotter(protocol, step):
     return set_field(set_field(set_field(small_trotter_cfg(), "model.m", 64), "protocol", protocol),
                      "model.trotter_step", step)
 
 
+def fast_step_trotter(period):
+    cfg = too_fine_trotter({"variant": "step", "f0": 0.08, "period": period}, 0.01)
+    return set_field(set_field(cfg, "grid", {"t_max": 160.0, "n_out": 1600}), "prediction.t_max",
+                     1.0)
+
+
 SINUSOID = {"variant": "sinusoid", "f0": 0.08, "period": 0.5}
+MEMORY, MIDPOINTS, DIVIDE = "physical memory", "past 2**52 steps", "must divide"
+COUNT = "pieces to t = 160 are too many to count"
 TOO_FINE = [
     pytest.param("simulate", set_field(small_fidelity_cfg(m=64), "prediction.solver_step", 1e-300),
-                 "prediction.solver_step", id="solver_step"),
+                 "prediction.solver_step", MEMORY, id="solver_step"),
     pytest.param("simulate", set_field(small_fidelity_cfg(m=64), "prediction.solver_step", 1e-310),
-                 "prediction.solver_step", id="solver_step_inf"),
+                 "prediction.solver_step", MEMORY, id="solver_step_inf"),
     pytest.param("simulate", set_field(small_fidelity_cfg(m=64), "protocol.f0", 1e100),
-                 "prediction.solver_step", id="default_step"),
+                 "prediction.solver_step", MEMORY, id="default_step"),
     pytest.param("respond", set_field(respond_cfg(), "solver_step", 1e-300), "solver_step",
-                 id="respond"),
+                 MEMORY, id="respond"),
     pytest.param("respond", set_field(respond_cfg(), "solver_step", 1e-310), "solver_step",
-                 id="respond_inf"),
+                 MEMORY, id="respond_inf"),
     pytest.param("simulate", too_fine_trotter(SINUSOID, 1e-300), "model.trotter_step",
-                 id="trotter_sinusoid"),
+                 MIDPOINTS, id="trotter_sinusoid"),
     pytest.param("simulate", too_fine_trotter(small_fidelity_cfg()["protocol"], 1e-300),
-                 "model.trotter_step", id="trotter_step"),
+                 "model.trotter_step", MIDPOINTS, id="trotter_step"),
     pytest.param("simulate", too_fine_trotter(SINUSOID, 1e-310), "model.trotter_step",
-                 id="trotter_inf"),
+                 MIDPOINTS, id="trotter_inf"),
+    pytest.param("simulate", fast_step_trotter(1e-7), "model.trotter_step", DIVIDE,
+                 id="trotter_longer_than_a_piece"),
+    pytest.param("simulate", fast_step_trotter(1e-310), "model.trotter_step", COUNT,
+                 id="trotter_pieces_inf"),
+    pytest.param("simulate", set_field(set_field(fast_step_trotter(1e-310), "model.method",
+                                                 "piecewise_exact"), "model.trotter_step", None),
+                 "protocol.period", COUNT, id="piecewise_pieces_inf"),
 ]
 
 
-@pytest.mark.parametrize("command,cfg,key", TOO_FINE)
-def test_cli_too_fine_step_fails_at_load(tmp_path, monkeypatch, capsys, command, cfg, key):
+@pytest.mark.parametrize("command,cfg,key,rule", TOO_FINE)
+def test_cli_too_fine_step_fails_at_load(tmp_path, monkeypatch, capsys, command, cfg, key, rule):
     # a step is checked at load: a solver step whose count overflows or whose arrays would not
-    # fit in memory, or a split step with more steps than exact midpoint times, is a
-    # ConfigError naming its key, before the directory, a sample or a solve
+    # fit in memory, a split step with more steps than exact midpoint times or longer than a
+    # piece of the drive, or a drive with pieces past counting, is a ConfigError naming its
+    # key, before the directory, a sample or a solve
     monkeypatch.setattr(rmt, "sample_v", _must_not_run)
     monkeypatch.setattr(response, "gamma_rows", _must_not_run)
     path = write_cfg(tmp_path, cfg)
     assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
     record = json.loads(capsys.readouterr().out)
     assert record["error"] == "ConfigError"
-    rule = "past 2**52 steps" if key == "model.trotter_step" else "physical memory"
     assert record["message"].startswith(key + " ") and rule in record["message"]
     assert not (tmp_path / "out").exists()
 

@@ -233,14 +233,36 @@ def test_protocol_guards_name_their_rule(kwargs, message):
 
 
 def test_piecewise_segments():
+    # the pieces are yielded, not stored: piece k spans [k T/2, (k + 1) T/2], the last ends at
+    # t_max, and f alternates from f0
     p = make("step", f0=0.2, period=1.0)
-    bounds, vals = p.piecewise_segments(2.3)
+    pieces = p.piecewise_segments(2.3)
+    assert iter(pieces) is pieces
+    t0, t1, vals = zip(*pieces)
+    bounds = t0 + t1[-1:]
     assert bounds[0] == 0.0 and bounds[-1] == 2.3
+    assert t0 == tuple(np.arange(5) * 0.5) and t1 == t0[1:] + (2.3,)
     assert list(vals) == [0.2, -0.2, 0.2, -0.2, 0.2]
-    assert [list(a) for a in p.piecewise_segments(0.0)] == [[0.0, 0.0], [0.2]]
+    assert list(p.piecewise_segments(0.0)) == [(0.0, 0.0, 0.2)]
     assert make("sinusoid").piecewise_segments(1.0) is None
-    cb, cv = make("constant", f0=0.5).piecewise_segments(4.0)
-    assert list(cb) == [0.0, 4.0] and list(cv) == [0.5]
+    cb0, cb1, cv = zip(*make("constant", f0=0.5).piecewise_segments(4.0))
+    assert list(cb0 + cb1) == [0.0, 4.0] and list(cv) == [0.5]
+    # pieces too many to count are refused when asked for, not drawn without end
+    with pytest.raises(ValueError, match="pieces to t = 1 are too many to count"):
+        make("step", f0=0.2, period=1e-310).piecewise_segments(1.0)
+
+
+@pytest.mark.parametrize("span,step,expected", [
+    (1.0, 0.3, (4, 0.25)),
+    (1.0, 0.25 * (1 + 1e-13), (4, 0.25)),  # within the 1e-12 slack: no fifth piece
+    (1.0, 2.0, (1, 1.0)),
+    (0.0, 0.1, (1, 0.0)),
+    (1.0, 1e-310, (np.inf, 0.0)),  # span / step overflows: no count
+    (1.0, np.nan, (np.inf, 0.0)),
+])
+def test_subdivide(span, step, expected):
+    n, h = protocols.subdivide(span, step)
+    assert (n, h) == expected and isinstance(n, int) == np.isfinite(n)
 
 
 # --- the trig drives' one closed form against their hand-integrated forms ------

@@ -1,11 +1,13 @@
 """Response-function solver: limits, convergence, prediction assembly."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from typresp import approximations, profiles, protocols, response
+from typresp import approximations, cli, harness, profiles, protocols, response
 from typresp.errors import GridMismatchError, SolverBlowUpError
 
 
@@ -183,6 +185,24 @@ def test_diagonal_blowup_at_first_step_past_threshold():
         response.gamma_diagonal_values(BLOWUP_PROFILE, BLOWUP_DRIVE, h, n)
     assert info.value.t == first * h
     assert abs(info.value.value) > response.BLOWUP_THRESHOLD
+
+
+# a drive of period 1e-310 overflows its frequency: numpy warns (a RuntimeWarning on stderr
+# outside the suite) and phi is NaN; the NaN rows are what this test checks
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_nan_row_is_a_blow_up(tmp_path, capsys):
+    # NaN passes no threshold test, so only "not |gamma| <= 10" stops it at its first step
+    cfg = {"protocol": {"variant": "sinusoid", "f0": 0.04, "period": 1.0e-310},
+           "profile": {"variant": "exponential", "v0": 1.0, "delta_v": 0.5, "d0": 100.0},
+           "grid": {"t_max": 1.0, "n_out": 10}, "solver_step": 0.01}
+    path = tmp_path / "respond.yaml"
+    path.write_text(harness.render_config(cfg), encoding="utf-8")
+    assert cli.main(["respond", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"] == "SolverBlowUpError"
+    assert record["message"].startswith("|gamma| = nan exceeded the blow-up threshold at t = 0.01;")
+    assert not (tmp_path / "out" / "respond_diagonal.csv").exists()
 
 
 @pytest.mark.parametrize("stride", [4, 13, 10])

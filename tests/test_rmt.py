@@ -387,7 +387,8 @@ def small_eth_model(m=64, spacing=1.0 / 8, seed=5):
 
 def expm_loop(model, protocol, t_grid):
     """<A>, <H0>, norm by scipy's expm from t = 0 to each output time in turn."""
-    bounds, values = protocol.piecewise_segments(float(t_grid[-1]))
+    t0, t1, values = zip(*protocol.piecewise_segments(float(t_grid[-1])))
+    bounds = t0 + t1[-1:]
     props = {}  # (f, duration) -> its propagator; whole segments repeat
     rows = []
     for t in t_grid:
@@ -496,6 +497,26 @@ def test_split_step_memory_does_not_grow_with_the_step_count():
 
     peak(32)
     assert peak(8192) <= peak(32) + 2**12
+
+
+def test_piecewise_memory_does_not_grow_with_the_switch_count():
+    # the drive's pieces are drawn one at a time, so a piecewise run's traced peak is the same
+    # at 2**13 pieces to t = 0.25 as at 2**5 (2 outputs); the warm-up call fills numpy's caches
+    model = small_fidelity_model(m=16)
+    t = np.linspace(0.0, 0.25, 3)
+
+    def peak(n_pieces):
+        proto = protocols.DrivingProtocol(variant="step", f0=0.3, period=0.5 / n_pieces)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            rmt.propagate(model, proto, t, method="piecewise_exact")
+            return tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+
+    peak(2**5)
+    assert peak(2**13) <= peak(2**5) + 2**12
 
 
 def test_piecewise_memory_stays_one_eigenbasis_per_value():
@@ -796,6 +817,17 @@ def trotter_on(t, step=0.05):
                  r"past 2\*\*52 steps", id="trotter_past_exact_midpoints"),
     pytest.param(trotter_on([0.0, 1.0], 1e-310), ConfigError, "^inf split steps",
                  id="trotter_uncountable"),
+    pytest.param(lambda: rmt.split_step(protocols.DrivingProtocol("step", f0=0.1, period=1e-12),
+                                        0.1, 0.01, 4.0),
+                 ConfigError, "must divide the protocol segment length 5e-13",
+                 id="split_step_longer_than_a_piece"),
+    pytest.param(lambda: rmt.split_step(protocols.DrivingProtocol("step", f0=0.1, period=1e-310),
+                                        0.1, 0.01, 4.0),
+                 ValueError, "pieces to t = 4 are too many to count", id="split_step_pieces_inf"),
+    pytest.param(lambda: rmt.propagate(small_fidelity_model(m=16),
+                                       protocols.DrivingProtocol("step", f0=0.1, period=1e-310),
+                                       np.linspace(0.0, 1.0, 3), method="piecewise_exact"),
+                 ValueError, "pieces to t = 1 are too many to count", id="piecewise_pieces_inf"),
     pytest.param(lambda: rmt.SpectrumSpec(m=1), ValueError, "at least two levels", id="m"),
     pytest.param(lambda: rmt.SpectrumSpec(m=4, variant="gapped"), ValueError,
                  "unknown spectrum variant 'gapped'", id="spectrum_variant"),
