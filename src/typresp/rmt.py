@@ -21,18 +21,20 @@ and the norm, one GEMM per 64 outputs; every output's norm is checked, per block
 split-stepping, after the last group when piecewise, naming the first t that drifted.
 
 Memory is set by the dense m x m complex arrays (16 m^2 bytes each) alive at
-the propagation peak.  Piecewise: V, a dense A (two-sector observable only)
-and one eigenbasis per distinct f value: K + 2 arrays for K distinct values,
-K + 1 for a diagonal observable.  `evr` works on H0 + f V in V's own storage:
-V lends its strict lower triangle and diagonal, written from its intact upper
-triangle, and gets them back bit for bit after the last call, also when a
-call raises (`_lent_lower`).  So V must be writable and Hermitian as sampled,
-its lower triangle bitwise 0 + conj(upper) (any other V is a ValueError
-before any work), and one model must not be propagated from two threads at
-once.  Trotter: V, V's eigenvectors and M; f is evaluated _BLOCK midpoints at
-a time.  Neither route holds anything that grows with the step or switch count
-(the piecewise route draws the drive's pieces one at a time).  Everything else
-is m x _BLOCK blocks: V and A are drawn row by row into their own storage and
+the propagation peak.  Both routes lend V's storage to LAPACK and get it back bit
+for bit, also when a call raises (`_borrowed`).  So V must be writable and
+Hermitian as sampled, its lower triangle bitwise 0 + conj(upper) (any other V
+is a ValueError before any work), and one model must not be propagated from two
+threads at once.  Piecewise: V, a dense A (two-sector observable only) and one
+eigenbasis per distinct f value: K + 2 arrays for K distinct values, K + 1 for a
+diagonal observable.  `evr` works on H0 + f V in V's strict lower triangle and
+diagonal, written from its intact upper triangle (`_lent_lower`).  Trotter: V,
+V's eigenvectors and half an array: 2.5 arrays, 3.5 with a dense A.  `evr`
+consumes V's own storage and M takes its place, while V's strict upper triangle
+is kept packed (`_lent_whole`); f is evaluated _BLOCK midpoints at a time.
+Neither route holds anything that grows with the step or switch count (the
+piecewise route draws the drive's pieces one at a time).  Everything else is
+m x _BLOCK blocks: V and A are drawn row by row into their own storage and
 mirrored by row blocks.
 
 All randomness flows from one 64-bit master seed through named PCG64
@@ -373,38 +375,85 @@ def _lower_blocks(v: np.ndarray):
 
 
 @contextmanager
-def _lent_lower(model: RandomMatrixModel):
-    """Yields eig(fv): the _eigh of H0 + fv V, written into V's strict lower triangle and
-    diagonal from its intact upper triangle.  On exit, raise or not, the lower triangle is
-    restored as 0 + conj(upper), the mirror _hermitian writes, and the diagonal from a copy.
+def _borrowed(v: np.ndarray):
+    """Yields a copy of V's diagonal to a caller that lends V's storage to LAPACK.  On exit,
+    raise or not, V's strict lower triangle is restored as 0 + conj(upper), the mirror
+    _hermitian writes, and the diagonal from the copy.
 
     First, a ValueError unless V is writable and its lower triangle is bitwise that mirror,
-    so every V accepted comes back bit for bit.  A C-ordered V is lent as the Fortran view
-    V.T, uplo 'U': its lower triangle then takes fv times the upper one, not conjugated.
+    so every V accepted comes back bit for bit.
     """
-    v = model.v_matrix
     if not (v.flags.writeable and all(
             np.where(mask, 0 + upper.conj(), rows).tobytes() == rows.tobytes()
             for rows, mask, upper in _lower_blocks(v))):
-        raise ValueError("piecewise propagation lends V's lower triangle to LAPACK: V must be "
-                         "writable, and its strict lower triangle bitwise 0 + conj of its "
-                         "upper triangle, as sample_v makes it")
-    c_order = v.flags.c_contiguous
-    h, lower = (v.T, False) if c_order else (v, True)
-    diag, on_diag = v.diagonal().copy(), np.diag_indices(len(v))
-
-    def eig(fv: float) -> tuple:
-        for rows, mask, upper in _lower_blocks(v):
-            np.copyto(rows, fv * (upper if c_order else upper.conj()), where=mask)
-        v[on_diag] = model.energies + fv * diag
-        return _eigh(h, lower)
-
+        raise ValueError("propagation lends V's storage to LAPACK: V must be writable, and its "
+                         "strict lower triangle bitwise 0 + conj of its upper triangle, as "
+                         "sample_v makes it")
+    diag = v.diagonal().copy()
     try:
-        yield eig
+        yield diag
     finally:
         for rows, mask, upper in _lower_blocks(v):
             np.copyto(rows, 0 + upper.conj(), where=mask)
-        v[on_diag] = diag
+        v[np.diag_indices(len(v))] = diag
+
+
+@contextmanager
+def _lent_lower(model: RandomMatrixModel):
+    """Yields eig(fv): the _eigh of H0 + fv V, written into V's strict lower triangle and
+    diagonal from its intact upper triangle, which _borrowed restores.
+
+    A C-ordered V is lent as the Fortran view V.T, uplo 'U': its lower triangle then takes
+    fv times the upper one, not conjugated.
+    """
+    v = model.v_matrix
+    with _borrowed(v) as diag:
+        c_order = v.flags.c_contiguous
+        h, lower = (v.T, False) if c_order else (v, True)
+        on_diag = np.diag_indices(len(v))
+
+        def eig(fv: float) -> tuple:
+            for rows, mask, upper in _lower_blocks(v):
+                np.copyto(rows, fv * (upper if c_order else upper.conj()), where=mask)
+            v[on_diag] = model.energies + fv * diag
+            return _eigh(h, lower)
+
+        yield eig
+
+
+def _upper_parts(v: np.ndarray, packed: np.ndarray):
+    """(upper, mask, part) per block of _lower_blocks: part of packed holds upper[mask]."""
+    o = 0
+    for _, mask, upper in _lower_blocks(v):
+        n = o + np.count_nonzero(mask)
+        yield upper, mask, packed[o:n]
+        o = n
+
+
+@contextmanager
+def _lent_whole(v: np.ndarray):
+    """Yields V's own storage as a Fortran-ordered buffer for _eigh to consume and M to fill:
+    its lower triangle and diagonal are those of np.array(V, complex, order='F').  A
+    C-ordered V is lent as V.T, its lower triangle first written transposed over its upper
+    one.  V's strict upper triangle is kept packed meanwhile and written back on exit, raise
+    or not, before _borrowed restores the rest.  A V that is not complex128 cannot hold M,
+    so it is copied to complex instead.
+    """
+    with _borrowed(v):
+        if v.dtype != complex:
+            yield np.array(v, dtype=complex, order="F")
+            return
+        packed = np.empty(len(v) * (len(v) - 1) // 2, dtype=complex)
+        for upper, mask, part in _upper_parts(v, packed):
+            part[:] = upper[mask]
+        try:
+            if v.flags.c_contiguous:
+                for rows, mask, upper in _lower_blocks(v):
+                    np.copyto(upper, rows, where=mask)
+            yield v.T if v.flags.c_contiguous else v
+        finally:
+            for upper, mask, part in _upper_parts(v, packed):
+                upper[mask] = part
 
 
 def _readout(model: RandomMatrixModel, states: np.ndarray) -> np.ndarray:
@@ -528,27 +577,27 @@ def _propagate_trotter(model, protocol, t_grid, step):
     # V's eigenbasis: with y = e^{-iH0h/2} u and M = y^H e^{-iH0h} y
     # (= u^H e^{-iH0h} u), the state after step k is y c_k, c_k = P_k d and
     # d <- M c_k, starting from d = y^H e^{-iH0h} psi0.
-    step_matrix = np.array(model.v_matrix, dtype=complex, order="F")
-    w, y = _eigh(step_matrix)  # consumed: M is formed in it below
-    y *= np.exp(-1j * model.energies * (h / 2.0))[:, None]
-    full = np.exp(-1j * model.energies * h)
-    for s in range(0, len(w), _BLOCK):  # by column blocks: no third m x m array
-        step_matrix[:, s : s + _BLOCK] = _to_basis(y, full[:, None] * y[:, s : s + _BLOCK])
-    n_out = len(t_grid) - 1
-    d = _to_basis(y, full * psi)
-    n = n_out * n_sub  # f_mid[k] = f((k + 1/2) h), evaluated _BLOCK midpoints at a time
-    f_mid = (f for s in range(0, n, _BLOCK)
-             for f in protocols.eval_f(protocol, (np.arange(s, min(s + _BLOCK, n)) + 0.5) * h))
-    block = np.empty((len(w), _BLOCK), dtype=complex, order="F")  # c at outputs, by column
-    for s in range(0, n_out, _BLOCK):
-        n_blk = min(_BLOCK, n_out - s)
-        for j in range(n_blk):
-            for _ in range(n_sub):
-                c = np.exp(-1j * next(f_mid) * w * h) * d
-                d = step_matrix @ c
-            block[:, j] = c
-        outs = slice(s + 1, s + 1 + n_blk)
-        out[:, outs] = _check_norm(_readout(model, y @ block[:, :n_blk]), t_grid[outs])
+    with _lent_whole(model.v_matrix) as step_matrix:
+        w, y = _eigh(step_matrix)  # consumed: M is formed in it below
+        y *= np.exp(-1j * model.energies * (h / 2.0))[:, None]
+        full = np.exp(-1j * model.energies * h)
+        for s in range(0, len(w), _BLOCK):  # by column blocks: no third m x m array
+            step_matrix[:, s : s + _BLOCK] = _to_basis(y, full[:, None] * y[:, s : s + _BLOCK])
+        n_out = len(t_grid) - 1
+        d = _to_basis(y, full * psi)
+        n = n_out * n_sub  # f_mid[k] = f((k + 1/2) h), evaluated _BLOCK midpoints at a time
+        f_mid = (f for s in range(0, n, _BLOCK)
+                 for f in protocols.eval_f(protocol, (np.arange(s, min(s + _BLOCK, n)) + 0.5) * h))
+        block = np.empty((len(w), _BLOCK), dtype=complex, order="F")  # c at outputs, by column
+        for s in range(0, n_out, _BLOCK):
+            n_blk = min(_BLOCK, n_out - s)
+            for j in range(n_blk):
+                for _ in range(n_sub):
+                    c = np.exp(-1j * next(f_mid) * w * h) * d
+                    d = step_matrix @ c
+                block[:, j] = c
+            outs = slice(s + 1, s + 1 + n_blk)
+            out[:, outs] = _check_norm(_readout(model, y @ block[:, :n_blk]), t_grid[outs])
     return out
 
 
@@ -562,12 +611,12 @@ def propagate(
     """Exact Schroedinger propagation under H0 + f(t) V, recorded on t_grid.
 
     piecewise_exact: one eigendecomposition per distinct f value (constant
-    and step protocols only), worked out in V's own lower triangle, which is
-    restored (V must be writable and Hermitian as sample_v makes it, and not
-    propagated from another thread meanwhile: see the module docstring);
-    trotter: the second-order split step of split_step's h (a caller that
-    reports h calls split_step), midpoint f, one matrix-vector product per
-    step in V's eigenbasis (any protocol).
+    and step protocols only); trotter: the second-order split step of
+    split_step's h (a caller that reports h calls split_step), midpoint f, one
+    matrix-vector product per step in V's eigenbasis (any protocol).  Both
+    work in V's own storage and restore it, so V must be writable and
+    Hermitian as sample_v makes it, and not propagated from another thread
+    meanwhile (see the module docstring).
     """
     if method not in METHODS:
         raise ConfigError(f"unknown propagation method {method!r}")

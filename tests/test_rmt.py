@@ -462,8 +462,8 @@ def test_trotter_matches_two_gemv_split_step_any_size(m, n_sub, n_out, kind):
 
 
 def test_trotter_memory_stays_two_matrices_and_blocks():
-    # V's eigenvectors and the step matrix are the two m x m arrays; the
-    # rest is m x 64 blocks (bound: six of them), never a third m x m array
+    # a first run, without a warm-up: V's eigenvectors, the packed half of V and the m x 64
+    # blocks stay under two m x m arrays and six blocks beside V and A
     m = 512
     model = small_eth_model(m=m)
     proto = protocols.DrivingProtocol(variant="sinusoid", f0=0.3, period=0.7)
@@ -476,6 +476,27 @@ def test_trotter_memory_stays_two_matrices_and_blocks():
     finally:
         tracemalloc.stop()
     assert peak < (2 * m + 6 * 64) * m * 16
+
+
+@pytest.mark.parametrize("make_model", [small_fidelity_model, small_eth_model],
+                         ids=["fidelity", "eth"])
+def test_trotter_memory_stays_eigenvectors_and_half_an_array(make_model):
+    # evr works in V's own storage and M takes its place, with V's upper triangle kept packed
+    # meanwhile: over V and A, a warmed-up run holds V's eigenvectors, the packed half of V and
+    # m x 64 blocks, never a copy of V
+    m = 512
+    model = make_model(m=m)
+    proto = protocols.DrivingProtocol(variant="sinusoid", f0=0.3, period=0.7)
+    t = np.linspace(0.0, 1.0, 101)
+    rmt.propagate(model, proto, t, method="trotter", step=0.01)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        rmt.propagate(model, proto, t, method="trotter", step=0.01)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        tracemalloc.stop()
+    assert peak < (3 * m // 2 + 6 * 64) * m * 16
 
 
 def test_split_step_memory_does_not_grow_with_the_step_count():
@@ -536,10 +557,10 @@ def test_piecewise_memory_stays_one_eigenbasis_per_value():
     assert peak < (k * m + 6 * 64) * m * 16
 
 
-def signed_zero_model(order="C"):
+def signed_zero_model(order="C", m=64):
     """small_eth_model with the V of the tabulated sampling profile, whose zero tail leaves
     negative zeros in the imaginary part of V's upper triangle, in the given memory layout."""
-    model = small_eth_model()
+    model = small_eth_model(m=m)
     v = rmt.sample_v(model.energies, SAMPLING_PROFILES["tabulated"], 5)
     assert np.any(np.signbit(v.imag[v.imag == 0]))
     model.v_matrix = np.asarray(v, order=order)
@@ -549,9 +570,9 @@ def signed_zero_model(order="C"):
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("method", ["piecewise_exact", "trotter"])
 def test_propagate_leaves_the_model_unchanged(method, order):
-    # piecewise propagation lends V's lower triangle and diagonal to LAPACK and restores
-    # them; the split step consumes a copy of V: either way V comes back bit for bit,
-    # signed zeros included, whatever its layout
+    # piecewise propagation lends V's lower triangle and diagonal to LAPACK, the split step
+    # all of V's storage; either way V comes back bit for bit, signed zeros included,
+    # whatever its layout
     proto = protocols.DrivingProtocol(variant="step", f0=0.3, period=0.5)
     exponential = small_eth_model()
     exponential.v_matrix = np.asarray(exponential.v_matrix, order=order)
@@ -562,20 +583,57 @@ def test_propagate_leaves_the_model_unchanged(method, order):
             np.testing.assert_array_equal(bits(getattr(model, key)), bits(value))
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_lent_v_is_restored_when_eigh_raises(monkeypatch, order):
-    model = signed_zero_model(order)
+@pytest.mark.parametrize("method, order", [("piecewise_exact", "C"), ("piecewise_exact", "F"),
+                                           ("trotter", "C"), ("trotter", "F")],
+                         ids=["C", "F", "trotter-C", "trotter-F"])
+def test_lent_v_is_restored_when_eigh_raises(monkeypatch, method, order):
+    model = signed_zero_model(order, m=150)  # 64-row blocks: two whole ones and a part
     before = model.v_matrix.copy()
 
-    def fail(*args, **kwargs):
-        assert not np.array_equal(bits(model.v_matrix), bits(before))  # H0 + f V is in V
-        raise np.linalg.LinAlgError("no convergence")
+    def fail(h, lower=True):
+        assert np.shares_memory(h, model.v_matrix)  # LAPACK works in V's own storage
+        tri = np.tri(len(h), dtype=bool)
+        h[tri if lower else tri.T] = np.nan
+        raise np.linalg.LinAlgError("no convergence")  # its triangle and diagonal overwritten
 
     monkeypatch.setattr(rmt, "_eigh", fail)
     proto = protocols.DrivingProtocol(variant="step", f0=0.3, period=0.5)
     with pytest.raises(np.linalg.LinAlgError, match="no convergence"):
-        rmt.propagate(model, proto, np.linspace(0.0, 1.0, 21), method="piecewise_exact")
+        rmt.propagate(model, proto, np.linspace(0.0, 1.0, 21), method=method, step=0.05)
     np.testing.assert_array_equal(bits(model.v_matrix), bits(before))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_lent_v_is_restored_when_the_split_step_drifts(monkeypatch, order):
+    # eigenvectors scaled by 1 + 1e-6 put the norm past NORM_TOL at the first output after
+    # t = 0, so the run raises inside the step loop, after M has taken V's place
+    eigh = rmt._eigh
+    monkeypatch.setattr(rmt, "_eigh", lambda *args, **kwargs: (
+        lambda w, u: (w, (1 + 1e-6) * u))(*eigh(*args, **kwargs)))
+    model = signed_zero_model(order, m=150)
+    before = model.v_matrix.copy()
+    proto = protocols.DrivingProtocol(variant="sinusoid", f0=0.3, period=0.7)
+    with pytest.raises(NormDriftError, match="norm drifted"):
+        rmt.propagate(model, proto, np.linspace(0.0, 1.0, 21), method="trotter", step=0.05)
+    np.testing.assert_array_equal(bits(model.v_matrix), bits(before))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_split_step_shows_evr_a_fortran_copy_of_v(monkeypatch, order):
+    # the buffer lent to evr is V's own storage, and its lower triangle and diagonal are
+    # bitwise those of np.array(V, complex, order="F"), which the split step once consumed
+    model = signed_zero_model(order, m=150)
+    copy = np.array(model.v_matrix, dtype=complex, order="F")
+    eigh = rmt._eigh
+
+    def check(h, lower=True):
+        assert lower and h.flags.f_contiguous and np.shares_memory(h, model.v_matrix)
+        np.testing.assert_array_equal(bits(np.tril(h)), bits(np.tril(copy)))
+        return eigh(h, lower)
+
+    monkeypatch.setattr(rmt, "_eigh", check)
+    proto = protocols.DrivingProtocol(variant="sinusoid", f0=0.3, period=0.7)
+    rmt.propagate(model, proto, np.linspace(0.0, 1.0, 21), method="trotter", step=0.05)
 
 
 def spoil_lower(v):
@@ -591,9 +649,10 @@ def spoil_read_only(v):
     v.flags.writeable = False
 
 
+@pytest.mark.parametrize("method", ["piecewise_exact", "trotter"])
 @pytest.mark.parametrize("spoil", [spoil_lower, spoil_signed_zero, spoil_read_only],
                          ids=["lower", "signed_zero", "read_only"])
-def test_piecewise_refuses_a_v_it_could_not_restore(monkeypatch, spoil):
+def test_propagate_refuses_a_v_it_could_not_restore(monkeypatch, spoil, method):
     # a V whose lower triangle is not bitwise the mirror of its upper one, or that cannot be
     # written, is refused before any eigendecomposition, and left as it was
     monkeypatch.setattr(rmt, "_eigh", lambda *args, **kwargs: pytest.fail("_eigh ran"))
@@ -602,7 +661,7 @@ def test_piecewise_refuses_a_v_it_could_not_restore(monkeypatch, spoil):
     before = model.v_matrix.copy()
     proto = protocols.DrivingProtocol(variant="step", f0=0.3, period=0.5)
     with pytest.raises(ValueError, match=r"writable, .* bitwise 0 \+ conj of its upper"):
-        rmt.propagate(model, proto, np.linspace(0.0, 1.0, 21), method="piecewise_exact")
+        rmt.propagate(model, proto, np.linspace(0.0, 1.0, 21), method=method, step=0.05)
     np.testing.assert_array_equal(bits(model.v_matrix), bits(before))
 
 
