@@ -192,7 +192,9 @@ _COMPARE = {
     "window": _opt(_list_of(_FINITE, 2), None),  # null: the whole grid
 }
 # run_sweep checks the base, then each variation once it is applied
-_SWEEP = {"sweep": _req({"base": _req(_MAPPING), "variations": _req(_list_of(_MAPPING))})}
+_OVERRIDES = _check("a mapping of dotted-path strings to values",
+                    lambda x: isinstance(x, dict) and all(isinstance(k, str) for k in x))
+_SWEEP = {"sweep": _req({"base": _req(_MAPPING), "variations": _req(_list_of(_OVERRIDES))})}
 
 
 def _checked(schema: dict, raw, where: str = "") -> dict:
@@ -383,7 +385,8 @@ def _solver_grid(section: dict, profile, protocol, t_end: float, t_out, t_primes
     what = f"{where}solver_step {'' if section['solver_step'] else 'null, default_step '}{h!r}"
     k, h = protocols.subdivide(float(t_out[1]), h)  # an uncountable k is inf: past any memory
     rows, n_out = len(t_out) + len(t_primes), len(t_out) - 1
-    need, have = 16 * rows * (float(k) * n_out + 1), _physical_memory()  # past 1.8e308: inf
+    need = response.ROW_STEP_BYTES * rows * (float(k) * n_out + 1)  # past 1.8e308: inf
+    have = _physical_memory()
     if need > have:
         raise ConfigError(f"{what} gives {k:.3g} steps an output step: the solver's g and c would "
                           f"take {need:.3g} bytes, over the {have:.3g} bytes of physical memory")

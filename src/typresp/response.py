@@ -14,7 +14,7 @@ gamma depends on t' only through (phi1, phi2), so one Heun kernel advances a
 batch of rows in lock step.  `gamma_rows` solves exactly the rows a caller
 names, each by its t' and its last step, and judges each by the one overshoot rule;
 `solve_gamma` is its one-row call and `gamma_diagonal_values` its call along the
-diagonal.  A row takes 16 bytes a step.
+diagonal.  A row takes ROW_STEP_BYTES bytes a step.
 
 The observable prediction combines the diagonal gamma(t, t)^2 with the
 undriven series:  a_pred(t) = a_th + gamma(t, t)^2 * (a_undriven(t) - a_th).
@@ -32,6 +32,7 @@ from .approximations import r_scale
 from .errors import GridMismatchError, SolverBlowUpError
 
 BLOWUP_THRESHOLD = 10.0  # diagnostic, not physics; tunable
+ROW_STEP_BYTES = 16  # storage of a row step: g and c, one float64 each
 OVERSHOOT_TOL = 0.05  # |gamma| may exceed 1 by at most this before warning
 POINTS_PER_SCALE = 40  # default_step: grid points per fastest time scale
 
@@ -49,7 +50,7 @@ def _volterra_heun(phi1, phi2, v_grid, vdd_grid, h: float, ends) -> np.ndarray:
     Row r has the kernel K_r = phi1[r] v - phi2[r] v'' and runs to step ends[r]
     (ascending).  At step i the rows with ends > i advance together, with the
     step's kernel column built on the fly.  Returns g, rows x (n + 1), with
-    g[r, :ends[r] + 1] filled; g and c = gamma K take 16 rows (n + 1) bytes.
+    g[r, :ends[r] + 1] filled; g and c = gamma K take ROW_STEP_BYTES rows (n + 1) bytes.
     """
     rows, n = len(ends), int(ends[-1])
     g = np.empty((rows, n + 1))
@@ -112,7 +113,7 @@ def solve_gamma(
 
     phi1 and phi2 are evaluated once at t_prime and held fixed; they are
     parameters of the equation, not functions of the integration variable.
-    This is the one-row call of gamma_rows (16 (n + 1) bytes), and warns by its rule.
+    The one-row call of gamma_rows (ROW_STEP_BYTES (n + 1) bytes); warns by its rule.
     """
     return ResponseSolution(gamma_rows(profile, protocol, h, [t_prime], [n])[0])
 
@@ -125,8 +126,8 @@ def gamma_diagonal_values(
 ) -> np.ndarray:
     """Signed diagonal gamma(t_i, t_i) for t_i = i*h, i = 0..n.
 
-    Row i of gamma_rows has t' = t_i and ends at step i: 16 (n + 1)^2 bytes (5.8 MB
-    at n = 600).  A blow-up raises SolverBlowUpError at the first step where a row
+    Row i of gamma_rows has t' = t_i and ends at step i: ROW_STEP_BYTES (n + 1)^2 bytes
+    (5.8 MB at n = 600).  A blow-up raises SolverBlowUpError at the first step where a row
     passed the threshold.
     """
     return gamma_rows(profile, protocol, h, _grid(h, n), np.arange(n + 1)).diagonal().copy()

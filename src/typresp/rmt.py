@@ -22,16 +22,17 @@ split-stepping, after the last group when piecewise, naming the first t that dri
 
 Memory is set by the dense m x m complex arrays (16 m^2 bytes each) alive at
 the propagation peak.  Both routes lend V's storage to LAPACK and get it back bit
-for bit, also when a call raises (`_borrowed`).  So V must be writable and
-Hermitian as sampled, its lower triangle bitwise 0 + conj(upper) (any other V
-is a ValueError before any work), and one model must not be propagated from two
-threads at once.  Piecewise: V, a dense A (two-sector observable only) and one
-eigenbasis per distinct f value: K + 2 arrays for K distinct values, K + 1 for a
-diagonal observable.  `evr` works on H0 + f V in V's strict lower triangle and
-diagonal, written from its intact upper triangle (`_lent_lower`).  Trotter: V,
-V's eigenvectors and half an array: 2.5 arrays, 3.5 with a dense A.  `evr`
-consumes V's own storage and M takes its place, while V's strict upper triangle
-is kept packed (`_lent_whole`); f is evaluated _BLOCK midpoints at a time.
+for bit, also when a call raises (`_borrowed`).  So V must be as sample_v makes
+it, a writable, C-ordered complex128 array whose lower triangle is bitwise
+0 + conj(upper) (any other V is a ValueError before any work), and one model
+must not be propagated from two threads at once.  Piecewise: V, a dense A
+(two-sector observable only) and one eigenbasis per distinct f value: K + 2
+arrays for K distinct values, K + 1 for a diagonal observable.  `evr` works on
+H0 + f V in V's strict lower triangle and diagonal, written from its intact
+upper triangle (`_lent_lower`).  Trotter: V, V's eigenvectors and half an
+array: 2.5 arrays, 3.5 with a dense A.  `evr` consumes V's own storage and M
+takes its place, while V's strict upper triangle is kept packed (`_lent_whole`);
+f is evaluated _BLOCK midpoints at a time.
 Neither route holds anything that grows with the step or switch count (the
 piecewise route draws the drive's pieces one at a time).  Everything else is
 m x _BLOCK blocks: V and A are drawn row by row into their own storage and
@@ -220,10 +221,10 @@ def filter_weights(energies: np.ndarray, e_center: float, delta_e: float) -> np.
 
 
 def check_filter(energies: np.ndarray, e_center: float, delta_e: float, sector: str = "all",
-                 q: str = "identity", kappa: float = 1.0, dense_a: bool = True) -> None:
+                 q: str = "identity", kappa: float = 1.0) -> None:
     """EmptyWindowError unless a level the state occupies keeps a filter weight >= FILTER_CUT:
-    an even sector keeps only the even levels unless Q = 1 + kappa A, kappa != 0, A dense."""
-    even = sector == "even" and not (q == "one_plus_kappa_a" and kappa != 0 and dense_a)
+    an even sector keeps only the even levels unless Q = 1 + kappa A (A dense), kappa != 0."""
+    even = sector == "even" and not (q == "one_plus_kappa_a" and kappa != 0)
     with np.errstate(all="ignore"):  # a delta_e**2 that underflows gives a NaN weight: rejected
         peak = filter_weights(energies[::2] if even else energies, e_center, delta_e).max()
     if not peak >= FILTER_CUT:
@@ -245,8 +246,8 @@ def build_initial_state(
     """Initial state vector: an H0 eigenstate, or a filtered Haar-random state.
 
     The filtered kind draws |phi> Haar-random (optionally restricted to the
-    even-mu '+' sector), applies Q (identity or 1 + kappa*A; a 1-d A is
-    diagonal), then the Gaussian `filter_weights`, and normalizes.  Operator
+    even-mu '+' sector), applies Q (identity or 1 + kappa*A, A the dense observable
+    matrix), then the Gaussian `filter_weights`, and normalizes.  Operator
     order: filter after Q.  `check_filter` first rejects a filter that leaves no weight.
     """
     m = len(energies)
@@ -260,15 +261,15 @@ def build_initial_state(
         return psi
     if delta_e <= 0:
         raise ValueError("delta_e must be positive")
-    if q == "one_plus_kappa_a" and observable is None:
-        raise ValueError("Q = 1 + kappa*A needs the observable matrix")
-    check_filter(energies, e_center, delta_e, sector, q, kappa, np.ndim(observable) == 2)
+    if q == "one_plus_kappa_a" and np.ndim(observable) != 2:
+        raise ValueError("Q = 1 + kappa*A needs the dense observable matrix")
+    check_filter(energies, e_center, delta_e, sector, q, kappa)
     rng = _rng(master_seed, "initial_state")
     phi = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     if sector == "even":
         phi[1::2] = 0.0
     if q == "one_plus_kappa_a":
-        phi = phi + kappa * (observable * phi if observable.ndim == 1 else observable @ phi)
+        phi = phi + kappa * (observable @ phi)
     psi = filter_weights(energies, e_center, delta_e) * phi
     return psi / np.linalg.norm(psi)
 
@@ -352,7 +353,7 @@ def _eigh(h: np.ndarray, lower: bool = True) -> tuple:
     """(w, u) of the Hermitian h by LAPACK's MRRR driver (?heevr), read from h's lower
     triangle (upper if not lower) and diagonal.
 
-    h is a Fortran-ordered float64 or complex128 buffer the caller lends to this
+    h is a Fortran-ordered complex128 buffer the caller lends to this
     call: LAPACK works in that triangle and the diagonal in place and leaves them
     overwritten; the other triangle it never touches.
 
@@ -380,15 +381,16 @@ def _borrowed(v: np.ndarray):
     raise or not, V's strict lower triangle is restored as 0 + conj(upper), the mirror
     _hermitian writes, and the diagonal from the copy.
 
-    First, a ValueError unless V is writable and its lower triangle is bitwise that mirror,
-    so every V accepted comes back bit for bit.
+    First, a ValueError unless V is as sample_v makes it, a writable, C-ordered complex128
+    array whose lower triangle is bitwise that mirror: each lend then has one layout to
+    serve, and every V accepted comes back bit for bit.
     """
-    if not (v.flags.writeable and all(
+    if not (v.flags.writeable and v.dtype == complex and v.flags.c_contiguous and all(
             np.where(mask, 0 + upper.conj(), rows).tobytes() == rows.tobytes()
             for rows, mask, upper in _lower_blocks(v))):
-        raise ValueError("propagation lends V's storage to LAPACK: V must be writable, and its "
-                         "strict lower triangle bitwise 0 + conj of its upper triangle, as "
-                         "sample_v makes it")
+        raise ValueError("propagation lends V's storage to LAPACK: V must be a writable, "
+                         "C-ordered complex128 array, and its strict lower triangle bitwise "
+                         "0 + conj of its upper triangle, as sample_v makes it")
     diag = v.diagonal().copy()
     try:
         yield diag
@@ -403,20 +405,18 @@ def _lent_lower(model: RandomMatrixModel):
     """Yields eig(fv): the _eigh of H0 + fv V, written into V's strict lower triangle and
     diagonal from its intact upper triangle, which _borrowed restores.
 
-    A C-ordered V is lent as the Fortran view V.T, uplo 'U': its lower triangle then takes
-    fv times the upper one, not conjugated.
+    V is lent as the Fortran view V.T, uplo 'U': its lower triangle then takes fv times the
+    upper one, not conjugated.
     """
     v = model.v_matrix
     with _borrowed(v) as diag:
-        c_order = v.flags.c_contiguous
-        h, lower = (v.T, False) if c_order else (v, True)
         on_diag = np.diag_indices(len(v))
 
         def eig(fv: float) -> tuple:
             for rows, mask, upper in _lower_blocks(v):
-                np.copyto(rows, fv * (upper if c_order else upper.conj()), where=mask)
+                np.copyto(rows, fv * upper, where=mask)
             v[on_diag] = model.energies + fv * diag
-            return _eigh(h, lower)
+            return _eigh(v.T, lower=False)
 
         yield eig
 
@@ -433,24 +433,19 @@ def _upper_parts(v: np.ndarray, packed: np.ndarray):
 @contextmanager
 def _lent_whole(v: np.ndarray):
     """Yields V's own storage as a Fortran-ordered buffer for _eigh to consume and M to fill:
-    its lower triangle and diagonal are those of np.array(V, complex, order='F').  A
-    C-ordered V is lent as V.T, its lower triangle first written transposed over its upper
-    one.  V's strict upper triangle is kept packed meanwhile and written back on exit, raise
-    or not, before _borrowed restores the rest.  A V that is not complex128 cannot hold M,
-    so it is copied to complex instead.
+    its lower triangle and diagonal are those of np.array(V, order='F').  V is lent as V.T,
+    its lower triangle first written transposed over its upper one.  V's strict upper
+    triangle is kept packed meanwhile and written back on exit, raise or not, before
+    _borrowed restores the rest.
     """
     with _borrowed(v):
-        if v.dtype != complex:
-            yield np.array(v, dtype=complex, order="F")
-            return
         packed = np.empty(len(v) * (len(v) - 1) // 2, dtype=complex)
         for upper, mask, part in _upper_parts(v, packed):
             part[:] = upper[mask]
         try:
-            if v.flags.c_contiguous:
-                for rows, mask, upper in _lower_blocks(v):
-                    np.copyto(upper, rows, where=mask)
-            yield v.T if v.flags.c_contiguous else v
+            for rows, mask, upper in _lower_blocks(v):
+                np.copyto(upper, rows, where=mask)
+            yield v.T
         finally:
             for upper, mask, part in _upper_parts(v, packed):
                 upper[mask] = part
@@ -614,9 +609,9 @@ def propagate(
     and step protocols only); trotter: the second-order split step of
     split_step's h (a caller that reports h calls split_step), midpoint f, one
     matrix-vector product per step in V's eigenbasis (any protocol).  Both
-    work in V's own storage and restore it, so V must be writable and
-    Hermitian as sample_v makes it, and not propagated from another thread
-    meanwhile (see the module docstring).
+    work in V's own storage and restore it, so V must be the writable, C-ordered
+    complex128 Hermitian array sample_v makes, and not propagated from another
+    thread meanwhile (see the module docstring).
     """
     if method not in METHODS:
         raise ConfigError(f"unknown propagation method {method!r}")

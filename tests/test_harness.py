@@ -1079,6 +1079,17 @@ def test_sweep_checks_every_variation_first(tmp_path, monkeypatch):
             harness.run_sweep(bad, tmp_path)
 
 
+@pytest.mark.parametrize("variation", [{1: 2}, {"grid.n_out": 5, 3: 1}],
+                         ids=["int_key", "int_and_str_keys"])
+def test_sweep_variation_keys_are_dotted_path_strings(tmp_path, variation):
+    # YAML reads a bare 1: as an integer key, which no override path can be
+    base = harness.load_config(ROOT / "configs" / "strong_scale.yaml")
+    cfg = {"sweep": {"base": base, "variations": [variation]}}
+    with pytest.raises(ConfigError, match=r"sweep\.variations .* dotted-path strings"):
+        harness.run_sweep(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_checks_cross_field_rules_first(tmp_path):
     # the second variation breaks a rule of the scenario, not of the schema
     cfg = {"sweep": {"base": quench_cfg(),

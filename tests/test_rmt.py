@@ -246,14 +246,14 @@ def test_filtered_state_empty_window():
                                 e_center=1e6, delta_e=0.5)
 
 
-def test_even_sector_with_a_diagonal_q_stays_on_the_even_levels():
-    # Q = 1 + kappa A spreads an even-sector state only with a dense A: with a
-    # 1-d A, a narrow filter on the odd level E_1 leaves it no weight
+def test_q_refuses_a_diagonal_observable():
+    # Q = 1 + kappa A takes the dense two-sector A: a 1-d A is refused, in either sector
     e = rmt.SpectrumSpec(m=64, variant="flat", spacing=0.5).energies()
     diag = rmt.eth_diagonal(e, 32.0, 1.0, 0.25, 1)
-    with pytest.raises(EmptyWindowError):
-        rmt.build_initial_state(e, "filtered_random", 1, e_center=float(e[1]), delta_e=0.01,
-                                sector="even", q="one_plus_kappa_a", observable=diag)
+    for sector in rmt.SECTORS:
+        with pytest.raises(ValueError, match="dense observable matrix"):
+            rmt.build_initial_state(e, "filtered_random", 1, e_center=8.0, delta_e=1.0,
+                                    sector=sector, q="one_plus_kappa_a", observable=diag)
 
 
 def test_check_filter_judges_the_levels_the_state_occupies():
@@ -261,10 +261,9 @@ def test_check_filter_judges_the_levels_the_state_occupies():
     e = rmt.SpectrumSpec(m=64, variant="flat", spacing=0.5).energies()
     rmt.check_filter(e, float(e[1]), 0.01)
     rmt.check_filter(e, float(e[1]), 0.01, "even", "one_plus_kappa_a")  # a dense A spreads it
-    for q, kappa, dense_a in (("identity", 1.0, True), ("one_plus_kappa_a", 1.0, False),
-                              ("one_plus_kappa_a", 0.0, True)):  # kappa 0: Q is the identity
+    for q, kappa in (("identity", 1.0), ("one_plus_kappa_a", 0.0)):  # kappa 0: Q is the identity
         with pytest.raises(EmptyWindowError):
-            rmt.check_filter(e, float(e[1]), 0.01, "even", q, kappa, dense_a)
+            rmt.check_filter(e, float(e[1]), 0.01, "even", q, kappa)
     # the nearest level E_0 weighs exp(-10.4^2 / 4) = 1.8e-12 at 10.4 delta_e, 6.3e-13 at 10.6
     rmt.check_filter(e, -10.4 * 0.5, 0.5)
     with pytest.raises(EmptyWindowError):
@@ -557,37 +556,32 @@ def test_piecewise_memory_stays_one_eigenbasis_per_value():
     assert peak < (k * m + 6 * 64) * m * 16
 
 
-def signed_zero_model(order="C", m=64):
+def signed_zero_model(m=64):
     """small_eth_model with the V of the tabulated sampling profile, whose zero tail leaves
-    negative zeros in the imaginary part of V's upper triangle, in the given memory layout."""
+    negative zeros in the imaginary part of V's upper triangle."""
     model = small_eth_model(m=m)
-    v = rmt.sample_v(model.energies, SAMPLING_PROFILES["tabulated"], 5)
-    assert np.any(np.signbit(v.imag[v.imag == 0]))
-    model.v_matrix = np.asarray(v, order=order)
+    model.v_matrix = rmt.sample_v(model.energies, SAMPLING_PROFILES["tabulated"], 5)
+    assert np.any(np.signbit(model.v_matrix.imag[model.v_matrix.imag == 0]))
     return model
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("method", ["piecewise_exact", "trotter"])
-def test_propagate_leaves_the_model_unchanged(method, order):
+# the ids name V's layout: C-ordered, as sample_v makes it and propagate takes it
+@pytest.mark.parametrize("method", ["piecewise_exact", "trotter"],
+                         ids=["piecewise_exact-C", "trotter-C"])
+def test_propagate_leaves_the_model_unchanged(method):
     # piecewise propagation lends V's lower triangle and diagonal to LAPACK, the split step
-    # all of V's storage; either way V comes back bit for bit, signed zeros included,
-    # whatever its layout
+    # all of V's storage; either way V comes back bit for bit, signed zeros included
     proto = protocols.DrivingProtocol(variant="step", f0=0.3, period=0.5)
-    exponential = small_eth_model()
-    exponential.v_matrix = np.asarray(exponential.v_matrix, order=order)
-    for model in (exponential, signed_zero_model(order)):
+    for model in (small_eth_model(), signed_zero_model()):
         before = {k: getattr(model, k).copy() for k in ("v_matrix", "observable", "initial_state")}
         rmt.propagate(model, proto, np.linspace(0.0, 1.0, 21), method=method, step=0.05)
         for key, value in before.items():
             np.testing.assert_array_equal(bits(getattr(model, key)), bits(value))
 
 
-@pytest.mark.parametrize("method, order", [("piecewise_exact", "C"), ("piecewise_exact", "F"),
-                                           ("trotter", "C"), ("trotter", "F")],
-                         ids=["C", "F", "trotter-C", "trotter-F"])
-def test_lent_v_is_restored_when_eigh_raises(monkeypatch, method, order):
-    model = signed_zero_model(order, m=150)  # 64-row blocks: two whole ones and a part
+@pytest.mark.parametrize("method", ["piecewise_exact", "trotter"], ids=["C", "trotter-C"])
+def test_lent_v_is_restored_when_eigh_raises(monkeypatch, method):
+    model = signed_zero_model(m=150)  # 64-row blocks: two whole ones and a part
     before = model.v_matrix.copy()
 
     def fail(h, lower=True):
@@ -603,14 +597,13 @@ def test_lent_v_is_restored_when_eigh_raises(monkeypatch, method, order):
     np.testing.assert_array_equal(bits(model.v_matrix), bits(before))
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_lent_v_is_restored_when_the_split_step_drifts(monkeypatch, order):
+def test_lent_v_is_restored_when_the_split_step_drifts(monkeypatch):
     # eigenvectors scaled by 1 + 1e-6 put the norm past NORM_TOL at the first output after
     # t = 0, so the run raises inside the step loop, after M has taken V's place
     eigh = rmt._eigh
     monkeypatch.setattr(rmt, "_eigh", lambda *args, **kwargs: (
         lambda w, u: (w, (1 + 1e-6) * u))(*eigh(*args, **kwargs)))
-    model = signed_zero_model(order, m=150)
+    model = signed_zero_model(m=150)
     before = model.v_matrix.copy()
     proto = protocols.DrivingProtocol(variant="sinusoid", f0=0.3, period=0.7)
     with pytest.raises(NormDriftError, match="norm drifted"):
@@ -618,12 +611,11 @@ def test_lent_v_is_restored_when_the_split_step_drifts(monkeypatch, order):
     np.testing.assert_array_equal(bits(model.v_matrix), bits(before))
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-def test_split_step_shows_evr_a_fortran_copy_of_v(monkeypatch, order):
+def test_split_step_shows_evr_a_fortran_copy_of_v(monkeypatch):
     # the buffer lent to evr is V's own storage, and its lower triangle and diagonal are
-    # bitwise those of np.array(V, complex, order="F"), which the split step once consumed
-    model = signed_zero_model(order, m=150)
-    copy = np.array(model.v_matrix, dtype=complex, order="F")
+    # bitwise those of np.array(V, order="F"), which the split step once consumed
+    model = signed_zero_model(m=150)
+    copy = np.array(model.v_matrix, order="F")
     eigh = rmt._eigh
 
     def check(h, lower=True):
@@ -638,44 +630,37 @@ def test_split_step_shows_evr_a_fortran_copy_of_v(monkeypatch, order):
 
 def spoil_lower(v):
     v[5, 2] += 1e-3
+    return v
 
 
 def spoil_signed_zero(v):
     i, j = np.argwhere((np.tril(v.real, -1) == 0) & np.tri(len(v), k=-1, dtype=bool))[0]
     v.real[i, j] = -0.0  # equal to the mirror's +0, but not bit for bit
+    return v
 
 
 def spoil_read_only(v):
     v.flags.writeable = False
+    return v
 
 
 @pytest.mark.parametrize("method", ["piecewise_exact", "trotter"])
-@pytest.mark.parametrize("spoil", [spoil_lower, spoil_signed_zero, spoil_read_only],
-                         ids=["lower", "signed_zero", "read_only"])
+@pytest.mark.parametrize("spoil", [spoil_lower, spoil_signed_zero, spoil_read_only,
+                                   np.asfortranarray, lambda v: v.real.copy()],
+                         ids=["lower", "signed_zero", "read_only", "fortran_order", "float64"])
 def test_propagate_refuses_a_v_it_could_not_restore(monkeypatch, spoil, method):
-    # a V whose lower triangle is not bitwise the mirror of its upper one, or that cannot be
-    # written, is refused before any eigendecomposition, and left as it was
+    # a V whose lower triangle is not bitwise the mirror of its upper one, that cannot be
+    # written, or that is not C-ordered complex128 (its mirror intact) is refused before any
+    # eigendecomposition, and left as it was
     monkeypatch.setattr(rmt, "_eigh", lambda *args, **kwargs: pytest.fail("_eigh ran"))
     model = signed_zero_model()
-    spoil(model.v_matrix)
+    model.v_matrix = spoil(model.v_matrix)
     before = model.v_matrix.copy()
     proto = protocols.DrivingProtocol(variant="step", f0=0.3, period=0.5)
-    with pytest.raises(ValueError, match=r"writable, .* bitwise 0 \+ conj of its upper"):
+    with pytest.raises(ValueError, match=r"writable, C-ordered complex128 array, .* bitwise 0 "
+                                         r"\+ conj of its upper"):
         rmt.propagate(model, proto, np.linspace(0.0, 1.0, 21), method=method, step=0.05)
     np.testing.assert_array_equal(bits(model.v_matrix), bits(before))
-
-
-def test_trotter_takes_a_real_v_as_complex():
-    # the split step's eigh buffer then holds the complex step matrix, so a
-    # real V is copied to complex first
-    m = small_eth_model()
-    models = [rmt.RandomMatrixModel(m.energies, v, m.observable, m.initial_state)
-              for v in (m.v_matrix.real.copy(), m.v_matrix.real.astype(complex))]
-    proto = protocols.DrivingProtocol(variant="sinusoid", f0=0.3, period=0.5)
-    real, cplx = (rmt.propagate(model, proto, np.linspace(0.0, 1.0, 21), method="trotter",
-                                step=0.05) for model in models)
-    np.testing.assert_array_equal(real.a_series, cplx.a_series)
-    np.testing.assert_array_equal(real.norm_series, cplx.norm_series)
 
 
 def test_eigh_consumes_fortran_buffer_with_identical_result():
