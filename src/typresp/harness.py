@@ -207,9 +207,9 @@ def _checked(schema: dict, raw, where: str = "") -> dict:
     section = where.rstrip(".") or "config"
     if not isinstance(raw, dict):
         raise ConfigError(f"{section} must be a mapping, got {raw!r}")
-    unknown = set(raw) - set(schema)
+    unknown = sorted(set(raw) - set(schema), key=str)  # by str: YAML reads a bare 1: as an int
     if unknown:
-        raise ConfigError(f"unknown keys in {section}: {sorted(unknown)}; allowed: {list(schema)}")
+        raise ConfigError(f"unknown keys in {section}: {unknown}; allowed: {list(schema)}")
     out, given = {}, {k: v for k, v in raw.items() if v is not None}  # null is the same as absent
     for key, (check, default, when, required) in schema.items():
         field, read = where + key, when is None or when(out)

@@ -14,11 +14,11 @@ steps fold into one step matrix M = u^H e^{-iH0 h} u, formed once by column
 blocks: each step is one matrix-vector product d <- e^{-if(t_mid) w h} M d,
 and the state y d with y = e^{-iH0 h/2} u is formed only at outputs.  Every
 eigendecomposition is one call of scipy's `evr` (MRRR) driver.  A piecewise
-run first chains the segments, keeping the start coefficients of those that
-hold outputs, then reads out all outputs of one f value together; the
-undriven series is that run with f = 0.  Both routes share one readout of <A>, <H0>
-and the norm, one GEMM per 64 outputs; every output's norm is checked, per block when
-split-stepping, after the last group when piecewise, naming the first t that drifted.
+run chains the segments and reads out each f value's outputs 64 at a time as the
+chain reaches them, keeping start coefficients only of pieces with unread outputs;
+the undriven series is that run with f = 0.  Both routes share one readout of <A>,
+<H0> and the norm, one GEMM per 64 outputs; every output's norm is checked, per block
+when split-stepping, after the chain when piecewise, naming the first t that drifted.
 
 Memory is set by the dense m x m complex arrays (16 m^2 bytes each) alive at
 the propagation peak.  Both routes lend V's storage to LAPACK and get it back bit
@@ -33,10 +33,10 @@ upper triangle (`_lent_lower`).  Trotter: V, V's eigenvectors and half an
 array: 2.5 arrays, 3.5 with a dense A.  `evr` consumes V's own storage and M
 takes its place, while V's strict upper triangle is kept packed (`_lent_whole`);
 f is evaluated _BLOCK midpoints at a time.
-Neither route holds anything that grows with the step or switch count (the
-piecewise route draws the drive's pieces one at a time).  Everything else is
-m x _BLOCK blocks: V and A are drawn row by row into their own storage and
-mirrored by row blocks.
+Besides its output rows and times, neither route holds anything that grows with the
+step, switch or output count (the piecewise route draws the drive's pieces one at a
+time).  Everything else is m x _BLOCK blocks: V and A are drawn row by row into
+their own storage and mirrored by row blocks.
 
 All randomness flows from one 64-bit master seed through named PCG64
 substreams (one per matrix/vector), so adding an observable never perturbs
@@ -452,12 +452,13 @@ def _lent_whole(v: np.ndarray):
 
 
 def _readout(model: RandomMatrixModel, states: np.ndarray) -> np.ndarray:
-    """Rows <A>, <H0> and norm of the state columns."""
+    """Rows <A>, <H0> and norm of the state columns, which a dense A conjugates in place."""
     probs = np.abs(states) ** 2
     if model.observable.ndim == 1:
         a = model.observable @ probs
     else:
-        a = np.einsum("ij,ij->j", states.conj(), model.observable @ states).real
+        a_states = model.observable @ states
+        a = np.einsum("ij,ij->j", np.conjugate(states, out=states), a_states).real
     return np.stack((a, model.energies @ probs, np.sqrt(probs.sum(axis=0))))
 
 
@@ -473,13 +474,14 @@ def _check_norm(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _series(model, w, u, c, cols, taus) -> np.ndarray:
     """Readout rows of u @ (exp(-i w tau_j) c[:, cols_j]) for each j, one GEMM per block.
 
-    u = None means the H0 eigenbasis, where the phased coefficients are the
-    state itself.
+    A block's phases are formed first and take its columns of c in place; u = None means
+    the H0 eigenbasis, where the phased coefficients are the state itself.
     """
     out = np.empty((3, len(taus)))
     for s in range(0, len(taus), _BLOCK):
         blk = slice(s, s + _BLOCK)
-        states = np.exp(-1j * np.outer(w, taus[blk])) * c[:, cols[blk]]
+        states = np.exp(-1j * np.outer(w, taus[blk]))
+        states *= c[:, cols[blk]]
         if u is not None:
             states = u @ states
         out[:, blk] = _readout(model, states)
@@ -505,8 +507,21 @@ def _propagate_piecewise(model, protocol, t_grid):
         raise ConfigError(f"piecewise-exact propagation needs a piecewise-constant protocol, "
                           f"not {protocol.variant!r}")
     cache = {0.0: (model.energies, None)}  # f = 0: pure phase evolution, V is not lent
-    groups = {}  # f -> (start coefficients, output indices) of its pieces with outputs
+    pending = {}  # f -> [(start coefficients, output indices)] of its outputs not read out yet
     taus = np.empty(len(t_grid))
+    out = np.empty((3, len(t_grid)))
+
+    def read_out(fv, whole):  # fv's pending outputs: all, or (whole) those filling whole _BLOCKs
+        runs = pending.pop(fv)
+        idx = np.concatenate([o for _, o in runs])
+        n = len(idx) - len(idx) % _BLOCK if whole else len(idx)
+        cols = np.repeat(np.arange(len(runs)), [len(o) for _, o in runs])[:n]
+        w, u = cache[fv]
+        out[:, idx[:n]] = _series(model, w, u, np.stack([c for c, _ in runs], axis=1), cols,
+                                  taus[idx[:n]])
+        if n < len(idx):  # under _BLOCK outputs, all of the last piece's
+            pending[fv] = [(runs[-1][0], idx[n:])]
+
     psi = model.initial_state
     oi = 0
     with _lent_lower(model) if protocol.f0 != 0 else nullcontext() as eig:  # each f is +-f0
@@ -517,22 +532,19 @@ def _propagate_piecewise(model, protocol, t_grid):
             c = psi if u is None else _to_basis(u, psi)
             oj = int(np.searchsorted(t_grid, t1 + 1e-12, side="right"))  # t1: this piece
             if oj > oi:
-                starts, outputs = groups.setdefault(fv, ([], []))
-                starts.append(c)
-                outputs.append(np.arange(oi, oj))
+                runs = pending.setdefault(fv, [])
+                runs.append((c, np.arange(oi, oj)))
                 taus[oi:oj] = t_grid[oi:oj] - t0
+                if sum(len(o) for _, o in runs) >= _BLOCK:
+                    read_out(fv, whole=True)
             oi = oj
             if oi >= len(t_grid):
                 break
             psi = np.exp(-1j * w * (t1 - t0)) * c
             if u is not None:
                 psi = u @ psi
-    out = np.empty((3, len(t_grid)))
-    for fv, (starts, outputs) in groups.items():
-        idx = np.concatenate(outputs)
-        cols = np.repeat(np.arange(len(outputs)), [len(o) for o in outputs])
-        w, u = cache[fv]
-        out[:, idx] = _series(model, w, u, np.stack(starts, axis=1), cols, taus[idx])
+    for fv in list(pending):
+        read_out(fv, whole=False)
     return _check_norm(out, t_grid)
 
 
@@ -567,7 +579,7 @@ def _propagate_trotter(model, protocol, t_grid, step):
     n_sub, h = split_step(protocol, dt_out, step, float(t_grid[-1]))
     psi = model.initial_state
     out = np.empty((3, len(t_grid)))
-    out[:, :1] = _check_norm(_readout(model, psi[:, None]), t_grid[:1])
+    out[:, :1] = _check_norm(_readout(model, psi[:, None].copy()), t_grid[:1])
     # The step e^{-iH0h/2} u P_k u^H e^{-iH0h/2}, P_k = e^{-i f_mid[k] w h}, in
     # V's eigenbasis: with y = e^{-iH0h/2} u and M = y^H e^{-iH0h} y
     # (= u^H e^{-iH0h} u), the state after step k is y c_k, c_k = P_k d and

@@ -1090,6 +1090,13 @@ def test_sweep_variation_keys_are_dotted_path_strings(tmp_path, variation):
     assert not (tmp_path / "out").exists()
 
 
+def test_unknown_keys_of_mixed_type_are_named():
+    # YAML reads a bare 1: as an integer key, which does not sort among string keys
+    text = (ROOT / "configs" / "strong_scale.yaml").read_text(encoding="utf-8") + "1: 2\nfoo: 3\n"
+    with pytest.raises(ConfigError, match=r"unknown keys in config: \[1, 'foo'\]"):
+        harness.validate_scenario_config(harness.parse_config(text))
+
+
 def test_sweep_checks_cross_field_rules_first(tmp_path):
     # the second variation breaks a rule of the scenario, not of the schema
     cfg = {"sweep": {"base": quench_cfg(),

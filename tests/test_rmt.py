@@ -539,6 +539,28 @@ def test_piecewise_memory_does_not_grow_with_the_switch_count():
     assert peak(2**13) <= peak(2**5) + 2**12
 
 
+def test_piecewise_memory_does_not_grow_with_the_output_count():
+    # each f value's outputs are read out 64 at a time as the chain reaches them, so no start
+    # vector is kept per output: with one output per piece (period 2 dt), the traced peak grows
+    # by far less than the 2 * 16 m bytes per output that keeping them would cost
+    m = 128
+    model = small_eth_model(m=m)
+
+    def peak(n_out):
+        t = np.linspace(0.0, 0.05 * (n_out - 1), n_out)
+        proto = protocols.DrivingProtocol(variant="step", f0=0.3, period=0.1)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            rmt.propagate(model, proto, t, method="piecewise_exact")
+            return tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+
+    peak(2**6)
+    assert peak(2**11) - peak(2**6) < 4 * m * (2**11 - 2**6)
+
+
 def test_piecewise_memory_stays_one_eigenbasis_per_value():
     # K = 2 distinct f values: their eigenbases, and nothing m x m beside them, since LAPACK
     # works on H0 + f V in V's own lower triangle, not in a buffer of its own
@@ -743,13 +765,16 @@ def test_undriven_series_rejects_a_bad_grid(t):
 # outputs on switch times (0.3 k from linspace lands an ulp off the bound),
 # a period shorter than the output step (segments without outputs), one
 # constant segment over two readout blocks, f0 = 0 (pure phase evolution),
-# and the single output t = 0
+# the single output t = 0, pieces of 7.5 outputs that straddle the 64-output blocks of both
+# values (150 outputs each), and one output a piece (70 or 71 outputs each)
 PIECEWISE_GRIDS = {
     "on_switches": (dict(variant="step", f0=0.3, period=0.6), np.linspace(0.0, 2.4, 25)),
     "short_period": (dict(variant="step", f0=0.3, period=0.15), np.linspace(0.0, 2.0, 11)),
     "constant": (dict(variant="constant", f0=0.3), np.linspace(0.0, 2.0, 81)),
     "zero_amplitude": (dict(variant="step", f0=0.0, period=0.5), np.linspace(0.0, 2.0, 21)),
     "t_zero": (dict(variant="step", f0=0.3, period=0.6), np.array([0.0])),
+    "straddled_blocks": (dict(variant="step", f0=0.3, period=0.6), np.linspace(0.0, 12.0, 301)),
+    "one_output_a_piece": (dict(variant="step", f0=0.3, period=2.0), np.linspace(0.0, 140.0, 141)),
 }
 
 
