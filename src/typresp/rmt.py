@@ -14,11 +14,12 @@ steps fold into one step matrix M = u^H e^{-iH0 h} u, formed once by column
 blocks: each step is one matrix-vector product d <- e^{-if(t_mid) w h} M d,
 and the state y d with y = e^{-iH0 h/2} u is formed only at outputs.  Every
 eigendecomposition is one call of scipy's `evr` (MRRR) driver.  A piecewise
-run chains the segments and reads out each f value's outputs 64 at a time as the
-chain reaches them, keeping start coefficients only of pieces with unread outputs;
-the undriven series is that run with f = 0.  Both routes share one readout of <A>,
-<H0> and the norm, one GEMM per 64 outputs; every output's norm is checked, per block
-when split-stepping, after the chain when piecewise, naming the first t that drifted.
+run chains the segments; the undriven series is that run with f = 0.  Both routes
+share one block readout (`_BlockReadout`): each output's coefficients go into an
+m x _BLOCK buffer of their basis, one per f value when piecewise and one when
+split-stepping, and a full buffer is read out as <A>, <H0> and the norm, one GEMM per
+64 outputs.  Every output's norm is checked, per block when split-stepping, after the
+chain when piecewise, naming the first t that drifted.
 
 Memory is set by the dense m x m complex arrays (16 m^2 bytes each) alive at
 the propagation peak.  Both routes lend V's storage to LAPACK and get it back bit
@@ -35,8 +36,9 @@ takes its place, while V's strict upper triangle is kept packed (`_lent_whole`);
 f is evaluated _BLOCK midpoints at a time.
 Besides its output rows and times, neither route holds anything that grows with the
 step, switch or output count (the piecewise route draws the drive's pieces one at a
-time).  Everything else is m x _BLOCK blocks: V and A are drawn row by row into
-their own storage and mirrored by row blocks.
+time).  Everything else is m x _BLOCK blocks: the readout buffers (K piecewise, one
+split-stepping) and the temporaries of the one block being read out.  V and A are
+drawn row by row into their own storage and mirrored by row blocks.
 
 All randomness flows from one 64-bit master seed through named PCG64
 substreams (one per matrix/vector), so adding an observable never perturbs
@@ -471,21 +473,30 @@ def _check_norm(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _series(model, w, u, c, cols, taus) -> np.ndarray:
-    """Readout rows of u @ (exp(-i w tau_j) c[:, cols_j]) for each j, one GEMM per block.
+class _BlockReadout:
+    """Output states in one basis (None: the H0 eigenbasis), gathered as coefficient columns
+    of an m x _BLOCK buffer and read out into out[:, i], one GEMM per block."""
 
-    A block's phases are formed first and take its columns of c in place; u = None means
-    the H0 eigenbasis, where the phased coefficients are the state itself.
-    """
-    out = np.empty((3, len(taus)))
-    for s in range(0, len(taus), _BLOCK):
-        blk = slice(s, s + _BLOCK)
-        states = np.exp(-1j * np.outer(w, taus[blk]))
-        states *= c[:, cols[blk]]
-        if u is not None:
-            states = u @ states
-        out[:, blk] = _readout(model, states)
-    return out
+    def __init__(self, model: RandomMatrixModel, basis: Optional[np.ndarray], out: np.ndarray):
+        self.model, self.basis, self.out = model, basis, out
+        self.cols = np.empty((len(model.energies), _BLOCK), dtype=complex)
+        self.idx = []  # the outputs in the buffer, by column
+
+    def add(self, i: int, column: np.ndarray) -> list:
+        """Buffers output i's coefficients; the indices read out, if that filled the buffer."""
+        self.cols[:, len(self.idx)] = column
+        self.idx.append(i)
+        return self.flush() if len(self.idx) == _BLOCK else []
+
+    def flush(self) -> list:
+        """Reads out the buffered outputs (_readout may overwrite them) and returns their
+        indices."""
+        idx, self.idx = self.idx, []
+        if idx:
+            states = self.cols[:, : len(idx)]
+            self.out[:, idx] = _readout(self.model,
+                                        states if self.basis is None else self.basis @ states)
+        return idx
 
 
 def _to_basis(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -506,45 +517,28 @@ def _propagate_piecewise(model, protocol, t_grid):
     if pieces is None:
         raise ConfigError(f"piecewise-exact propagation needs a piecewise-constant protocol, "
                           f"not {protocol.variant!r}")
-    cache = {0.0: (model.energies, None)}  # f = 0: pure phase evolution, V is not lent
-    pending = {}  # f -> [(start coefficients, output indices)] of its outputs not read out yet
-    taus = np.empty(len(t_grid))
+    cache = {}  # f -> (w, u, the _BlockReadout of its outputs)
     out = np.empty((3, len(t_grid)))
-
-    def read_out(fv, whole):  # fv's pending outputs: all, or (whole) those filling whole _BLOCKs
-        runs = pending.pop(fv)
-        idx = np.concatenate([o for _, o in runs])
-        n = len(idx) - len(idx) % _BLOCK if whole else len(idx)
-        cols = np.repeat(np.arange(len(runs)), [len(o) for _, o in runs])[:n]
-        w, u = cache[fv]
-        out[:, idx[:n]] = _series(model, w, u, np.stack([c for c, _ in runs], axis=1), cols,
-                                  taus[idx[:n]])
-        if n < len(idx):  # under _BLOCK outputs, all of the last piece's
-            pending[fv] = [(runs[-1][0], idx[n:])]
-
     psi = model.initial_state
     oi = 0
     with _lent_lower(model) if protocol.f0 != 0 else nullcontext() as eig:  # each f is +-f0
         for t0, t1, fv in pieces:
             if fv not in cache:
-                cache[fv] = eig(fv)
-            w, u = cache[fv]
+                w, u = eig(fv) if fv != 0 else (model.energies, None)  # f = 0: V not lent
+                cache[fv] = w, u, _BlockReadout(model, u, out)
+            w, u, readout = cache[fv]
             c = psi if u is None else _to_basis(u, psi)
             oj = int(np.searchsorted(t_grid, t1 + 1e-12, side="right"))  # t1: this piece
-            if oj > oi:
-                runs = pending.setdefault(fv, [])
-                runs.append((c, np.arange(oi, oj)))
-                taus[oi:oj] = t_grid[oi:oj] - t0
-                if sum(len(o) for _, o in runs) >= _BLOCK:
-                    read_out(fv, whole=True)
+            for i in range(oi, oj):
+                readout.add(i, np.exp(-1j * (w * (t_grid[i] - t0))) * c)
             oi = oj
             if oi >= len(t_grid):
                 break
             psi = np.exp(-1j * w * (t1 - t0)) * c
             if u is not None:
                 psi = u @ psi
-    for fv in list(pending):
-        read_out(fv, whole=False)
+    for *_, readout in cache.values():
+        readout.flush()
     return _check_norm(out, t_grid)
 
 
@@ -595,16 +589,13 @@ def _propagate_trotter(model, protocol, t_grid, step):
         n = n_out * n_sub  # f_mid[k] = f((k + 1/2) h), evaluated _BLOCK midpoints at a time
         f_mid = (f for s in range(0, n, _BLOCK)
                  for f in protocols.eval_f(protocol, (np.arange(s, min(s + _BLOCK, n)) + 0.5) * h))
-        block = np.empty((len(w), _BLOCK), dtype=complex, order="F")  # c at outputs, by column
-        for s in range(0, n_out, _BLOCK):
-            n_blk = min(_BLOCK, n_out - s)
-            for j in range(n_blk):
-                for _ in range(n_sub):
-                    c = np.exp(-1j * next(f_mid) * w * h) * d
-                    d = step_matrix @ c
-                block[:, j] = c
-            outs = slice(s + 1, s + 1 + n_blk)
-            out[:, outs] = _check_norm(_readout(model, y @ block[:, :n_blk]), t_grid[outs])
+        readout = _BlockReadout(model, y, out)  # c at outputs; the state is y c
+        for i in range(1, n_out + 1):
+            for _ in range(n_sub):
+                c = np.exp(-1j * next(f_mid) * w * h) * d
+                d = step_matrix @ c
+            idx = readout.add(i, c) + (readout.flush() if i == n_out else [])
+            _check_norm(out[:, idx], t_grid[idx])  # each block as it is read out
     return out
 
 
@@ -621,6 +612,7 @@ def propagate(
     and step protocols only); trotter: the second-order split step of
     split_step's h (a caller that reports h calls split_step), midpoint f, one
     matrix-vector product per step in V's eigenbasis (any protocol).  Both
+    read their outputs out 64 at a time through the same m x 64 block readout.  Both
     work in V's own storage and restore it, so V must be the writable, C-ordered
     complex128 Hermitian array sample_v makes, and not propagated from another
     thread meanwhile (see the module docstring).

@@ -540,9 +540,9 @@ def test_piecewise_memory_does_not_grow_with_the_switch_count():
 
 
 def test_piecewise_memory_does_not_grow_with_the_output_count():
-    # each f value's outputs are read out 64 at a time as the chain reaches them, so no start
-    # vector is kept per output: with one output per piece (period 2 dt), the traced peak grows
-    # by far less than the 2 * 16 m bytes per output that keeping them would cost
+    # each f value's output states fill its own m x 64 buffer, read out whenever it is full, so
+    # nothing is kept per output: with one output per piece (period 2 dt), the traced peak grows
+    # by far less than the 2 * 16 m bytes per output that keeping start vectors would cost
     m = 128
     model = small_eth_model(m=m)
 
@@ -559,6 +559,27 @@ def test_piecewise_memory_does_not_grow_with_the_output_count():
 
     peak(2**6)
     assert peak(2**11) - peak(2**6) < 4 * m * (2**11 - 2**6)
+
+
+def test_piecewise_memory_does_not_depend_on_how_outputs_fall_into_pieces():
+    # the buffers are the same m x 64 blocks however many outputs a piece holds: one a piece
+    # (period 2 dt) and ten a piece (period 20 dt) peak within one m-vector of each other
+    m = 128
+    model = small_eth_model(m=m)
+    t = np.linspace(0.0, 0.05 * (2**11 - 1), 2**11)
+
+    def peak(period):
+        proto = protocols.DrivingProtocol(variant="step", f0=0.3, period=period)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            rmt.propagate(model, proto, t, method="piecewise_exact")
+            return tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+
+    peak(1.0)
+    assert abs(peak(0.1) - peak(1.0)) < 16 * m
 
 
 def test_piecewise_memory_stays_one_eigenbasis_per_value():
@@ -817,6 +838,22 @@ def test_trotter_norm_drift_names_first_bad_output(monkeypatch):
     proto = protocols.DrivingProtocol(variant="sinusoid", f0=0.1, period=0.5)
     with pytest.raises(NormDriftError, match=r"norm drifted to 1\.000001200001 at t = 0\.3$"):
         rmt.propagate(model, proto, np.linspace(0.0, 2.4, 41), method="trotter", step=0.005)
+
+
+def test_trotter_norm_drift_stops_at_the_first_drifting_block(monkeypatch):
+    # the eigenvector scaling of test_trotter_norm_drift_names_first_bad_output drifts inside
+    # the first block of 64 outputs (12 steps each), so the run raises before the drive is
+    # evaluated at any midpoint of the second block's steps
+    eigh, eval_f = rmt._eigh, protocols.eval_f
+    monkeypatch.setattr(rmt, "_eigh", lambda *args, **kwargs: (
+        lambda w, u: (w, (1 + 1e-8) * u))(*eigh(*args, **kwargs)))
+    drawn = []
+    monkeypatch.setattr(protocols, "eval_f", lambda p, t: drawn.append(np.size(t)) or eval_f(p, t))
+    model = small_fidelity_model(m=64)
+    proto = protocols.DrivingProtocol(variant="sinusoid", f0=0.1, period=0.5)
+    with pytest.raises(NormDriftError, match=r"at t = 0\.3$"):
+        rmt.propagate(model, proto, np.linspace(0.0, 12.0, 201), method="trotter", step=0.005)
+    assert 0 < sum(drawn) <= 64 * 12
 
 
 @pytest.mark.parametrize("method", ["piecewise_exact", "trotter"])

@@ -52,3 +52,28 @@ def test_readme_command_paragraphs_name_every_schema_key():
     for command, schema in (("respond", harness._RESPOND), ("compare", harness._COMPARE)):
         text, = [p for p in paragraphs if p.startswith(f"`{command}` ")]
         assert set(schema) - set(re.findall(r"`([^`]+)`", text)) == set(), command
+
+
+def test_every_private_module_name_is_used_in_the_package():
+    # the package keeps only what a command or the benchmark reaches: a module-level def, class
+    # or assignment whose name starts with one underscore is referenced elsewhere in src/
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+             for path in sorted((Path(__file__).parents[1] / "src" / "typresp").glob("*.py"))}
+    defined = {}
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                names = []
+            defined.update((n, path.name) for n in names
+                           if n.startswith("_") and not n.startswith("__"))
+    used = {n.id if isinstance(n, ast.Name) else n.attr
+            for tree in trees.values() for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            or isinstance(n, ast.Attribute)}
+    unused = sorted(f"{where}:{name}" for name, where in defined.items() if name not in used)
+    assert not unused, f"private names no code in src/ references: {unused}"
