@@ -303,7 +303,8 @@ def validate_scenario_config(cfg: dict) -> dict:
     trotter a trotter_step that `rmt.split_step` takes, the prediction horizon reaches
     half an output step, a null solver step's default_step is > 0, the output grid and,
     of the step grids, only the solver grid fit the physical memory (`_output_grid`,
-    `_solver_grid`), the state index ("middle" is m // 2) lies in [0, m), and a
+    `_solver_grid`), and so do the dense arrays of propagation (`rmt._peak_arrays`,
+    against m), the state index ("middle" is m // 2) lies in [0, m), and a
     filtered state passes the run's own `rmt.window_levels` and `rmt.check_filter`,
     so a config that loads does not fail on its window after sampling.
     """
@@ -369,6 +370,12 @@ def _plan(cfg: dict) -> _Plan:
     profile = build_profile(c["profile"], d0_override=d0)
     solver = _solver_grid(c["prediction"], profile, protocol, max(horizon, dt),
                           t_grid[: n_pred + 1], (), "prediction.")
+    # the solver's arrays are freed before V exists: each peak must fit on its own
+    arrays = rmt._peak_arrays(protocol, t_end, model["method"], m, obs["kind"] == "eth")
+    need, have = 16.0 * m * m * arrays, _physical_memory()
+    if need > have:
+        raise ConfigError(f"model.m {m}: propagation holds {arrays:.3g} arrays of 16 m^2 bytes, "
+                          f"{need:.3g} bytes, over the {have:.3g} bytes of physical memory")
     return _Plan(c, protocol, profile, t_grid, spec, e, window, n_pred, solver, split)
 
 

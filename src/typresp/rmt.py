@@ -18,8 +18,9 @@ run chains the segments; the undriven series is that run with f = 0.  Both route
 share one block readout (`_BlockReadout`): each output's coefficients go into an
 m x _BLOCK buffer of their basis, one per f value when piecewise and one when
 split-stepping, and a full buffer is read out as <A>, <H0> and the norm, one GEMM per
-64 outputs.  Every output's norm is checked, per block when split-stepping, after the
-chain when piecewise, naming the first t that drifted.
+_BLOCK outputs; with a basis, A @ states goes into the buffer the states were gathered
+in.  Every output's norm is checked, per block when split-stepping, after the chain when
+piecewise, naming the first t that drifted.
 
 Memory is set by the dense m x m complex arrays (16 m^2 bytes each) alive at
 the propagation peak.  Both routes lend V's storage to LAPACK and get it back bit
@@ -37,8 +38,10 @@ f is evaluated _BLOCK midpoints at a time.
 Besides its output rows and times, neither route holds anything that grows with the
 step, switch or output count (the piecewise route draws the drive's pieces one at a
 time).  Everything else is m x _BLOCK blocks: the readout buffers (K piecewise, one
-split-stepping) and the temporaries of the one block being read out.  V and A are
-drawn row by row into their own storage and mirrored by row blocks.
+split-stepping) and the temporaries of the one block being read out, its states and
+half a block of their populations.  `_peak_arrays` states the whole count, which the
+harness checks against the host's memory before V is sampled.  V and A are drawn row by
+row into their own storage and mirrored by row blocks.
 
 All randomness flows from one 64-bit master seed through named PCG64
 substreams (one per matrix/vector), so adding an observable never perturbs
@@ -59,9 +62,6 @@ from .errors import ConfigError, EmptyWindowError, NormDriftError
 
 NORM_TOL = 1e-6  # propagation aborts beyond this norm drift
 FILTER_CUT = 1e-12  # a filter weight under this on every occupied level leaves no state
-# output times (or columns, or rows) per GEMM or block: bounds the m x _BLOCK temporaries
-_BLOCK = 64
-
 # fixed substream indices off the master seed (order is part of the format)
 _STREAMS = {"v_matrix": 0, "observable_diag": 1, "observable_offdiag": 2, "initial_state": 3}
 RNG_ALGORITHM = "PCG64"
@@ -73,6 +73,23 @@ STATE_KINDS = ("eigenstate", "filtered_random")
 Q_KINDS = ("identity", "one_plus_kappa_a")
 SECTORS = ("all", "even")
 METHODS = ("piecewise_exact", "trotter")
+
+# output times (or columns, or rows) per GEMM or block: bounds the m x _BLOCK temporaries
+_BLOCK = 32
+
+
+def _peak_arrays(protocol: protocols.DrivingProtocol, t_end: float, method: str, m: int,
+                 dense_a: bool) -> float:
+    """Arrays of 16 m^2 bytes alive at the propagation peak to t_end.  Piecewise: V, a dense A
+    and one eigenbasis per distinct nonzero f value, K + 2 for K values (K + 1 for a diagonal
+    A), K taken from the drive's first two pieces (a step drive alternates +-f0).  Split step:
+    2.5 (3.5 with a dense A).  Plus the m x _BLOCK blocks, _BLOCK / m of an array each: the
+    readout buffers (K piecewise, one split-stepping) and three for the block being read out
+    and evr's workspace."""
+    if method == "trotter":
+        return 2.5 + dense_a + 4 * _BLOCK / m
+    k = len({fv for *_, fv in itertools.islice(protocol.piecewise_segments(t_end), 2) if fv != 0})
+    return k + 1 + dense_a + (k + 3) * _BLOCK / m
 
 
 def _rng(master_seed: int, stream: str) -> np.random.Generator:
@@ -453,13 +470,16 @@ def _lent_whole(v: np.ndarray):
                 upper[mask] = part
 
 
-def _readout(model: RandomMatrixModel, states: np.ndarray) -> np.ndarray:
-    """Rows <A>, <H0> and norm of the state columns, which a dense A conjugates in place."""
-    probs = np.abs(states) ** 2
+def _readout(model: RandomMatrixModel, states: np.ndarray,
+             spare: Optional[np.ndarray] = None) -> np.ndarray:
+    """Rows <A>, <H0> and norm of the state columns, which a dense A conjugates in place and
+    writes A @ states into spare (states' shape) if one is given."""
+    probs = np.abs(states)
+    probs *= probs
     if model.observable.ndim == 1:
         a = model.observable @ probs
     else:
-        a_states = model.observable @ states
+        a_states = np.matmul(model.observable, states, out=spare)
         a = np.einsum("ij,ij->j", np.conjugate(states, out=states), a_states).real
     return np.stack((a, model.energies @ probs, np.sqrt(probs.sum(axis=0))))
 
@@ -489,13 +509,13 @@ class _BlockReadout:
         return self.flush() if len(self.idx) == _BLOCK else []
 
     def flush(self) -> list:
-        """Reads out the buffered outputs (_readout may overwrite them) and returns their
-        indices."""
+        """Reads out the buffered outputs and returns their indices.  _readout may overwrite
+        the buffer: with a basis, the states are basis @ buffer, and the buffer takes A @ states."""
         idx, self.idx = self.idx, []
         if idx:
-            states = self.cols[:, : len(idx)]
-            self.out[:, idx] = _readout(self.model,
-                                        states if self.basis is None else self.basis @ states)
+            cols = self.cols[:, : len(idx)]
+            self.out[:, idx] = (_readout(self.model, cols) if self.basis is None
+                                else _readout(self.model, self.basis @ cols, cols))
         return idx
 
 
@@ -504,12 +524,17 @@ def _to_basis(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return (u.T @ psi.conj()).conj()
 
 
-def undriven_series(model: RandomMatrixModel, t_grid: np.ndarray) -> np.ndarray:
-    """Readout rows <A>, <H0>, norm under H0 alone: the piecewise run with f = 0."""
+def _output_times(t_grid) -> np.ndarray:
+    """t_grid as a float array; a ValueError unless it is increasing and nonnegative."""
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or len(t_grid) < 1 or np.any(np.diff(t_grid) <= 0) or t_grid[0] < 0:
         raise ValueError("t_grid must be increasing and nonnegative")
-    return _propagate_piecewise(model, _UNDRIVEN, t_grid)
+    return t_grid
+
+
+def undriven_series(model: RandomMatrixModel, t_grid: np.ndarray) -> np.ndarray:
+    """Readout rows <A>, <H0>, norm under H0 alone: the piecewise run with f = 0."""
+    return _propagate_piecewise(model, _UNDRIVEN, _output_times(t_grid))
 
 
 def _propagate_piecewise(model, protocol, t_grid):
@@ -612,21 +637,22 @@ def propagate(
     and step protocols only); trotter: the second-order split step of
     split_step's h (a caller that reports h calls split_step), midpoint f, one
     matrix-vector product per step in V's eigenbasis (any protocol).  Both
-    read their outputs out 64 at a time through the same m x 64 block readout.  Both
+    read their outputs out _BLOCK at a time through the same m x _BLOCK block readout.  Both
     work in V's own storage and restore it, so V must be the writable, C-ordered
     complex128 Hermitian array sample_v makes, and not propagated from another
     thread meanwhile (see the module docstring).
     """
     if method not in METHODS:
         raise ConfigError(f"unknown propagation method {method!r}")
-    undriven = undriven_series(model, t_grid)  # checks t_grid before the driven run
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _output_times(t_grid)
+    # the driven run first: each route checks its arguments before any propagation
     if method == "piecewise_exact":
         rows = _propagate_piecewise(model, protocol, t_grid)
     elif method == "trotter":
         if step is None or step <= 0:
             raise ConfigError("trotter propagation needs a positive step")
         rows = _propagate_trotter(model, protocol, t_grid, step)
+    undriven = undriven_series(model, t_grid)
     return TrajectoryResult(
         a_series=rows[0],
         h0_series=rows[1],

@@ -1302,8 +1302,36 @@ def test_grid_beyond_memory_fails_at_load(tmp_path, monkeypatch):
     with pytest.raises(ConfigError, match=r"^prediction\.solver_step .* physical memory"):
         harness.run(cfg, tmp_path / "out")
     assert not (tmp_path / "out").exists()
+    # exactly the memory: the solver passes, and propagation's far larger dense arrays fail next
     monkeypatch.setattr(harness, "_physical_memory", lambda: need)
-    assert harness._plan(cfg).solver == plan.solver  # exactly the memory: it loads
+    with pytest.raises(ConfigError, match=r"^model\.m 1024: .* physical memory"):
+        harness._plan(cfg)
+
+
+# the dense m x m arrays of the propagation peak and its m x _BLOCK blocks, counted at load
+PROPAGATION_MEMORY = [
+    pytest.param(small_eth_cfg(), 4, 5, id="piecewise_eth"),  # V, A, eigenbases of +-f0
+    pytest.param(small_fidelity_cfg(), 3, 5, id="piecewise_fidelity"),  # no dense A
+    pytest.param(set_field(small_fidelity_cfg(), "protocol", {"variant": "constant", "f0": 0.08}),
+                 2, 4, id="piecewise_constant"),  # one eigenbasis
+    pytest.param(small_trotter_cfg(), 2.5, 4, id="trotter_fidelity"),  # V, u, packed half of V
+    pytest.param(set_field(set_field(small_eth_cfg(), "model.method", "trotter"),
+                           "model.trotter_step", 0.05), 3.5, 4, id="trotter_eth"),
+]
+
+
+@pytest.mark.parametrize("cfg,arrays,blocks", PROPAGATION_MEMORY)
+def test_propagation_beyond_memory_fails_at_load(tmp_path, monkeypatch, cfg, arrays, blocks):
+    # one byte under the count is a ConfigError naming model.m before a sample; at it, it loads
+    monkeypatch.setattr(rmt, "sample_v", _must_not_run)
+    m = cfg["model"]["m"]
+    need = 16 * m * (arrays * m + blocks * rmt._BLOCK)
+    monkeypatch.setattr(harness, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ConfigError, match=rf"^model\.m {m}: propagation holds .* physical memory"):
+        harness.run(cfg, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+    monkeypatch.setattr(harness, "_physical_memory", lambda: need)
+    harness._plan(cfg)
 
 
 def test_split_step_past_exact_midpoints_fails_at_load(tmp_path, monkeypatch):

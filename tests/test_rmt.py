@@ -163,7 +163,7 @@ def test_hermitian_sampling_matches_index_array_reference(m, variant, profile):
 
 
 def test_sample_v_memory_stays_near_its_output():
-    # rows are drawn into the output and mirrored by m x 64 blocks: no index
+    # rows are drawn into the output and mirrored by m x 32 blocks: no index
     # arrays and no m x m conjugate transpose beside it
     m = 512
     e = rmt.SpectrumSpec(m=m, variant="flat", spacing=1 / 64).energies()
@@ -437,7 +437,7 @@ def assert_rows_match(traj, ref, atol):
 @pytest.mark.parametrize("make_model", [small_eth_model, small_fidelity_model])
 def test_trotter_matches_two_gemv_split_step(make_model):
     # a non-diagonal A exercises the e^{-iH0h/2} phase of the output state;
-    # 200 outputs cross two readout blocks, and n_sub = 3 puts steps between them
+    # 200 outputs cross six readout blocks, and n_sub = 3 puts steps between them
     model = make_model()
     proto = protocols.DrivingProtocol(variant="sinusoid", f0=0.3, period=0.7)
     t = np.linspace(0.0, 2.0, 201)
@@ -461,7 +461,7 @@ def test_trotter_matches_two_gemv_split_step_any_size(m, n_sub, n_out, kind):
 
 
 def test_trotter_memory_stays_two_matrices_and_blocks():
-    # a first run, without a warm-up: V's eigenvectors, the packed half of V and the m x 64
+    # a first run, without a warm-up: V's eigenvectors, the packed half of V and the m x 32
     # blocks stay under two m x m arrays and six blocks beside V and A
     m = 512
     model = small_eth_model(m=m)
@@ -474,7 +474,7 @@ def test_trotter_memory_stays_two_matrices_and_blocks():
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
-    assert peak < (2 * m + 6 * 64) * m * 16
+    assert peak < (2 * m + 6 * rmt._BLOCK) * m * 16
 
 
 @pytest.mark.parametrize("make_model", [small_fidelity_model, small_eth_model],
@@ -482,7 +482,7 @@ def test_trotter_memory_stays_two_matrices_and_blocks():
 def test_trotter_memory_stays_eigenvectors_and_half_an_array(make_model):
     # evr works in V's own storage and M takes its place, with V's upper triangle kept packed
     # meanwhile: over V and A, a warmed-up run holds V's eigenvectors, the packed half of V and
-    # m x 64 blocks, never a copy of V
+    # m x 32 blocks, never a copy of V
     m = 512
     model = make_model(m=m)
     proto = protocols.DrivingProtocol(variant="sinusoid", f0=0.3, period=0.7)
@@ -495,12 +495,12 @@ def test_trotter_memory_stays_eigenvectors_and_half_an_array(make_model):
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
-    assert peak < (3 * m // 2 + 6 * 64) * m * 16
+    assert peak < (3 * m // 2 + 6 * rmt._BLOCK) * m * 16
 
 
 def test_split_step_memory_does_not_grow_with_the_step_count():
-    # the drive is evaluated 64 midpoints at a time, so the split step's traced peak is the same
-    # at 32 steps an output step (2 outputs: one chunk of 64) and at 8192 (256 chunks); the
+    # the drive is evaluated 32 midpoints at a time, so the split step's traced peak is the same
+    # at 32 steps an output step (2 outputs: two chunks of 32) and at 8192 (512 chunks); the
     # warm-up call first fills numpy's caches
     model = small_fidelity_model(m=16)
     proto = protocols.DrivingProtocol(variant="pseudorandom_a", f0=0.3, period=0.7)
@@ -540,7 +540,7 @@ def test_piecewise_memory_does_not_grow_with_the_switch_count():
 
 
 def test_piecewise_memory_does_not_grow_with_the_output_count():
-    # each f value's output states fill its own m x 64 buffer, read out whenever it is full, so
+    # each f value's output states fill its own m x 32 buffer, read out whenever it is full, so
     # nothing is kept per output: with one output per piece (period 2 dt), the traced peak grows
     # by far less than the 2 * 16 m bytes per output that keeping start vectors would cost
     m = 128
@@ -562,7 +562,7 @@ def test_piecewise_memory_does_not_grow_with_the_output_count():
 
 
 def test_piecewise_memory_does_not_depend_on_how_outputs_fall_into_pieces():
-    # the buffers are the same m x 64 blocks however many outputs a piece holds: one a piece
+    # the buffers are the same m x 32 blocks however many outputs a piece holds: one a piece
     # (period 2 dt) and ten a piece (period 20 dt) peak within one m-vector of each other
     m = 128
     model = small_eth_model(m=m)
@@ -582,6 +582,31 @@ def test_piecewise_memory_does_not_depend_on_how_outputs_fall_into_pieces():
     assert abs(peak(0.1) - peak(1.0)) < 16 * m
 
 
+def test_block_readout_holds_one_and_a_half_blocks_beyond_its_buffer():
+    # with a basis, a full buffer's read-out holds its states basis @ buffer (one m x _BLOCK
+    # block) and their populations, squared in place (half a block of float64), while A @ states
+    # goes into the buffer the states were gathered in; the rows of _BLOCK values read out
+    # stay under one m-vector
+    m = 512
+    model = small_eth_model(m=m)
+    readout = rmt._BlockReadout(model, np.linalg.eigh(model.v_matrix)[1],
+                                np.empty((3, rmt._BLOCK)))
+    readout.cols[:] = model.initial_state[:, None]
+
+    def peak():
+        readout.idx = list(range(rmt._BLOCK))
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            readout.flush()
+            return tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+
+    peak()  # the warm-up call fills numpy's caches
+    assert peak() <= 1.5 * rmt._BLOCK * m * 16 + 16 * m
+
+
 def test_piecewise_memory_stays_one_eigenbasis_per_value():
     # K = 2 distinct f values: their eigenbases, and nothing m x m beside them, since LAPACK
     # works on H0 + f V in V's own lower triangle, not in a buffer of its own
@@ -596,7 +621,7 @@ def test_piecewise_memory_stays_one_eigenbasis_per_value():
         peak = tracemalloc.get_traced_memory()[1] - entry
     finally:
         tracemalloc.stop()
-    assert peak < (k * m + 6 * 64) * m * 16
+    assert peak < (k * m + 6 * rmt._BLOCK) * m * 16
 
 
 def signed_zero_model(m=64):
@@ -624,7 +649,7 @@ def test_propagate_leaves_the_model_unchanged(method):
 
 @pytest.mark.parametrize("method", ["piecewise_exact", "trotter"], ids=["C", "trotter-C"])
 def test_lent_v_is_restored_when_eigh_raises(monkeypatch, method):
-    model = signed_zero_model(m=150)  # 64-row blocks: two whole ones and a part
+    model = signed_zero_model(m=150)  # 32-row blocks: four whole ones and a part
     before = model.v_matrix.copy()
 
     def fail(h, lower=True):
@@ -738,7 +763,7 @@ def test_diagonal_fidelity_readout_matches_dense_projector(method):
 
 
 def test_readout_blocks_match_per_time_loops():
-    # 100 outputs per segment: each segment crosses a 64-output block
+    # 100 outputs per segment: each segment crosses a 32-output block
     # boundary, and the grid crosses two segment switches
     model = small_eth_model()
     t = np.linspace(0.0, 3.0, 301)
@@ -757,7 +782,7 @@ def test_readout_blocks_match_per_time_loops():
 
 
 def undriven_loop(model, t_grid):
-    """Undriven rows as the phase evolution e^{-iH0 t} psi0, read out per 64 outputs
+    """Undriven rows as the phase evolution e^{-iH0 t} psi0, read out per _BLOCK outputs
     (the loop the f = 0 piecewise run replaced)."""
     out = np.empty((3, len(t_grid)))
     for s in range(0, len(t_grid), rmt._BLOCK):
@@ -785,8 +810,8 @@ def test_undriven_series_rejects_a_bad_grid(t):
 
 # outputs on switch times (0.3 k from linspace lands an ulp off the bound),
 # a period shorter than the output step (segments without outputs), one
-# constant segment over two readout blocks, f0 = 0 (pure phase evolution),
-# the single output t = 0, pieces of 7.5 outputs that straddle the 64-output blocks of both
+# constant segment over three readout blocks, f0 = 0 (pure phase evolution),
+# the single output t = 0, pieces of 7.5 outputs that straddle the 32-output blocks of both
 # values (150 outputs each), and one output a piece (70 or 71 outputs each)
 PIECEWISE_GRIDS = {
     "on_switches": (dict(variant="step", f0=0.3, period=0.6), np.linspace(0.0, 2.4, 25)),
@@ -842,7 +867,7 @@ def test_trotter_norm_drift_names_first_bad_output(monkeypatch):
 
 def test_trotter_norm_drift_stops_at_the_first_drifting_block(monkeypatch):
     # the eigenvector scaling of test_trotter_norm_drift_names_first_bad_output drifts inside
-    # the first block of 64 outputs (12 steps each), so the run raises before the drive is
+    # the first block of 32 outputs (12 steps each), so the run raises before the drive is
     # evaluated at any midpoint of the second block's steps
     eigh, eval_f = rmt._eigh, protocols.eval_f
     monkeypatch.setattr(rmt, "_eigh", lambda *args, **kwargs: (
@@ -853,7 +878,7 @@ def test_trotter_norm_drift_stops_at_the_first_drifting_block(monkeypatch):
     proto = protocols.DrivingProtocol(variant="sinusoid", f0=0.1, period=0.5)
     with pytest.raises(NormDriftError, match=r"at t = 0\.3$"):
         rmt.propagate(model, proto, np.linspace(0.0, 12.0, 201), method="trotter", step=0.005)
-    assert 0 < sum(drawn) <= 64 * 12
+    assert 0 < sum(drawn) <= rmt._BLOCK * 12
 
 
 @pytest.mark.parametrize("method", ["piecewise_exact", "trotter"])
@@ -902,6 +927,21 @@ def test_trotter_step_must_respect_switches():
 
 
 SINE = protocols.DrivingProtocol(variant="sinusoid", f0=0.1, period=0.5)
+
+
+@pytest.mark.parametrize("method,step,t", [
+    pytest.param("trotter", None, np.linspace(0.0, 2.0, 201), id="trotter_no_step"),
+    pytest.param("piecewise_exact", None, np.linspace(0.0, 2.0, 201), id="piecewise_sinusoid"),
+    pytest.param("trotter", 0.05, np.append(np.linspace(0.0, 2.0, 201), 2.5), id="trotter_uneven"),
+])
+def test_route_arguments_are_checked_before_any_readout(monkeypatch, method, step, t):
+    # a route's arguments are checked before the driven run, and that runs before the undriven
+    # series, so a bad call reads no output out
+    calls, readout = [], rmt._readout
+    monkeypatch.setattr(rmt, "_readout", lambda *args: calls.append(1) or readout(*args))
+    with pytest.raises(ConfigError):
+        rmt.propagate(small_fidelity_model(m=16), SINE, t, method=method, step=step)
+    assert not calls
 
 
 def trotter_on(t, step=0.05):

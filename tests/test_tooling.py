@@ -77,3 +77,15 @@ def test_every_private_module_name_is_used_in_the_package():
             or isinstance(n, ast.Attribute)}
     unused = sorted(f"{where}:{name}" for name, where in defined.items() if name not in used)
     assert not unused, f"private names no code in src/ references: {unused}"
+
+
+def test_every_stated_block_width_is_rmt_block():
+    # README and rmt's docstrings write the readout's blocks as m x <columns>: each is rmt._BLOCK
+    from typresp import rmt
+
+    tree = ast.parse(Path(rmt.__file__).read_text(encoding="utf-8"))
+    docs = [ast.get_docstring(node) or "" for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    widths = {int(w) for text in [readme, *docs] for w in re.findall(r"\bm x (\d+)", text)}
+    assert widths <= {rmt._BLOCK}, f"m x {sorted(widths - {rmt._BLOCK})}, not rmt._BLOCK"
