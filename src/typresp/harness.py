@@ -243,11 +243,15 @@ def _strings(section: dict, where: str) -> list:
 
 
 def parse_config(text: str) -> dict:
-    """A YAML config as a plain dict, checked per command; a key given twice is a ConfigError."""
-    loader = yaml.SafeLoader(text)
-    node = loader.get_single_node()
-    _unique_keys(node, "", set())
-    cfg = None if node is None else loader.construct_document(node)
+    """A YAML config as a plain dict, checked per command; text that is not YAML, or a key
+    given twice, is a ConfigError."""
+    try:
+        loader = yaml.SafeLoader(text)
+        node = loader.get_single_node()
+        _unique_keys(node, "", set())
+        cfg = None if node is None else loader.construct_document(node)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"config is not YAML: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a YAML mapping")
     return cfg
@@ -276,7 +280,12 @@ def render_config(cfg: dict) -> str:
 
 
 def load_config(path) -> dict:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    """parse_config of the file at path; a file that is not UTF-8 is a ConfigError."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {str(path)!r} is not UTF-8: {exc}") from None
+    return parse_config(text)
 
 
 class _Plan(NamedTuple):
@@ -338,20 +347,19 @@ def _plan(cfg: dict) -> _Plan:
                           f"but model.initial_state.kind is {state['kind']!r}")
     if obs["kind"] == "eth" and m % 2:
         raise ConfigError(f"model.m must be even for the two-sector eth observable, got {m}")
-    if model["method"] == "piecewise_exact":
-        if protocol.variant not in protocols.PIECEWISE_CONSTANT:
-            raise ConfigError(f"model.method piecewise_exact needs protocol.variant in "
-                              f"{list(protocols.PIECEWISE_CONSTANT)}, got {protocol.variant!r}")
-        try:
-            protocol.piecewise_segments(t_end)  # its pieces: a ValueError if too many to count
-        except ValueError as exc:
-            raise ConfigError(f"protocol.period {protocol.period!r}: {exc}") from None
+    try:  # either method draws the drive's pieces: a ValueError if too many to count
+        protocol.piecewise_segments(t_end)
+    except ValueError as exc:
+        raise ConfigError(f"protocol.period {protocol.period!r}: {exc}") from None
     split = None
     if model["method"] == "trotter":
-        try:  # split_step also raises piecewise_segments' ValueError
+        try:  # split_step's ConfigError, named by the key
             split = rmt.split_step(protocol, dt, model["trotter_step"], t_end)
-        except ValueError as exc:
+        except ConfigError as exc:
             raise ConfigError(f"model.trotter_step {model['trotter_step']!r}: {exc}") from None
+    elif protocol.variant not in protocols.PIECEWISE_CONSTANT:
+        raise ConfigError(f"model.method piecewise_exact needs protocol.variant in "
+                          f"{list(protocols.PIECEWISE_CONSTANT)}, got {protocol.variant!r}")
     index = state["index"] = m // 2 if state["index"] == "middle" else state["index"]
     if index >= m:
         raise ConfigError(f"model.initial_state.index must lie in [0, {m}), got {index!r}")
@@ -372,10 +380,8 @@ def _plan(cfg: dict) -> _Plan:
                           t_grid[: n_pred + 1], (), "prediction.")
     # the solver's arrays are freed before V exists: each peak must fit on its own
     arrays = rmt._peak_arrays(protocol, t_end, model["method"], m, obs["kind"] == "eth")
-    need, have = 16.0 * m * m * arrays, _physical_memory()
-    if need > have:
-        raise ConfigError(f"model.m {m}: propagation holds {arrays:.3g} arrays of 16 m^2 bytes, "
-                          f"{need:.3g} bytes, over the {have:.3g} bytes of physical memory")
+    _fits(16.0 * m * m * arrays,
+          f"model.m {m}: propagation holds {arrays:.3g} arrays of 16 m^2 bytes")
     return _Plan(c, protocol, profile, t_grid, spec, e, window, n_pred, solver, split)
 
 
@@ -392,17 +398,22 @@ def _solver_grid(section: dict, profile, protocol, t_end: float, t_out, t_primes
     what = f"{where}solver_step {'' if section['solver_step'] else 'null, default_step '}{h!r}"
     k, h = protocols.subdivide(float(t_out[1]), h)  # an uncountable k is inf: past any memory
     rows, n_out = len(t_out) + len(t_primes), len(t_out) - 1
-    need = response.ROW_STEP_BYTES * rows * (float(k) * n_out + 1)  # past 1.8e308: inf
-    have = _physical_memory()
-    if need > have:
-        raise ConfigError(f"{what} gives {k:.3g} steps an output step: the solver's g and c would "
-                          f"take {need:.3g} bytes, over the {have:.3g} bytes of physical memory")
+    _fits(response.ROW_STEP_BYTES * rows * (float(k) * n_out + 1),  # past 1.8e308: inf
+          f"{what} gives {k:.3g} steps an output step; the solver's g and c")
     return k, h
 
 
 def _physical_memory() -> int:
     """Bytes of physical memory on this host: no grid a config sizes may need more."""
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _fits(need: float, what: str) -> None:
+    """A ConfigError unless need bytes fit in _physical_memory(); what needs them starts the
+    message with its field."""
+    have = _physical_memory()
+    if need > have:
+        raise ConfigError(f"{what}: {need:.3g} bytes, over the {have:.3g} bytes of physical memory")
 
 
 def build_profile(section: dict, d0_override: Optional[float] = None):
@@ -553,11 +564,9 @@ def compare_files(cfg: dict, out_dir) -> dict:
 
 
 def _output_grid(grid: dict) -> np.ndarray:
-    """Times k t_max / n_out; a ConfigError if they and their arange exceed _physical_memory()."""
-    n, have = grid["n_out"], _physical_memory()
-    if 16 * (n + 1) > have:
-        raise ConfigError(f"grid.n_out {n!r}: the output grid, {n + 1} times and their arange "
-                          f"at 16 bytes a time, would exceed the {have} bytes of physical memory")
+    """Times k t_max / n_out; a ConfigError if they and their arange exceed the memory (_fits)."""
+    n = grid["n_out"]
+    _fits(16 * (n + 1), f"grid.n_out {n!r}: the output grid, {n + 1} times and their arange")
     return grid["t_max"] / n * np.arange(n + 1)
 
 

@@ -19,8 +19,9 @@ share one block readout (`_BlockReadout`): each output's coefficients go into an
 m x _BLOCK buffer of their basis, one per f value when piecewise and one when
 split-stepping, and a full buffer is read out as <A>, <H0> and the norm, one GEMM per
 _BLOCK outputs; with a basis, A @ states goes into the buffer the states were gathered
-in.  Every output's norm is checked, per block when split-stepping, after the chain when
-piecewise, naming the first t that drifted.
+in.  Each block's norms are checked as it is read out, naming the first t of the block
+that drifted, so a run stops at its first drifting block.  The split step's t = 0 output is
+read from psi itself and checked before any step.
 
 Memory is set by the dense m x m complex arrays (16 m^2 bytes each) alive at
 the propagation peak.  Both routes lend V's storage to LAPACK and get it back bit
@@ -495,28 +496,33 @@ def _check_norm(rows: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 class _BlockReadout:
     """Output states in one basis (None: the H0 eigenbasis), gathered as coefficient columns
-    of an m x _BLOCK buffer and read out into out[:, i], one GEMM per block."""
+    of an m x _BLOCK buffer and read out into out[:, i], one GEMM per block.  Each block's
+    norms are checked as it is read out: a NormDriftError names the block's first drifting
+    output time t[i].  On the piecewise chain, blocks of different f values interleave in
+    time, so that need not be the run's first drifting output."""
 
-    def __init__(self, model: RandomMatrixModel, basis: Optional[np.ndarray], out: np.ndarray):
-        self.model, self.basis, self.out = model, basis, out
+    def __init__(self, model: RandomMatrixModel, basis: Optional[np.ndarray], out: np.ndarray,
+                 t: np.ndarray):
+        self.model, self.basis, self.out, self.t = model, basis, out, t
         self.cols = np.empty((len(model.energies), _BLOCK), dtype=complex)
         self.idx = []  # the outputs in the buffer, by column
 
-    def add(self, i: int, column: np.ndarray) -> list:
-        """Buffers output i's coefficients; the indices read out, if that filled the buffer."""
+    def add(self, i: int, column: np.ndarray) -> None:
+        """Buffers output i's coefficients, and reads the buffer out if that filled it."""
         self.cols[:, len(self.idx)] = column
         self.idx.append(i)
-        return self.flush() if len(self.idx) == _BLOCK else []
+        if len(self.idx) == _BLOCK:
+            self.flush()
 
-    def flush(self) -> list:
-        """Reads out the buffered outputs and returns their indices.  _readout may overwrite
-        the buffer: with a basis, the states are basis @ buffer, and the buffer takes A @ states."""
+    def flush(self) -> None:
+        """Reads out the buffered outputs and checks their norms.  _readout may overwrite the
+        buffer: with a basis, the states are basis @ buffer, and the buffer takes A @ states."""
         idx, self.idx = self.idx, []
         if idx:
             cols = self.cols[:, : len(idx)]
-            self.out[:, idx] = (_readout(self.model, cols) if self.basis is None
-                                else _readout(self.model, self.basis @ cols, cols))
-        return idx
+            rows = (_readout(self.model, cols) if self.basis is None
+                    else _readout(self.model, self.basis @ cols, cols))
+            self.out[:, idx] = _check_norm(rows, self.t[idx])
 
 
 def _to_basis(u: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -550,7 +556,7 @@ def _propagate_piecewise(model, protocol, t_grid):
         for t0, t1, fv in pieces:
             if fv not in cache:
                 w, u = eig(fv) if fv != 0 else (model.energies, None)  # f = 0: V not lent
-                cache[fv] = w, u, _BlockReadout(model, u, out)
+                cache[fv] = w, u, _BlockReadout(model, u, out, t_grid)
             w, u, readout = cache[fv]
             c = psi if u is None else _to_basis(u, psi)
             oj = int(np.searchsorted(t_grid, t1 + 1e-12, side="right"))  # t1: this piece
@@ -564,7 +570,7 @@ def _propagate_piecewise(model, protocol, t_grid):
                 psi = u @ psi
     for *_, readout in cache.values():
         readout.flush()
-    return _check_norm(out, t_grid)
+    return out
 
 
 def split_step(protocol: protocols.DrivingProtocol, dt_out: float, step: float,
@@ -614,13 +620,13 @@ def _propagate_trotter(model, protocol, t_grid, step):
         n = n_out * n_sub  # f_mid[k] = f((k + 1/2) h), evaluated _BLOCK midpoints at a time
         f_mid = (f for s in range(0, n, _BLOCK)
                  for f in protocols.eval_f(protocol, (np.arange(s, min(s + _BLOCK, n)) + 0.5) * h))
-        readout = _BlockReadout(model, y, out)  # c at outputs; the state is y c
+        readout = _BlockReadout(model, y, out, t_grid)  # c at outputs; the state is y c
         for i in range(1, n_out + 1):
             for _ in range(n_sub):
                 c = np.exp(-1j * next(f_mid) * w * h) * d
                 d = step_matrix @ c
-            idx = readout.add(i, c) + (readout.flush() if i == n_out else [])
-            _check_norm(out[:, idx], t_grid[idx])  # each block as it is read out
+            readout.add(i, c)
+        readout.flush()
     return out
 
 
@@ -637,10 +643,11 @@ def propagate(
     and step protocols only); trotter: the second-order split step of
     split_step's h (a caller that reports h calls split_step), midpoint f, one
     matrix-vector product per step in V's eigenbasis (any protocol).  Both
-    read their outputs out _BLOCK at a time through the same m x _BLOCK block readout.  Both
-    work in V's own storage and restore it, so V must be the writable, C-ordered
-    complex128 Hermitian array sample_v makes, and not propagated from another
-    thread meanwhile (see the module docstring).
+    read their outputs out _BLOCK at a time through the same m x _BLOCK block readout, which
+    raises a NormDriftError at the first drifting block, naming that block's first drifting
+    output (_BlockReadout).  Both work in V's own storage and restore it, so V must be the
+    writable, C-ordered complex128 Hermitian array sample_v makes, and not propagated from
+    another thread meanwhile (see the module docstring).
     """
     if method not in METHODS:
         raise ConfigError(f"unknown propagation method {method!r}")

@@ -1097,6 +1097,34 @@ def test_unknown_keys_of_mixed_type_are_named():
         harness.validate_scenario_config(harness.parse_config(text))
 
 
+@pytest.mark.parametrize("data", [
+    pytest.param(b"seed: [1, 2", id="parser"),
+    pytest.param(b"a:\n\tb: 1\n", id="tab_indent"),
+    pytest.param(b"a: *y\n", id="undefined_alias"),
+    pytest.param(b"a: !!python/object:os.system {}\n", id="python_tag"),
+    pytest.param(b"a: \xff\n", id="not_utf8"),
+])
+def test_cli_config_that_is_not_utf8_yaml_is_a_config_error(tmp_path, capsys, data):
+    path = tmp_path / "cfg.yaml"
+    path.write_bytes(data)
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    record = json.loads(capsys.readouterr().out)
+    assert record["error"] == "ConfigError"
+    assert data.isascii() or str(path) in record["message"]  # a decode error names the file
+    assert not (tmp_path / "out").exists()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from(list("ab:-[]{}&*!|>'\"#%@` ,\t\n\x00\ufeff12.")),
+               max_size=24))
+def test_parse_config_returns_a_dict_or_raises_config_error(text):
+    try:
+        cfg = harness.parse_config(text)
+    except ConfigError:
+        return
+    assert isinstance(cfg, dict)
+
+
 def test_sweep_checks_cross_field_rules_first(tmp_path):
     # the second variation breaks a rule of the scenario, not of the schema
     cfg = {"sweep": {"base": quench_cfg(),
@@ -1267,7 +1295,7 @@ TOO_FINE = [
                  MIDPOINTS, id="trotter_inf"),
     pytest.param("simulate", fast_step_trotter(1e-7), "model.trotter_step", DIVIDE,
                  id="trotter_longer_than_a_piece"),
-    pytest.param("simulate", fast_step_trotter(1e-310), "model.trotter_step", COUNT,
+    pytest.param("simulate", fast_step_trotter(1e-310), "protocol.period", COUNT,
                  id="trotter_pieces_inf"),
     pytest.param("simulate", set_field(set_field(fast_step_trotter(1e-310), "model.method",
                                                  "piecewise_exact"), "model.trotter_step", None),

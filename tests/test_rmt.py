@@ -590,10 +590,11 @@ def test_block_readout_holds_one_and_a_half_blocks_beyond_its_buffer():
     m = 512
     model = small_eth_model(m=m)
     readout = rmt._BlockReadout(model, np.linalg.eigh(model.v_matrix)[1],
-                                np.empty((3, rmt._BLOCK)))
-    readout.cols[:] = model.initial_state[:, None]
+                                np.empty((3, rmt._BLOCK)), np.arange(rmt._BLOCK, dtype=float))
 
     def peak():
+        # a flush leaves A @ states in the buffer, whose norms would drift: unit states again
+        readout.cols[:] = model.initial_state[:, None]
         readout.idx = list(range(rmt._BLOCK))
         tracemalloc.start()
         try:
@@ -879,6 +880,25 @@ def test_trotter_norm_drift_stops_at_the_first_drifting_block(monkeypatch):
     with pytest.raises(NormDriftError, match=r"at t = 0\.3$"):
         rmt.propagate(model, proto, np.linspace(0.0, 12.0, 201), method="trotter", step=0.005)
     assert 0 < sum(drawn) <= rmt._BLOCK * 12
+
+
+def test_piecewise_norm_drift_stops_at_the_first_drifting_block(monkeypatch):
+    # eigenvectors scaled by s = 1 + 1e-7 give piece k's outputs the norm s^(2k + 2), past
+    # NORM_TOL from piece 4 on (t in (1, 1.25]); the f = +0.1 block, full first, holds them.
+    # The block raises while V is lent to evr, which must get it back bit for bit
+    eigh, read = rmt._eigh, rmt._readout
+    monkeypatch.setattr(rmt, "_eigh", lambda *args, **kwargs: (
+        lambda w, u: (w, (1 + 1e-7) * u))(*eigh(*args, **kwargs)))
+    outputs = []
+    monkeypatch.setattr(rmt, "_readout", lambda model, states, *spare: outputs.append(
+        states.shape[1]) or read(model, states, *spare))
+    model = small_fidelity_model(m=64)
+    before = model.v_matrix.copy()
+    proto = protocols.DrivingProtocol(variant="step", f0=0.1, period=0.5)
+    with pytest.raises(NormDriftError, match=r"norm drifted to 1\.000001000000 at t = 1\.05$"):
+        rmt.propagate(model, proto, np.linspace(0.0, 100.0, 2001), method="piecewise_exact")
+    assert 0 < sum(outputs) <= 2 * rmt._BLOCK
+    np.testing.assert_array_equal(bits(model.v_matrix), bits(before))
 
 
 @pytest.mark.parametrize("method", ["piecewise_exact", "trotter"])

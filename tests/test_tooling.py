@@ -89,3 +89,24 @@ def test_every_stated_block_width_is_rmt_block():
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     widths = {int(w) for text in [readme, *docs] for w in re.findall(r"\bm x (\d+)", text)}
     assert widths <= {rmt._BLOCK}, f"m x {sorted(widths - {rmt._BLOCK})}, not rmt._BLOCK"
+
+
+def test_norms_are_checked_only_by_the_block_readout_and_at_t0():
+    # one norm rule: each readout block checks its own outputs as _BlockReadout.flush reads
+    # them out; only the split step's t = 0 output, read from psi before any step, has its own
+    from typresp import rmt
+
+    tree = ast.parse(Path(rmt.__file__).read_text(encoding="utf-8"))
+    callers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "_check_norm":
+                callers.append(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    assert sorted(callers) == ["_BlockReadout.flush", "_propagate_trotter"], callers
